@@ -217,12 +217,12 @@ func BenchmarkTableVII(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceThroughput times in-trace execution at both tiers: the
-// tier-1 block-by-block trace walk against the tier-2 superinstruction
-// forms compiled from the same traces. The reported metric is nanoseconds
-// per block executed inside traces — runCompiled mirrors runTrace
-// counter-for-counter, so both tiers share the denominator and the delta is
-// the compiled form's per-trace-block saving. This is the regression
+// BenchmarkTraceThroughput times in-trace execution at both tiers: traces
+// on their unfused programs against the fused programs compiled from the
+// same traces. The reported metric is nanoseconds per block executed inside
+// traces — one executor runs both forms and counts blocks the same way, so
+// both tiers share the denominator and the delta is the fused form's
+// per-trace-block saving. This is the regression
 // benchmark behind the tier rules of harness.CompareBenchReports.
 func BenchmarkTraceThroughput(b *testing.B) {
 	tiers := []struct {

@@ -29,28 +29,17 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, string(b), resp.Header.Get("Content-Type")
 }
 
-// TestV1LegacyParity pins the compatibility contract: every unversioned
-// route is an alias of its /v1/ twin and serves a byte-identical body.
-func TestV1LegacyParity(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{Workers: 1, EventTrace: 64})
-	if _, m := postRun(t, srv.URL, `{"workload":"soot","mode":"trace"}`); m["output"] == "" {
-		t.Fatal("seed run failed")
-	}
-	for _, path := range []string{"/stats", "/traces", "/metrics", "/events", "/healthz", "/readyz"} {
-		vCode, vBody, _ := get(t, srv.URL+"/v1"+path)
-		lCode, lBody, _ := get(t, srv.URL+path)
-		if vCode != lCode || vBody != lBody {
-			t.Errorf("%s: v1 (%d, %d bytes) != legacy (%d, %d bytes)",
-				path, vCode, len(vBody), lCode, len(lBody))
+// TestUnversionedPathsAreGone: /v1/ is the whole HTTP surface. The
+// pre-versioning aliases are removed, so a bare path is a 404 while its /v1/
+// twin answers.
+func TestUnversionedPathsAreGone(t *testing.T) {
+	srv, _ := newTestServer(t, serve.Config{Workers: 1})
+	for _, path := range []string{"/stats", "/traces", "/metrics", "/events", "/healthz", "/readyz", "/snapshot"} {
+		if code, _, _ := get(t, srv.URL+path); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
 		}
 	}
-}
-
-// TestV1RunParity runs the same request against /run and /v1/run and
-// compares everything except the nondeterministic wall time.
-func TestV1RunParity(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{Workers: 1})
-	for _, path := range []string{"/run", "/v1/run"} {
+	for path, want := range map[string]int{"/run": http.StatusNotFound, "/v1/run": http.StatusOK} {
 		resp, err := http.Post(srv.URL+path, "application/json",
 			strings.NewReader(`{"workload":"soot","mode":"plain"}`))
 		if err != nil {
@@ -59,14 +48,15 @@ func TestV1RunParity(t *testing.T) {
 		var wire api.RunResponse
 		err = json.NewDecoder(resp.Body).Decode(&wire)
 		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, err %v", path, resp.StatusCode, err)
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: status %d, want %d", path, resp.StatusCode, want)
 		}
-		if wire.Schema != api.SchemaRun {
-			t.Errorf("%s: schema %q, want %q", path, wire.Schema, api.SchemaRun)
+		if want != http.StatusOK {
+			continue
 		}
-		if wire.Program != "soot" || wire.Counters.Instrs == 0 {
-			t.Errorf("%s: program=%q instrs=%d", path, wire.Program, wire.Counters.Instrs)
+		if err != nil || wire.Schema != api.SchemaRun || wire.Program != "soot" || wire.Counters.Instrs == 0 {
+			t.Errorf("POST %s: err %v, schema %q, program %q, instrs %d",
+				path, err, wire.Schema, wire.Program, wire.Counters.Instrs)
 		}
 	}
 }

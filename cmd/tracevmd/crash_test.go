@@ -418,7 +418,7 @@ func TestDaemonQuarantinesCorruptSnapshotAtStartup(t *testing.T) {
 
 	first := startDaemon(t, nil, daemonArgs(dir)...)
 	waitDaemonReady(t, first.url)
-	resp, m := postRun(t, first.url+"/v1", `{"workload":"compress","mode":"trace"}`)
+	resp, m := postRun(t, first.url, `{"workload":"compress","mode":"trace"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming run: status %d: %v", resp.StatusCode, m)
 	}
@@ -448,7 +448,7 @@ func TestDaemonQuarantinesCorruptSnapshotAtStartup(t *testing.T) {
 	if _, err := os.Stat(committed[0]); !os.IsNotExist(err) {
 		t.Errorf("damaged snapshot still in the store (err=%v); it would be retried forever", err)
 	}
-	resp, m = postRun(t, second.url+"/v1", `{"workload":"compress","mode":"trace"}`)
+	resp, m = postRun(t, second.url, `{"workload":"compress","mode":"trace"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("run after quarantine: status %d: %v", resp.StatusCode, m)
 	}

@@ -12,8 +12,7 @@
 //	         -quarantine-after 3 -events 4096 -debug-addr localhost:8078 \
 //	         -snapshot-dir /var/lib/tracevm/snapshots -snapshot-interval 30s
 //
-// Endpoints (versioned under /v1/; the unversioned paths remain as aliases
-// and serve byte-identical bodies):
+// Endpoints (all under /v1/):
 //
 //	POST /v1/run     {"workload":"compress","mode":"trace"} or
 //	                 {"source":"class Main {...}","kind":"minijava",...}
@@ -178,18 +177,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// newMux builds the daemon's HTTP surface over a service. Every route is
-// registered under /v1/ and, for compatibility with pre-versioning clients,
-// under its original unversioned path; both share one handler, so the
-// bodies are byte-identical.
+// newMux builds the daemon's HTTP surface over a service.
 func newMux(svc *serve.Service) *http.ServeMux {
 	mux := http.NewServeMux()
-	handle := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, h)
-	}
 
-	handle("POST", "/run", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var wire api.RunRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&wire); err != nil {
 			writeJSON(w, http.StatusBadRequest, api.NewError("bad JSON: "+err.Error()))
@@ -229,23 +221,23 @@ func newMux(svc *serve.Service) *http.ServeMux {
 		writeJSON(w, http.StatusOK, api.RunResponseFrom(resp))
 	})
 
-	handle("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.StatsResponse{
 			Schema:   api.SchemaStats,
 			Snapshot: svc.Stats(),
 		})
 	})
 
-	handle("GET", "/traces", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.TracesResponseFrom(svc.TraceInventory()))
 	})
 
-	handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = api.WriteMetrics(w, svc.Stats())
 	})
 
-	handle("GET", "/events", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		n := 256
 		if s := q.Get("n"); s != "" {
@@ -283,7 +275,7 @@ func newMux(svc *serve.Service) *http.ServeMux {
 	// program's learned-profile snapshot in its binary format; PUT uploads
 	// one, pre-warming the program for every later request of the same
 	// content hash. Both 404 the feature off when -snapshot-dir is unset.
-	handle("GET", "/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if !svc.SnapshotEnabled() {
 			writeJSON(w, http.StatusNotFound, api.NewError("snapshot persistence disabled (start with -snapshot-dir)"))
 			return
@@ -312,7 +304,7 @@ func newMux(svc *serve.Service) *http.ServeMux {
 		_, _ = w.Write(data)
 	})
 
-	handle("PUT", "/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if !svc.SnapshotEnabled() {
 			writeJSON(w, http.StatusNotFound, api.NewError("snapshot persistence disabled (start with -snapshot-dir)"))
 			return
@@ -336,7 +328,7 @@ func newMux(svc *serve.Service) *http.ServeMux {
 		})
 	})
 
-	handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := svc.Stats()
 		writeJSON(w, http.StatusOK, api.HealthResponse{
 			Schema:     api.SchemaHealth,
@@ -346,7 +338,7 @@ func newMux(svc *serve.Service) *http.ServeMux {
 		})
 	})
 
-	handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		code, body := readiness(svc.Stats())
 		writeJSON(w, code, body)
 	})

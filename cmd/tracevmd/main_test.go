@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, cfg serve.Config) (*httptest.Server, *serve.Ser
 
 func postRun(t *testing.T, url string, body string) (*http.Response, map[string]any) {
 	t.Helper()
-	resp, err := http.Post(url+"/run", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatal("run failed")
 	}
 
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Errorf("stats missing per-program entry: %v", snap.PerProgram)
 	}
 
-	hresp, err := http.Get(srv.URL + "/healthz")
+	hresp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]any) {
 
 func TestReadyzHealthy(t *testing.T) {
 	srv, _ := newTestServer(t, serve.Config{Workers: 2})
-	resp, m := getJSON(t, srv.URL+"/readyz")
+	resp, m := getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK || m["status"] != "healthy" {
 		t.Errorf("readyz: status %d, body %v", resp.StatusCode, m)
 	}
@@ -180,7 +180,7 @@ func TestReadyzDegradedByQuarantine(t *testing.T) {
 	})
 	// One panic quarantines the program and degrades readiness.
 	postRun(t, srv.URL, `{"workload":"compress","mode":"plain"}`)
-	resp, m := getJSON(t, srv.URL+"/readyz")
+	resp, m := getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK || m["status"] != "degraded" {
 		t.Errorf("readyz after quarantine: status %d, body %v", resp.StatusCode, m)
 	}
@@ -199,7 +199,7 @@ func TestReadyzDrainingAfterClose(t *testing.T) {
 	srv := httptest.NewServer(newMux(svc))
 	t.Cleanup(srv.Close)
 	svc.Close()
-	resp, m := getJSON(t, srv.URL+"/readyz")
+	resp, m := getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable || m["status"] != "draining" {
 		t.Errorf("readyz after close: status %d, body %v", resp.StatusCode, m)
 	}
@@ -235,7 +235,7 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { done <- serveListener(ctx, l, svc, 5*time.Second) }()
 
 	url := "http://" + l.Addr().String()
-	resp, err := http.Post(url+"/run", "application/json",
+	resp, err := http.Post(url+"/v1/run", "application/json",
 		bytes.NewReader([]byte(`{"workload":"soot","mode":"plain"}`)))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis/valueflow"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/jasm"
 	"repro/internal/profile"
 	"repro/internal/stats"
+	"repro/internal/vm"
 )
 
 // tierParams keeps the profiler deterministic and fast to converge so the
@@ -202,29 +204,36 @@ func TestTierDemotionAfterGuardExitStorm(t *testing.T) {
 	}
 }
 
-// TestTierDeoptStateEquivalence is the state-equivalence contract: a tier-2
-// run must produce exactly the counters of the tier-1 run it replaces —
-// every field of stats.Counters identical except the three tiered ones —
-// and byte-identical output. It covers the happy path, both hook fidelities,
-// value-flow-assisted compilation, and the demotion storm (where every
-// compiled dispatch takes the deopt side exit).
+// TestTierDeoptStateEquivalence is the state-equivalence contract: a run on
+// fused programs must produce exactly the counters of the run on unfused
+// ones — every field of stats.Counters identical except the three tiered
+// ones — and byte-identical output. It covers the happy path, both hook
+// fidelities, value-flow-assisted compilation, the demotion storm (where
+// every fused dispatch takes the guard exit), and the executor's checked
+// mode: a step budget that runs out and a host interrupt that arrives inside
+// a trace must trap at the same PC, after the same work, in either form.
 func TestTierDeoptStateEquivalence(t *testing.T) {
 	type scenario struct {
-		name      string
-		src, want string
-		mode      core.Mode
-		facts     bool
-		misdirect bool
+		name        string
+		src, want   string
+		mode        core.Mode
+		facts       bool
+		misdirect   bool
+		maxSteps    int64       // step budget; the run must end in wantTrap
+		interruptAt int64       // hook call that raises the interrupt flag
+		wantTrap    vm.TrapKind // TrapNone: the run completes
 	}
 	scenarios := []scenario{
 		{name: "deploy-loop", src: loopProgram, want: "49995000\n", mode: core.ModeTraceDeploy},
 		{name: "measure-loop", src: loopProgram, want: "49995000\n", mode: core.ModeTrace},
 		{name: "deploy-loop-facts", src: loopProgram, want: "49995000\n", mode: core.ModeTraceDeploy, facts: true},
 		{name: "guard-exit-storm", src: stormProgram, want: stormOutput, mode: core.ModeTrace, misdirect: true},
+		{name: "step-limit", src: loopProgram, mode: core.ModeTraceDeploy, maxSteps: 40_000, wantTrap: vm.TrapStepLimit},
+		{name: "interrupt", src: loopProgram, mode: core.ModeTrace, interruptAt: 20_000, wantTrap: vm.TrapInterrupted},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(compile bool) (stats.Counters, string) {
+			run := func(compile bool) (stats.Counters, string, string) {
 				prog, err := jasm.Assemble(sc.src)
 				if err != nil {
 					t.Fatalf("assemble: %v", err)
@@ -235,10 +244,11 @@ func TestTierDeoptStateEquivalence(t *testing.T) {
 				}
 				out := &testWriter{}
 				opts := core.SessionOptions{
-					Mode:   sc.mode,
-					Params: tierParams,
-					Config: core.Config{CompileTraces: compile, TierUpDispatches: 4, TierDownGuardExits: 8},
-					Out:    out,
+					Mode:     sc.mode,
+					Params:   tierParams,
+					Config:   core.Config{CompileTraces: compile, TierUpDispatches: 4, TierDownGuardExits: 8},
+					Out:      out,
+					MaxSteps: sc.maxSteps,
 				}
 				if sc.facts {
 					opts.Facts = valueflow.Compute(pcfg)
@@ -246,19 +256,41 @@ func TestTierDeoptStateEquivalence(t *testing.T) {
 				if sc.misdirect {
 					opts.WrapHook = misdirectNeverTaken(t, pcfg).Wrap
 				}
+				if sc.interruptAt > 0 {
+					var flag atomic.Bool
+					var calls int64
+					opts.Interrupt = &flag
+					opts.WrapHook = func(h vm.DispatchHook) vm.DispatchHook {
+						return vm.HookFunc(func(from, to cfg.BlockID) {
+							if calls++; calls == sc.interruptAt {
+								flag.Store(true)
+							}
+							h.OnDispatch(from, to)
+						})
+					}
+				}
 				s, err := core.NewSession(prog, pcfg, opts)
 				if err != nil {
 					t.Fatalf("session: %v", err)
 				}
+				trap := ""
 				if err := s.Run(); err != nil {
-					t.Fatalf("run (compile=%v): %v", compile, err)
+					if tr, ok := vm.AsTrap(err); !ok || tr.Kind != sc.wantTrap {
+						t.Fatalf("run (compile=%v): %v", compile, err)
+					}
+					trap = err.Error() // kind, detail, method and PC
+				} else if sc.wantTrap != vm.TrapNone {
+					t.Fatalf("run (compile=%v) completed, want trap %v", compile, sc.wantTrap)
 				}
-				return s.Counters.Snapshot(), out.String()
+				return s.Counters.Snapshot(), out.String(), trap
 			}
-			base, baseOut := run(false)
-			tiered, tieredOut := run(true)
-			if tieredOut != baseOut {
-				t.Errorf("tier-2 changed program output: %q vs %q", tieredOut, baseOut)
+			base, baseOut, baseTrap := run(false)
+			tiered, tieredOut, tieredTrap := run(true)
+			if tieredOut != baseOut || baseOut != sc.want {
+				t.Errorf("program output: unfused %q, fused %q, want %q", baseOut, tieredOut, sc.want)
+			}
+			if tieredTrap != baseTrap {
+				t.Errorf("trap point differs between forms:\n unfused: %s\n fused:   %s", baseTrap, tieredTrap)
 			}
 			if tiered.TracesCompiled == 0 || tiered.CompiledDispatches == 0 {
 				t.Fatalf("tier-2 run never engaged (compiled=%d dispatches=%d); equivalence check is vacuous",
@@ -269,6 +301,49 @@ func TestTierDeoptStateEquivalence(t *testing.T) {
 				t.Errorf("counters diverge between tiers:\n tier1: %+v\n tier2: %+v", base, tiered)
 			}
 		})
+	}
+}
+
+// TestProbeSeesFusedSegments: a probe does not keep traces off their fused
+// programs — the engine used to promote the trace, count and announce the
+// compilation, and then never run it. The probe fires at every segment entry
+// of either form, so it observes the same block sequence, with the same
+// locals, on fused programs as on unfused ones.
+func TestProbeSeesFusedSegments(t *testing.T) {
+	type entry struct {
+		block cfg.BlockID
+		i     int64 // main's loop counter, or add's first argument
+	}
+	run := func(compile bool) ([]entry, stats.Counters) {
+		var seen []entry
+		s, _ := buildSession(t, loopProgram, core.SessionOptions{
+			Mode:   core.ModeTraceDeploy,
+			Params: tierParams,
+			Config: core.Config{CompileTraces: compile, TierUpDispatches: 4},
+			Probe: func(b *cfg.Block, locals, _ []vm.Value) {
+				seen = append(seen, entry{b.ID, locals[0].N})
+			},
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("run (compile=%v): %v", compile, err)
+		}
+		return seen, s.Counters.Snapshot()
+	}
+	unfused, _ := run(false)
+	fused, c := run(true)
+	if c.CompiledDispatches == 0 {
+		t.Fatalf("with a probe attached %d traces were compiled but none dispatched fused", c.TracesCompiled)
+	}
+	if int64(len(fused)) != c.BlockDispatches {
+		t.Errorf("probe saw %d block entries, engine dispatched %d blocks", len(fused), c.BlockDispatches)
+	}
+	if len(fused) != len(unfused) {
+		t.Fatalf("probe saw %d entries on fused programs, %d on unfused", len(fused), len(unfused))
+	}
+	for i := range fused {
+		if fused[i] != unfused[i] {
+			t.Fatalf("entry %d: fused %+v, unfused %+v", i, fused[i], unfused[i])
+		}
 	}
 }
 

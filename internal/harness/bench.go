@@ -42,11 +42,12 @@ type BenchWorkload struct {
 	AllocsPerDispatch float64 `json:"allocs_per_dispatch"`
 
 	// Tier throughput: wall clock of a full trace-mode run divided by the
-	// blocks executed inside traces, at tier 1 (block-by-block trace walk)
-	// and tier 2 (superinstruction forms compiled for hot traces). The
-	// denominator is identical at both tiers — runCompiled mirrors runTrace
-	// counter-for-counter — so the difference is the compiled form's
-	// per-trace-block saving. Additive fields; the schema version stays.
+	// blocks executed inside traces, at tier 1 (every trace on its unfused
+	// program) and tier 2 (hot traces promoted to fused programs). The
+	// denominator is identical at both tiers — one executor runs both forms
+	// and counts blocks the same way — so the difference is the fused
+	// form's per-trace-block saving. Additive fields; the schema version
+	// stays.
 	Tier1NsPerTraceBlock float64 `json:"tier1_ns_per_trace_block,omitempty"`
 	Tier2NsPerTraceBlock float64 `json:"tier2_ns_per_trace_block,omitempty"`
 	// TierSpeedupPct is the relative in-trace dispatch cost drop tier 2

@@ -154,50 +154,62 @@ func CheckTraces(traces []*trace.Trace) []string {
 	return out
 }
 
-// SoundnessResult is one workload's differential check.
+// SoundnessResult is one workload's differential check, summed over an
+// unfused and a fused leg.
 type SoundnessResult struct {
 	Workload     string
-	Checks       int64    // block entries compared against the fact table
-	ProvenGuards int      // guard proofs stamped on the final trace cache
-	Traces       int      // traces in the final cache
-	Violations   []string // empty means every claim held
-	Stats        valueflow.Stats
+	Checks       int64 // block entries compared against the fact table
+	ProvenGuards int   // guard proofs stamped on the final trace cache
+	Traces       int   // traces in the final cache
+	// CompiledDispatches counts the fused leg's dispatches of fused
+	// programs: zero means the tier-2 half of the check tested nothing,
+	// which is reported as a violation.
+	CompiledDispatches int64
+	Violations         []string // empty means every claim held
+	Stats              valueflow.Stats
 }
 
-// ValueFlowSoundness runs one workload in trace mode with the fact checker
-// probing every block entry and the guard oracle stamping traces, then
-// cross-checks proofs against side-exit counts.
+// ValueFlowSoundness runs one workload in trace mode twice — every trace on
+// its unfused program, then with hot traces promoted to fused programs — with
+// the fact checker probing every block entry and the guard oracle stamping
+// traces, then cross-checks proofs against side-exit counts. The probe fires
+// at every segment entry of either form, so the block-entry constants the
+// trace compiler folds are checked at the point they are consumed.
 func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 	c, err := s.compileWorkload(name)
 	if err != nil {
 		return SoundnessResult{}, err
 	}
-	checker := NewFactChecker(c.facts)
-	sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-		Mode:     core.ModeTrace,
-		Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
-		MaxSteps: s.MaxSteps,
-		Facts:    c.facts,
-		Probe:    checker.Probe,
-	})
-	if err != nil {
-		return SoundnessResult{}, err
+	res := SoundnessResult{Workload: name, Stats: c.facts.Stats()}
+	for _, conf := range []core.Config{{}, {CompileTraces: true, TierUpDispatches: BenchTierUpDispatches}} {
+		checker := NewFactChecker(c.facts)
+		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
+			Mode:     core.ModeTrace,
+			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
+			Config:   conf,
+			MaxSteps: s.MaxSteps,
+			Facts:    c.facts,
+			Probe:    checker.Probe,
+		})
+		if err != nil {
+			return SoundnessResult{}, err
+		}
+		if err := sess.Run(); err != nil && !stepLimited(err) {
+			return SoundnessResult{}, fmt.Errorf("harness: soundness %s: %w", name, err)
+		}
+		traces := sess.Cache.Traces()
+		res.Traces, res.ProvenGuards = len(traces), 0
+		for _, t := range traces {
+			res.ProvenGuards += t.ProvenGuards()
+		}
+		res.Checks += checker.Checks()
+		res.CompiledDispatches += sess.Counters.CompiledDispatches
+		res.Violations = append(res.Violations, checker.Violations()...)
+		res.Violations = append(res.Violations, CheckTraces(traces)...)
 	}
-	if err := sess.Run(); err != nil && !stepLimited(err) {
-		return SoundnessResult{}, fmt.Errorf("harness: soundness %s: %w", name, err)
+	if res.CompiledDispatches == 0 {
+		res.Violations = append(res.Violations, "fused leg dispatched no fused program: the tier-2 check is vacuous")
 	}
-	res := SoundnessResult{
-		Workload:   name,
-		Checks:     checker.Checks(),
-		Violations: checker.Violations(),
-		Stats:      c.facts.Stats(),
-	}
-	traces := sess.Cache.Traces()
-	res.Traces = len(traces)
-	for _, t := range traces {
-		res.ProvenGuards += t.ProvenGuards()
-	}
-	res.Violations = append(res.Violations, CheckTraces(traces)...)
 	return res, nil
 }
 
@@ -217,10 +229,10 @@ func (s *Suite) VerifyValueFlowSoundness(w io.Writer) error {
 			status = "FAIL"
 			failed = append(failed, res.Workload)
 		}
-		fmt.Fprintf(w, "%-12s %s: %d checked entries, %d consts, %d decided, %d traces (%d proven guards)\n",
+		fmt.Fprintf(w, "%-12s %s: %d checked entries, %d consts, %d decided, %d traces (%d proven guards), %d fused dispatches\n",
 			res.Workload, status, res.Checks,
 			res.Stats.IntConsts+res.Stats.FloatConsts, res.Stats.Decided,
-			res.Traces, res.ProvenGuards)
+			res.Traces, res.ProvenGuards, res.CompiledDispatches)
 		for _, v := range res.Violations {
 			fmt.Fprintf(w, "    violation: %s\n", v)
 		}

@@ -64,7 +64,7 @@ type shardSet struct {
 	mu             sync.Mutex
 	merged         *snapshot.Snapshot // latest merged view; seeds fresh shards
 	epoch          int64              // completed merges for this program
-	runsSinceMerge int64
+	runsSinceMerge int64              // releases since one last claimed an epoch
 }
 
 // epochCoordinator owns every program's shard set and performs the merges.
@@ -184,6 +184,9 @@ func (ec *epochCoordinator) discard(sh *workerShard) {
 // EpochRuns) phase-boundary cost; the dispatch hot path never does. The
 // quota check itself runs after every profiled request, so it must not
 // allocate (the merge it occasionally triggers is the sanctioned cold path).
+// The quota is reset here, under the lock that read it, and nowhere else:
+// releases landing while the merge runs count toward the next epoch instead
+// of each seeing the same full quota and merging again.
 //
 //tracevm:hotpath
 func (ec *epochCoordinator) release(sh *workerShard, set *shardSet) {
@@ -192,6 +195,9 @@ func (ec *epochCoordinator) release(sh *workerShard, set *shardSet) {
 	set.mu.Lock()
 	set.runsSinceMerge++
 	due := set.runsSinceMerge >= ec.epochRuns
+	if due {
+		set.runsSinceMerge = 0
+	}
 	set.mu.Unlock()
 	if due {
 		ec.merge(set, false)
@@ -241,7 +247,6 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	set.mu.Lock()
 	set.merged = snap
 	set.epoch++
-	set.runsSinceMerge = 0
 	set.mu.Unlock()
 	ec.merges.Add(1)
 	ec.shardsMerged.Add(int64(absorbed))

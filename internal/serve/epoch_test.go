@@ -244,3 +244,51 @@ func TestEpochDisabledKeepsLegacyPath(t *testing.T) {
 			[3]int64{int64(snap.ShardPrograms), int64(snap.LiveShards), snap.EpochMerges})
 	}
 }
+
+// TestEpochReleaseClaimsEachEpochOnce: with every worker releasing its shard
+// concurrently, each full quota of runs must trigger exactly one merge. The
+// release that sees the quota reached has to claim it under the same lock —
+// were the counter reset only when the merge publishes, every release landing
+// during that merge would see the quota still full and merge again.
+func TestEpochReleaseClaimsEachEpochOnce(t *testing.T) {
+	const workers, perWorker, epochRuns = 4, 100, 5
+	s := newTestService(t, Config{Workers: workers, EpochRuns: epochRuns})
+	comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, params := s.epochs, profile.DefaultParams()
+
+	// Give every worker's shard learned state, so no merge comes up empty
+	// (a merge that absorbs nothing is not counted).
+	for w := 0; w < workers; w++ {
+		sh, set := ec.acquire(comp, params, w)
+		prof, err := ec.newShard(sh, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := core.NewSession(comp.Prog, comp.CFG, core.SessionOptions{Mode: core.ModeTrace, Profiler: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sh.mu.Unlock()
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				ec.release(ec.acquire(comp, params, w))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := ec.merges.Load(), int64(workers*perWorker/epochRuns); got != want {
+		t.Errorf("EpochMerges = %d after %d runs with quota %d, want %d", got, workers*perWorker, epochRuns, want)
+	}
+}

@@ -50,9 +50,9 @@ func (env *CompileEnv) proven(i int) bool {
 	return i >= 0 && i < len(env.GuardProofs) && env.GuardProofs[i]
 }
 
-// Compile lowers a trace's block sequence into a superinstruction Program,
-// or returns nil when the sequence cannot be compiled (the trace then stays
-// at tier 1 — bailing is always safe, compiling is the optimization).
+// Compile lowers a trace's block sequence into a fused Program, or returns
+// nil when the sequence cannot be compiled (the trace then stays on its
+// unfused program — bailing is always safe, fusing is the optimization).
 //
 // The lowering is a per-segment symbolic pass. Constant pushes and local
 // loads are deferred into a symbolic top-of-stack region instead of being
@@ -77,14 +77,11 @@ func Compile(env *CompileEnv) *Program {
 		resolve = func(cfg.BlockID) *cfg.Block { return nil }
 	}
 
-	p := &Program{Segs: make([]Segment, len(env.Blocks))}
+	p := Lower(env.Blocks)
+	p.Fused = true
 	c := &segCompiler{prog: p, known: make(map[int32]int64)}
 	for i, b := range env.Blocks {
-		seg := &p.Segs[i]
-		seg.Block = b
-		seg.NInstrs = int64(len(b.Instrs))
-		p.TotalInstrs += seg.NInstrs
-		c.seg = seg
+		c.seg = &p.Segs[i]
 		c.pend = c.pend[:0]
 		c.lastBin = -1
 		for _, sc := range entryInts(env.EntryInts, i) {
@@ -211,7 +208,6 @@ func (c *segCompiler) flushLocalRefs(slot int32) {
 func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 	switch in.Op {
 	case bytecode.Nop:
-		c.prog.FoldedOps++
 
 	case bytecode.IConst:
 		c.push(symVal{isConst: true, val: int64(in.A)})
@@ -240,14 +236,12 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 	case bytecode.Pop:
 		if n := len(c.pend); n > 0 {
 			c.pend = c.pend[:n-1]
-			c.prog.FoldedOps++
 		} else {
 			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
 		}
 	case bytecode.Dup:
 		if n := len(c.pend); n > 0 {
 			c.push(c.pend[n-1])
-			c.prog.FoldedOps++
 		} else {
 			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
 		}
@@ -256,7 +250,6 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			a, b := c.pend[n-2], c.pend[n-1]
 			c.pend[n-2], c.pend[n-1] = b, a
 			c.push(b)
-			c.prog.FoldedOps++
 		} else {
 			c.flushAll()
 			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
@@ -279,14 +272,12 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		if v := c.pend[n-1]; v.isConst {
 			c.pend[n-1] = symVal{isConst: true, val: foldUnary(in.Op, v.val)}
 			c.lastBin = -1
-			c.prog.FoldedOps++
 			return
 		}
 		c.flushAllBut(1)
 		v := c.pend[0]
 		c.pend = c.pend[:0]
 		c.emit(SOp{Kind: SBin, Op: in.Op, Mode: SrcL, A: v.slot, Dst: -1, PC: in.PC})
-		c.prog.FusedOps++
 
 	case bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv, bytecode.IRem,
 		bytecode.IShl, bytecode.IShr, bytecode.IUshr,
@@ -305,7 +296,6 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 				c.pend = c.pend[:n-1]
 				c.pend[n-2] = symVal{isConst: true, val: r}
 				c.lastBin = -1
-				c.prog.FoldedOps++
 				return
 			}
 			// Division by a constant zero: keep the op live so the runtime
@@ -327,7 +317,6 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			op.Mode, op.B, op.Val = SrcCL, b.slot, a.val
 		}
 		c.emit(op)
-		c.prog.FusedOps += 2
 
 	default:
 		// Allocating ops, field and array access, checks: the region must
@@ -354,7 +343,6 @@ func (c *segCompiler) store(slot int32) {
 				delete(c.known, slot)
 			}
 		}
-		c.prog.FusedOps++
 		return
 	}
 	if c.lastBin >= 0 {
@@ -363,7 +351,6 @@ func (c *segCompiler) store(slot int32) {
 		c.seg.Ops[c.lastBin].Dst = slot
 		c.lastBin = -1
 		delete(c.known, slot)
-		c.prog.FusedOps++
 		return
 	}
 	c.emit(SOp{Kind: SStoreLocal, A: slot})
@@ -429,7 +416,6 @@ func (c *segCompiler) terminator(env *CompileEnv, resolve func(cfg.BlockID) *cfg
 			if succ == nil {
 				return false
 			}
-			c.prog.FoldedOps++
 			c.seg.Term = Term{Kind: TStatic, Static: succ}
 			return true
 		}
@@ -477,7 +463,6 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 				return false
 			}
 			c.seg.Term = Term{Kind: TCondI, Op: term.Op, A: v.slot, Taken: taken, Fall: fall}
-			c.prog.FusedOps++
 			return true
 		}
 
@@ -508,7 +493,6 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 				t.Mode, t.B, t.Val = SrcCL, bv.slot, a.val
 			}
 			c.seg.Term = t
-			c.prog.FusedOps += 2
 			return true
 		}
 	}
@@ -529,7 +513,6 @@ func (c *segCompiler) staticCond(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bl
 	if succ == nil {
 		return false
 	}
-	c.prog.FoldedOps++
 	c.seg.Term = Term{Kind: TStatic, Static: succ}
 	return true
 }

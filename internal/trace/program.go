@@ -1,42 +1,60 @@
 package trace
 
 import (
-	"fmt"
-
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 )
 
-// Program is a trace's tier-2 form: the block sequence lowered into
-// superinstruction segments. A Program is immutable after Compile and holds
-// no run state, so one Program may back many traces (the compiled store
-// hash-conses them per merged view) and be executed concurrently by any
-// number of machines.
+// Program is the executable form of a trace, and the only one: the block
+// sequence as segments the engine walks. Lower builds the unfused program —
+// each segment is its block, run through the interpreter's own instruction
+// and terminator executors — and Compile the fused one, whose segments carry
+// superinstructions and lowered terminators; tier 1 runs the former, tier 2
+// the latter, through the same loop. A Program is immutable once built and
+// holds no run state, so one may back many traces (the compiled store
+// hash-conses fused programs per merged view) and run on any number of
+// machines at once.
 //
-// The contract with the tier-1 path is exact state equivalence: running a
-// Program advances the operand stack, locals, heap, statics, trace
-// accounting, and stats.Counters precisely as the Prepared block path would
-// — same trap kinds at the same PCs, same hook-edge stream — differing only
-// in the new tiered-execution counters. That is what makes deopt safe: a
-// guard exit mid-trace leaves the frame in exactly the state the
-// interpreter would have left it in.
+// The two forms are exactly state-equivalent: either advances the operand
+// stack, locals, heap, statics, trace accounting and stats.Counters as
+// block-by-block dispatch of the same blocks would — same trap kinds at the
+// same PCs, same hook-edge stream — differing only in the tiered-execution
+// counters. Every segment boundary holds exact frame state, so a guard
+// exit, a probe or a budget trap there sees what the interpreter would.
 type Program struct {
 	// Segs mirror the trace's Blocks one-to-one.
 	Segs []Segment
 
+	// Fused marks a program built by Compile. An unfused program's segments
+	// have no Ops and TGeneric terminators: the engine runs each block's own
+	// Instrs instead.
+	Fused bool
+
 	// TotalInstrs is the bytecode instruction count over all segments, used
 	// to pre-check the step budget at trace entry: if the whole trace fits,
-	// no per-block limit checks are needed.
+	// no per-segment limit checks are needed.
 	TotalInstrs int64
 
-	// Compile-time accounting for inventory reports.
-	FusedOps      int // bytecodes absorbed into multi-op superinstructions
-	FoldedOps     int // bytecodes evaluated away at compile time
-	DroppedGuards int // proven side-exit guards lowered to static jumps
+	// DroppedGuards counts the proven side-exit guards Compile lowered to
+	// static jumps (reported with the trace-compiled event).
+	DroppedGuards int
 }
 
-// Segment is the compiled form of one block in the trace: a superinstruction
-// sequence plus a lowered terminator.
+// Lower builds the unfused program over a resolved block sequence (the
+// canonical ProgramCFG blocks: the engine compares successor pointers to
+// detect side exits). It cannot fail; Compile starts from the same skeleton.
+func Lower(blocks []*cfg.Block) *Program {
+	p := &Program{Segs: make([]Segment, len(blocks))}
+	for i, b := range blocks {
+		n := int64(len(b.Instrs))
+		p.Segs[i] = Segment{Block: b, NInstrs: n}
+		p.TotalInstrs += n
+	}
+	return p
+}
+
+// Segment is one block of the trace in executable form: in a fused program,
+// a superinstruction sequence plus a lowered terminator.
 type Segment struct {
 	// Block is the resolved source block; side exits and TGeneric
 	// terminators hand it back to the interpreter paths unchanged.
@@ -146,20 +164,11 @@ type Term struct {
 
 // Tiering is the promotion policy the dispatch engine consults: Compile is
 // called once a cached trace's dispatch count crosses its tier-up threshold
-// (nil means the trace cannot be compiled and is barred from retrying), and
-// TierDown is notified after the engine discards a compiled form following
-// a guard-exit storm. Implemented by the trace cache in internal/core.
+// and returns the fused program (nil means the trace stays on its unfused
+// one and is barred from retrying), and TierDown is notified after the
+// engine discards a fused program following a guard-exit storm. Implemented
+// by the trace cache in internal/core.
 type Tiering interface {
 	Compile(t *Trace) *Program
 	TierDown(t *Trace)
-}
-
-// String summarizes the program for diagnostics.
-func (p *Program) String() string {
-	ops := 0
-	for i := range p.Segs {
-		ops += len(p.Segs[i].Ops)
-	}
-	return fmt.Sprintf("compiled %d segs %d ops (%d instrs, fused=%d folded=%d droppedGuards=%d)",
-		len(p.Segs), ops, p.TotalInstrs, p.FusedOps, p.FoldedOps, p.DroppedGuards)
 }

@@ -33,11 +33,11 @@ type Trace struct {
 	// them, so the engine never dispatches a retired trace.
 	Retired bool
 
-	// Prepared is the engine-resolved block sequence, filled lazily on the
-	// trace's first execution so subsequent runs skip the per-block ID
-	// resolution. Valid only for the ProgramCFG the trace was built against
-	// (a trace never outlives its session).
-	Prepared []*cfg.Block
+	// Unfused is the trace's tier-1 executable form, built by the engine on
+	// the trace's first execution (Lower over the resolved blocks). Valid
+	// only for the ProgramCFG the trace was built against (a trace never
+	// outlives its session).
+	Unfused *Program
 
 	// GuardProofs marks side-exit guards proven dead by static value-flow
 	// analysis: GuardProofs[i] claims SideExits[i] can never fire, so a
@@ -46,11 +46,11 @@ type Trace struct {
 	// immutable afterwards.
 	GuardProofs []bool
 
-	// Tier-2 state. Compiled is the superinstruction form the engine
-	// dispatches when non-nil; the Program itself is immutable and may be
-	// shared across traces (and, under sharded profiling, across shards of
-	// the same merged view), while the fields below are per-trace and
-	// mutated only by the single goroutine running the trace.
+	// Tier-2 state. Compiled is the fused program the engine executes in
+	// place of Unfused when non-nil; the Program itself is immutable and may
+	// be shared across traces (and, under sharded profiling, across shards of
+	// the same merged view), while the fields below are per-trace and mutated
+	// only by the single goroutine running the trace.
 
 	// Compiled is the trace's tier-2 form, set by the tiering policy once
 	// Entered reaches TierUpAt and cleared again on tier-down.
@@ -73,7 +73,7 @@ type Trace struct {
 	CompileBarred bool
 }
 
-// Tier reports the trace's current execution tier: 2 when a compiled form
+// Tier reports the trace's current execution tier: 2 when a fused program
 // is installed, 1 otherwise.
 func (t *Trace) Tier() int {
 	if t.Compiled != nil {

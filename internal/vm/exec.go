@@ -22,29 +22,17 @@ func (f *frame) peek() Value { return f.stack[len(f.stack)-1] }
 // control transfer: it resolves branch targets, pushes and pops call frames,
 // and runs native methods. It returns the next block to dispatch, or
 // halted=true when the program finished.
+//
+//tracevm:hotpath
 func (m *Machine) stepBlock(b *cfg.Block) (next *cfg.Block, halted bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Operand stack underflow or similar structural breakage from
-			// hand-written bytecode that the linker's checks cannot see.
-			err = m.trap(TrapBadProgram, b.StartPC(), "execution panic: %v", r)
-			next, halted = nil, false
-		}
-	}()
-
+	defer m.recoverTrap(&b, &err)
 	f := m.top()
-	if m.probe != nil {
-		m.probe(b, f.locals, f.stack)
-	}
 	n := len(b.Instrs)
 	m.ctr.Instrs += int64(n)
-	if m.interrupt != nil && m.interrupt.Load() {
-		return nil, false, m.trap(TrapInterrupted, b.StartPC(), "cancelled by host")
-	}
-	if m.maxSteps > 0 {
-		m.steps += int64(n)
-		if m.steps > m.maxSteps {
-			return nil, false, m.trap(TrapStepLimit, b.StartPC(), "after %d instructions", m.steps)
+	m.steps += int64(n)
+	if m.probe != nil || m.interrupt.Load() || m.steps > m.maxSteps {
+		if err := m.checkBlock(f, b); err != nil {
+			return nil, false, err
 		}
 	}
 	for i := 0; i < n-1; i++ {
@@ -55,10 +43,36 @@ func (m *Machine) stepBlock(b *cfg.Block) (next *cfg.Block, halted bool, err err
 	return m.execTerminator(f, b)
 }
 
+// recoverTrap, deferred by the block and trace executors, turns a panic —
+// operand stack underflow or similar structural breakage from hand-written
+// bytecode that the linker's checks cannot see — into a TrapBadProgram at
+// the block executing when it struck.
+func (m *Machine) recoverTrap(at **cfg.Block, err *error) {
+	if r := recover(); r != nil {
+		*err = m.trap(TrapBadProgram, (*at).StartPC(), "execution panic: %v", r)
+	}
+}
+
+// checkBlock is the checked part of entering block b in frame f, after its
+// instructions have been charged: it shows the block to the probe and traps
+// if the host cancelled the run or the step budget is spent. Ordinary
+// dispatch and the trace executor call it only when one of those can apply.
+func (m *Machine) checkBlock(f *frame, b *cfg.Block) error {
+	if m.probe != nil {
+		m.probe(b, f.locals, f.stack)
+	}
+	if m.interrupt.Load() {
+		return m.trap(TrapInterrupted, b.StartPC(), "cancelled by host")
+	}
+	if m.steps > m.maxSteps {
+		return m.trap(TrapStepLimit, b.StartPC(), "after %d instructions", m.steps)
+	}
+	return nil
+}
+
 // execTerminator executes a block's final instruction and applies its
-// control transfer. It is shared by stepBlock and by the compiled-trace
-// path (which lowers what it can and delegates the rest here); callers are
-// responsible for panic recovery.
+// control transfer. Fused trace segments lower what they can and delegate
+// the rest here; callers are responsible for panic recovery.
 func (m *Machine) execTerminator(f *frame, b *cfg.Block) (next *cfg.Block, halted bool, err error) {
 	term := b.Terminator()
 	switch bytecode.InfoOf(term.Op).Flow {

@@ -66,14 +66,11 @@ func (m *Machine) RunInstrMode() (err error) {
 		in := d.ins[pc]
 		m.ctr.Instrs++
 		m.ctr.InstrDispatches++
-		if m.interrupt != nil && m.interrupt.Load() {
+		if m.interrupt.Load() {
 			return m.trap(TrapInterrupted, in.PC, "cancelled by host")
 		}
-		if m.maxSteps > 0 {
-			m.steps++
-			if m.steps > m.maxSteps {
-				return m.trap(TrapStepLimit, in.PC, "after %d instructions", m.steps)
-			}
+		if m.steps++; m.steps > m.maxSteps {
+			return m.trap(TrapStepLimit, in.PC, "after %d instructions", m.steps)
 		}
 
 		switch bytecode.InfoOf(in.Op).Flow {

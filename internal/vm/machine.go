@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/cfg"
@@ -30,9 +31,9 @@ type Options struct {
 	Traces trace.Source
 	// Tiering, if set alongside Traces, enables tier-2 dispatch: once a
 	// trace's dispatch count reaches its tier-up threshold the engine asks
-	// the policy to compile it, runs the compiled superinstruction form
-	// while it holds, and discards it again (notifying the policy) after a
-	// guard-exit storm. Nil keeps every trace on the block-by-block path.
+	// the policy for the trace's fused program, executes that in place of
+	// the unfused one while it holds, and discards it again (notifying the
+	// policy) after a guard-exit storm. Nil keeps every trace unfused.
 	Tiering trace.Tiering
 	// HookInsideTraces controls profiling fidelity during trace execution.
 	// True (measurement mode) runs the hook on every intra-trace edge, so
@@ -123,6 +124,14 @@ func New(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts Options) (*Machine,
 	if opts.MaxFrames == 0 {
 		opts.MaxFrames = 1 << 14
 	}
+	// An absent budget or interrupt flag becomes one that never fires, so
+	// the dispatch paths test them unconditionally.
+	if opts.MaxSteps == 0 {
+		opts.MaxSteps = math.MaxInt64
+	}
+	if opts.Interrupt == nil {
+		opts.Interrupt = new(atomic.Bool)
+	}
 	m := &Machine{
 		prog:             prog,
 		cfg:              pcfg,
@@ -183,22 +192,7 @@ func (m *Machine) Run() error {
 				t = m.traces.Lookup(prev, cur.ID)
 			}
 			if t != nil && !t.Retired {
-				if m.tiering != nil && t.Compiled == nil && !t.CompileBarred && t.TierUpAt > 0 && t.Entered >= t.TierUpAt {
-					if t.Compiled = m.tiering.Compile(t); t.Compiled == nil {
-						t.CompileBarred = true
-					}
-				}
-				var (
-					next   *cfg.Block
-					last   cfg.BlockID
-					halted bool
-					err    error
-				)
-				if p := t.Compiled; p != nil && m.probe == nil {
-					next, last, halted, err = m.runCompiled(t, p)
-				} else {
-					next, last, halted, err = m.runTrace(t)
-				}
+				next, last, halted, err := m.execTrace(t)
 				if err != nil {
 					return err
 				}
@@ -224,90 +218,6 @@ func (m *Machine) Run() error {
 			m.hook.OnDispatch(cur.ID, next.ID)
 		}
 		prev, cur = cur.ID, next
-	}
-}
-
-// runTrace executes trace t, whose entry block is the block about to run.
-// It returns the block to dispatch next after completion or side exit, plus
-// the ID of the last block the trace actually executed (the "from" side of
-// the next dispatch edge).
-//
-//tracevm:hotpath
-func (m *Machine) runTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, halted bool, err error) {
-	t.Entered++
-	m.ctr.TracesEntered++
-	m.ctr.TraceDispatches++ // the whole trace costs one dispatch
-	instrsBefore := m.ctr.Instrs
-
-	// Resolve the block sequence once per trace; later executions reuse it.
-	blocks := t.Prepared
-	if blocks == nil {
-		blocks = make([]*cfg.Block, len(t.Blocks)) //tracevm:allow-alloc (cold: first execution of a freshly generated trace)
-		for i, id := range t.Blocks {
-			b := m.cfg.Block(id)
-			if b == nil {
-				//tracevm:allow-alloc (cold: trap construction on a corrupt trace)
-				return nil, cfg.NoBlock, false, &Trap{Kind: TrapBadProgram, Detail: fmt.Sprintf("trace %d references unknown block %d", t.ID, id)}
-			}
-			blocks[i] = b
-		}
-		t.Prepared = blocks
-	}
-
-	blocksRun := 0
-	completed := false
-	last = cfg.NoBlock
-	for i := 0; i < len(blocks); i++ {
-		b := blocks[i]
-		nxt, h, err := m.stepBlock(b)
-		if err != nil {
-			return nil, last, false, err
-		}
-		m.ctr.BlockDispatches++
-		blocksRun++
-		last = b.ID
-		if h {
-			// The program ended inside the trace. Account the blocks run so
-			// far; reaching the final block counts as completion.
-			completed = i == len(blocks)-1
-			m.accountTrace(t, blocksRun, m.ctr.Instrs-instrsBefore, completed)
-			return nil, last, true, nil
-		}
-		if m.hookInsideTraces && m.hook != nil {
-			m.ctr.ProfiledDispatches++
-			m.hook.OnDispatch(b.ID, nxt.ID)
-		}
-		if i == len(blocks)-1 {
-			completed = true
-			next = nxt
-			break
-		}
-		if nxt != blocks[i+1] {
-			// Side exit: the actual successor diverged from the recorded
-			// path; fall back to ordinary dispatch at the actual successor.
-			t.SideExits[i]++
-			next = nxt
-			break
-		}
-	}
-	if !m.hookInsideTraces && m.hook != nil && next != nil {
-		// Deployment mode: a trace dispatch executes a single profiling
-		// statement — the exit edge keeps the branch context current.
-		m.ctr.ProfiledDispatches++
-		m.hook.OnDispatch(last, next.ID)
-	}
-	m.accountTrace(t, blocksRun, m.ctr.Instrs-instrsBefore, completed)
-	return next, last, false, nil
-}
-
-func (m *Machine) accountTrace(t *trace.Trace, blocksRun int, instrs int64, completed bool) {
-	m.ctr.BlocksInTraces += int64(blocksRun)
-	m.ctr.InstrsInTraces += instrs
-	if completed {
-		t.Completed++
-		m.ctr.TracesCompleted++
-		m.ctr.CompletedTraceBlocksSum += int64(blocksRun)
-		m.ctr.InstrsInCompletedTraces += instrs
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/bytecode"
@@ -8,62 +9,78 @@ import (
 	"repro/internal/trace"
 )
 
-// runCompiled executes a trace's tier-2 superinstruction form. It mirrors
-// runTrace counter-for-counter and hook-edge-for-hook-edge: the only
-// observable differences from the block-by-block path are the tiered
-// counters (CompiledDispatches and the per-trace compiled accounting) and
-// the time it takes. Checks the block path performs per block — interrupt
-// polling and the step budget — are hoisted to trace entry; whenever one of
-// them could fire mid-trace, the whole dispatch deopts to runTrace, which
-// reproduces the exact tier-1 trap point.
-func (m *Machine) runCompiled(t *trace.Trace, p *trace.Program) (next *cfg.Block, last cfg.BlockID, halted bool, err error) {
-	if len(p.Segs) == 0 {
-		return m.runTrace(t)
+// execTrace executes trace t, whose entry block is the block about to run,
+// as a single dispatch. It returns the block to dispatch next after
+// completion or side exit, plus the ID of the last block the trace actually
+// executed (the "from" side of the next dispatch edge).
+//
+// It is the only trace executor: the tiers differ in the program it runs
+// (unfused or fused, see trace.Program), not in the loop. What ordinary
+// dispatch does at every block entry — probe, interrupt poll, step budget —
+// is decided once at trace entry: if none of it can fire inside this trace
+// the segments run unchecked, otherwise each is entered through checkBlock
+// as stepBlock would. Segment boundaries hold exact frame state in both
+// forms, so a trap or a probe there sees what ordinary dispatch would.
+//
+//tracevm:hotpath
+func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, halted bool, err error) {
+	p, err := m.program(t)
+	if err != nil {
+		return nil, cfg.NoBlock, false, err
 	}
-	if m.interrupt != nil && m.interrupt.Load() {
-		return m.runTrace(t)
-	}
-	if m.maxSteps > 0 && m.steps+p.TotalInstrs > m.maxSteps {
-		return m.runTrace(t)
-	}
+	checked := m.probe != nil || m.interrupt.Load() || m.steps+p.TotalInstrs > m.maxSteps
 
 	t.Entered++
-	t.CompiledEntered++
 	m.ctr.TracesEntered++
 	m.ctr.TraceDispatches++ // the whole trace costs one dispatch
-	m.ctr.CompiledDispatches++
+	if p.Fused {
+		t.CompiledEntered++
+		m.ctr.CompiledDispatches++
+	}
 	instrsBefore := m.ctr.Instrs
 
-	// One recovery frame for the whole trace (the block path pays one per
+	// One recovery frame for the whole trace (ordinary dispatch pays one per
 	// block); cur tracks the executing segment so a panic is attributed to
-	// the same block tier 1 would name.
-	cur := p.Segs[0].Block
-	defer func() {
-		if r := recover(); r != nil {
-			err = m.trap(TrapBadProgram, cur.StartPC(), "execution panic: %v", r)
-			next, halted = nil, false
-		}
-	}()
+	// the block ordinary dispatch would name.
+	var cur *cfg.Block
+	defer m.recoverTrap(&cur, &err)
 
 	segs := p.Segs
 	blocksRun := 0
 	completed := false
 	last = cfg.NoBlock
-	for i := 0; i < len(segs); i++ {
+	for i := range segs {
 		seg := &segs[i]
 		b := seg.Block
 		cur = b
 		f := m.top() // re-fetch: call/return segments switch frames
 		m.ctr.Instrs += seg.NInstrs
-		if m.maxSteps > 0 {
-			m.steps += seg.NInstrs
-		}
-		for j := range seg.Ops {
-			if err := m.execSOp(f, seg, &seg.Ops[j]); err != nil {
+		m.steps += seg.NInstrs
+		if checked {
+			if err := m.checkBlock(f, b); err != nil {
 				return nil, last, false, err
 			}
 		}
-		nxt, h, err := m.execTerm(f, seg)
+		var (
+			nxt *cfg.Block
+			h   bool
+			err error
+		)
+		if p.Fused {
+			for j := range seg.Ops {
+				if err := m.execSOp(f, seg, &seg.Ops[j]); err != nil {
+					return nil, last, false, err
+				}
+			}
+			nxt, h, err = m.execTerm(f, seg)
+		} else {
+			for k, n := 0, len(b.Instrs)-1; k < n; k++ {
+				if err := m.execInstr(f, b.Instrs[k]); err != nil {
+					return nil, last, false, err
+				}
+			}
+			nxt, h, err = m.execTerminator(f, b)
+		}
 		if err != nil {
 			return nil, last, false, err
 		}
@@ -71,6 +88,8 @@ func (m *Machine) runCompiled(t *trace.Trace, p *trace.Program) (next *cfg.Block
 		blocksRun++
 		last = b.ID
 		if h {
+			// The program ended inside the trace. Account the blocks run so
+			// far; reaching the final block counts as completion.
 			completed = i == len(segs)-1
 			m.accountTrace(t, blocksRun, m.ctr.Instrs-instrsBefore, completed)
 			return nil, last, true, nil
@@ -85,19 +104,25 @@ func (m *Machine) runCompiled(t *trace.Trace, p *trace.Program) (next *cfg.Block
 			break
 		}
 		if nxt != segs[i+1].Block {
+			// Side exit: the actual successor diverged from the recorded
+			// path; fall back to ordinary dispatch at the actual successor.
 			t.SideExits[i]++
-			t.CompiledGuardExits++
+			if p.Fused {
+				t.CompiledGuardExits++
+			}
 			next = nxt
 			break
 		}
 	}
 	if !m.hookInsideTraces && m.hook != nil && next != nil {
+		// Deployment mode: a trace dispatch executes a single profiling
+		// statement — the exit edge keeps the branch context current.
 		m.ctr.ProfiledDispatches++
 		m.hook.OnDispatch(last, next.ID)
 	}
 	m.accountTrace(t, blocksRun, m.ctr.Instrs-instrsBefore, completed)
-	if !completed && t.TierDownAt > 0 && t.CompiledGuardExits >= t.TierDownAt {
-		// Guard-exit storm: discard the compiled form and pin the trace at
+	if p.Fused && !completed && t.TierDownAt > 0 && t.CompiledGuardExits >= t.TierDownAt {
+		// Guard-exit storm: discard the fused program and pin the trace at
 		// tier 1. The trace itself (and its accounting) survives; only a
 		// rebuilt trace gets a fresh shot at tier 2.
 		t.Compiled = nil
@@ -109,19 +134,60 @@ func (m *Machine) runCompiled(t *trace.Trace, p *trace.Program) (next *cfg.Block
 	return next, last, false, nil
 }
 
+// program returns the form of t to execute: the fused program once the
+// tiering policy has supplied one (it is asked when the trace's dispatch
+// count reaches its tier-up threshold; nil bars the trace from asking
+// again), the unfused program, built on first use, otherwise.
+//
+//tracevm:hotpath
+func (m *Machine) program(t *trace.Trace) (*trace.Program, error) {
+	if t.Compiled == nil && t.TierUpAt > 0 && t.Entered >= t.TierUpAt && !t.CompileBarred && m.tiering != nil {
+		if t.Compiled = m.tiering.Compile(t); t.Compiled == nil {
+			t.CompileBarred = true
+		}
+	}
+	if p := t.Compiled; p != nil {
+		return p, nil
+	}
+	if t.Unfused == nil {
+		blocks := make([]*cfg.Block, len(t.Blocks)) //tracevm:allow-alloc (cold: first execution of a freshly generated trace)
+		for i, id := range t.Blocks {
+			if blocks[i] = m.cfg.Block(id); blocks[i] == nil {
+				//tracevm:allow-alloc (cold: trap construction on a corrupt trace)
+				return nil, &Trap{Kind: TrapBadProgram, Detail: fmt.Sprintf("trace %d references unknown block %d", t.ID, id)}
+			}
+		}
+		t.Unfused = trace.Lower(blocks)
+	}
+	return t.Unfused, nil
+}
+
+func (m *Machine) accountTrace(t *trace.Trace, blocksRun int, instrs int64, completed bool) {
+	m.ctr.BlocksInTraces += int64(blocksRun)
+	m.ctr.InstrsInTraces += instrs
+	if completed {
+		t.Completed++
+		m.ctr.TracesCompleted++
+		m.ctr.CompletedTraceBlocksSum += int64(blocksRun)
+		m.ctr.InstrsInCompletedTraces += instrs
+	}
+}
+
 // execSOp executes one superinstruction in frame f.
+//
+//tracevm:hotpath
 func (m *Machine) execSOp(f *frame, seg *trace.Segment, op *trace.SOp) error {
 	switch op.Kind {
 	case trace.SExec:
 		return m.execInstr(f, seg.Block.Instrs[op.A])
 	case trace.SPushConst:
-		f.push(Value{N: op.Val})
+		f.push(IntVal(op.Val))
 	case trace.SPushLocal:
 		f.push(f.locals[op.A])
 	case trace.SStoreLocal:
 		f.locals[op.A] = f.pop()
 	case trace.SStoreConst:
-		f.locals[op.A] = Value{N: op.Val}
+		f.locals[op.A] = IntVal(op.Val)
 	case trace.SMove:
 		f.locals[op.A] = f.locals[op.B]
 	case trace.SIncLocal:
@@ -136,15 +202,17 @@ func (m *Machine) execSOp(f *frame, seg *trace.Segment, op *trace.SOp) error {
 // execInstr's semantics (wrapping int64, division traps, masked shifts,
 // IEEE float ops, NaN-aware compares) on operands read straight from
 // locals or baked-in constants.
+//
+//tracevm:hotpath
 func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 	var a, b Value
 	switch op.Mode {
 	case trace.SrcLL:
 		a, b = f.locals[op.A], f.locals[op.B]
 	case trace.SrcLC:
-		a, b = f.locals[op.A], Value{N: op.Val}
+		a, b = f.locals[op.A], IntVal(op.Val)
 	case trace.SrcCL:
-		a, b = Value{N: op.Val}, f.locals[op.B]
+		a, b = IntVal(op.Val), f.locals[op.B]
 	default: // SrcL: unary
 		a = f.locals[op.A]
 	}
@@ -232,6 +300,8 @@ func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 }
 
 // execTerm applies a segment's lowered terminator.
+//
+//tracevm:hotpath
 func (m *Machine) execTerm(f *frame, seg *trace.Segment) (*cfg.Block, bool, error) {
 	t := &seg.Term
 	switch t.Kind {
