@@ -2,12 +2,9 @@
 // dispatch-granularity figure data, and the baseline comparison. It also
 // maintains the repo's benchmark trajectory: -bench-json emits a
 // machine-readable overhead report, and -bench-gate compares a report
-// against a committed baseline for the CI regression gate. The -scale
-// family does the same for multicore scale-out: -scale measures
-// throughput-vs-workers for the serving layer's sharded profiling path
-// under a contention-adversarial mix (zipf program popularity, hot-key
-// traffic, mixed profiled/plain requests), -scale-json writes the report,
-// and -scale-gate enforces the CI scalability floor.
+// against a committed baseline for the CI regression gate. Service
+// throughput, latency and memory are measured by the benchmark/ module,
+// not here.
 //
 // Usage:
 //
@@ -21,12 +18,6 @@
 //	tracebench -bench-gate BENCH_baseline.json -in F.json
 //	                                     # compare F.json to the baseline;
 //	                                     # exit 1 on >10% overhead regression
-//	tracebench -scale                    # print throughput-vs-workers table
-//	tracebench -scale-json -out F.json   # measure, write F.json
-//	tracebench -scale-gate BENCH_scale_baseline.json
-//	                                     # measure fresh, exit 1 if the top
-//	                                     # worker count misses the core-aware
-//	                                     # speedup floor (3x at >= 4 CPUs)
 //	tracebench -valueflow-soundness      # differentially check every value-flow
 //	                                     # proof on all six workloads; exit 1
 //	                                     # on any false proof
@@ -40,8 +31,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/harness"
@@ -65,16 +54,6 @@ func main() {
 	in := flag.String("in", "", "pre-measured report for -bench-gate (default: measure fresh)")
 	gateRel := flag.Float64("gate-rel", harness.DefaultGateOptions().RelOverheadPct, "allowed relative overhead regression (0.10 = 10%)")
 	gateAbs := flag.Float64("gate-abs", harness.DefaultGateOptions().AbsOverheadPct, "absolute overhead slack in percentage points")
-	scale := flag.Bool("scale", false, "measure serving-layer throughput vs worker count and print the table")
-	scaleJSON := flag.Bool("scale-json", false, "measure scaling and write a JSON report")
-	scaleGate := flag.String("scale-gate", "", "baseline scaling report to gate against; exits 1 below the speedup floor")
-	scaleWorkers := flag.String("scale-workers", "1,2,4,8", "comma-separated worker counts for -scale (first must be 1)")
-	scaleRequests := flag.Int("scale-requests", 0, "requests per scaling point (0 = harness default)")
-	scaleSkew := flag.Float64("scale-skew", 1.07, "zipf exponent of the program-popularity draw (<=1 uniform)")
-	scaleHot := flag.Float64("scale-hot", 0.25, "fraction of requests sent to the hottest program outright")
-	scaleWrites := flag.Float64("scale-writes", 0.5, "fraction of requests run profiled; the rest run plain")
-	scaleMinSpeedup := flag.Float64("scale-min-speedup", harness.DefaultScaleGateOptions().MinSpeedup, "required top-point speedup on a machine with enough cores")
-	scalePerCore := flag.Float64("scale-per-core", harness.DefaultScaleGateOptions().PerCore, "per-core speedup floor on machines with fewer cores than workers")
 	replayVerify := flag.String("replay-verify", "", "traffic log to replay repeatedly against fresh services; exits 1 if per-program counters diverge")
 	replayRounds := flag.Int("replay-rounds", 2, "replay rounds for -replay-verify")
 	replayWorkers := flag.Int("replay-workers", 4, "service workers per -replay-verify round")
@@ -85,28 +64,12 @@ func main() {
 	s.Repeats = *repeats
 	s.MaxSteps = *maxSteps
 
-	scaleOpt := harness.ScaleOptions{
-		Requests:  *scaleRequests,
-		Skew:      *scaleSkew,
-		HotRatio:  *scaleHot,
-		WriteFrac: *scaleWrites,
-	}
-
 	var err error
 	switch {
 	case *vfSoundness:
 		err = s.VerifyValueFlowSoundness(os.Stdout)
 	case *replayVerify != "":
 		err = runReplayVerify(os.Stdout, *replayVerify, *replayRounds, *replayWorkers)
-	case *scaleGate != "":
-		gopt := harness.DefaultScaleGateOptions()
-		gopt.MinSpeedup = *scaleMinSpeedup
-		gopt.PerCore = *scalePerCore
-		err = runScaleGate(os.Stdout, *scaleGate, *in, *scaleWorkers, scaleOpt, gopt)
-	case *scaleJSON:
-		err = runScaleJSON(os.Stdout, *out, *scaleWorkers, scaleOpt)
-	case *scale:
-		err = runScale(os.Stdout, *scaleWorkers, scaleOpt)
 	case *benchGate != "":
 		opt := harness.DefaultGateOptions()
 		opt.RelOverheadPct = *gateRel
@@ -176,35 +139,6 @@ func runBenchGate(s *harness.Suite, w io.Writer, basePath, inPath string, opt ha
 	return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), basePath)
 }
 
-// parseWorkers parses the -scale-workers list ("1,2,4,8").
-func parseWorkers(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q in -scale-workers", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-scale-workers names no worker counts")
-	}
-	return out, nil
-}
-
-func measureScale(workersSpec string, opt harness.ScaleOptions) (harness.ScaleReport, error) {
-	workers, err := parseWorkers(workersSpec)
-	if err != nil {
-		return harness.ScaleReport{}, err
-	}
-	opt.Workers = workers
-	return harness.MeasureScaling(opt)
-}
-
 // runReplayVerify replays a recorded traffic log repeatedly against fresh
 // services and fails if any per-program counter diverges between rounds —
 // the CI teeth behind the record/replay determinism claim.
@@ -235,83 +169,6 @@ func runReplayVerify(w io.Writer, path string, rounds, workers int) error {
 	}
 	fmt.Fprintln(w, "replay-verify: deterministic")
 	return nil
-}
-
-// runScale measures throughput-vs-workers and prints the table.
-func runScale(w io.Writer, workersSpec string, opt harness.ScaleOptions) error {
-	rep, err := measureScale(workersSpec, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, harness.FormatScaleReport(rep))
-	return nil
-}
-
-// runScaleJSON measures and writes the scaling report to path (default
-// BENCH_scale_<date>.json), echoing the table to w.
-func runScaleJSON(w io.Writer, path, workersSpec string, opt harness.ScaleOptions) error {
-	rep, err := measureScale(workersSpec, opt)
-	if err != nil {
-		return err
-	}
-	if path == "" {
-		path = fmt.Sprintf("BENCH_scale_%s.json", time.Now().Format("2006-01-02"))
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, harness.FormatScaleReport(rep))
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
-}
-
-// runScaleGate loads the baseline, obtains the current report (from inPath
-// if given, else by measuring fresh), and fails below the speedup floor.
-func runScaleGate(w io.Writer, basePath, inPath, workersSpec string, opt harness.ScaleOptions, gopt harness.ScaleGateOptions) error {
-	base, err := loadScaleReport(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var cur harness.ScaleReport
-	if inPath != "" {
-		cur, err = loadScaleReport(inPath)
-		if err != nil {
-			return fmt.Errorf("current report: %w", err)
-		}
-	} else {
-		cur, err = measureScale(workersSpec, opt)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Fprintln(w, harness.FormatScaleReport(cur))
-	violations := harness.CompareScaleReports(base, cur, gopt)
-	if len(violations) == 0 {
-		top := cur.Points[len(cur.Points)-1]
-		fmt.Fprintf(w, "scale gate passed: %d workers reach %.2fx the 1-worker throughput on %d CPUs\n",
-			top.Workers, top.Speedup, cur.CPUs)
-		return nil
-	}
-	for _, v := range violations {
-		fmt.Fprintf(w, "scale gate violation: %s\n", v)
-	}
-	return fmt.Errorf("%d scalability violation(s) against %s", len(violations), basePath)
-}
-
-func loadScaleReport(path string) (harness.ScaleReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return harness.ScaleReport{}, err
-	}
-	var rep harness.ScaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return harness.ScaleReport{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 func loadBenchReport(path string) (harness.BenchReport, error) {

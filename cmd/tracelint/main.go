@@ -208,8 +208,8 @@ func lintFile(w *os.File, path string, jsonOut, wantFacts, strict bool) bool {
 			fmt.Fprintln(w)
 		}
 		if s := res.ValueFlow; s != nil {
-			fmt.Fprintf(w, "  value-flow: %d/%d blocks reachable, %d branches decided, %d const slots, %d non-null slots, %d loop headers with invariants\n",
-				s.Reachable, s.Blocks, s.Decided, s.IntConsts+s.FloatConsts, s.NonNull, s.LoopHeaders)
+			fmt.Fprintf(w, "  value-flow: %d/%d blocks reachable, %d branches decided, %d const slots, %d non-null slots\n",
+				s.Reachable, s.Blocks, s.Decided, s.IntConsts+s.FloatConsts, s.NonNull)
 		}
 	}
 	return res.OK

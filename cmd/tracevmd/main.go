@@ -29,34 +29,17 @@
 // -debug-addr serves net/http/pprof on a separate listener so profiling
 // endpoints never share the public address.
 //
-// Load generator (drives a running daemon):
-//
-//	tracevmd -loadgen -addr localhost:8077 -n 8 -requests 64 -workloads compress,soot -retries 5
-//
-// Loadgen flags: -addr is the daemon, -n the concurrent clients, -requests
-// the total request count (0 = 2x -n), -workloads the comma-separated mix
-// (default: all built-ins; the first name is the skew/hot-key favourite),
-// -mode the dispatch mode, -retries the backpressure backoff attempts.
-// Popularity is drawn per request from a zipf distribution with exponent
-// -loadgen-skew (default 1.07, the classic web-traffic skew; <= 1 falls
-// back to uniform round-robin); -loadgen-hot additionally sends that
-// fraction of requests straight to the first workload, -loadgen-writes runs
-// only that fraction profiled (the rest plain), and -loadgen-seed fixes the
-// random draws for reproducible runs.
-//
 // Traffic record/replay (tracevm/replay/v1 logs, see internal/replay):
 //
 //	tracevmd -addr :8077 -record /var/lib/tracevm/traffic      # record; commit at drain
-//	tracevmd -loadgen -addr localhost:8077 -loadgen-record storm.trlog
 //	tracevmd -replay storm.trlog -addr localhost:8077 -replay-pace 1
 //
 // -record captures every submission the server is offered (including
 // backpressure-refused requests) and commits a timestamped .trlog into the
-// directory at drain; -loadgen-record saves the generated stream directly.
-// -replay re-offers a log against a running daemon with -replay-pace
-// scaling the recorded arrival gaps (1 as recorded, 0 max speed) and
-// -replay-inflight bounding outstanding requests, then exits non-zero if
-// any replayed request failed.
+// directory at drain. -replay re-offers a log against a running daemon with
+// -replay-pace scaling the recorded arrival gaps (1 as recorded, 0 max
+// speed) and -replay-inflight bounding outstanding requests, then exits
+// non-zero if any replayed request failed.
 package main
 
 import (
@@ -89,23 +72,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8077", "listen address (server) or daemon address (loadgen)")
+		addr      = flag.String("addr", ":8077", "listen address (server) or daemon address (-replay)")
 		debugAddr = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 		workers   = flag.Int("workers", 0, "concurrent session workers (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "pending request queue depth (0 = 4x workers)")
 		timeout   = flag.Duration("timeout", 0, "default per-request timeout (0 = none)")
 		maxSteps  = flag.Int64("maxsteps", 0, "hard per-request instruction cap (0 = unlimited)")
 		events    = flag.Int("events", 4096, "event trace ring capacity (0 = disabled)")
-		loadgen   = flag.Bool("loadgen", false, "run as load-generator client against -addr")
-		conc      = flag.Int("n", 4, "loadgen: concurrent client connections")
-		requests  = flag.Int("requests", 0, "loadgen: total requests (0 = 2x -n)")
-		workloads = flag.String("workloads", "", "loadgen: comma-separated workload names (default: all)")
-		modeStr   = flag.String("mode", "trace", "loadgen: dispatch mode: plain, instr, profile, trace, trace-deploy")
-		retries   = flag.Int("retries", 5, "loadgen: backoff attempts per request on backpressure (1 = no retry)")
-		lgSkew    = flag.Float64("loadgen-skew", 1.07, "loadgen: zipf exponent of the program-popularity draw; the first workload is the most popular (<= 1 = uniform round-robin)")
-		lgHot     = flag.Float64("loadgen-hot", 0, "loadgen: fraction of requests sent straight to the first workload (a hot key), on top of the skewed draw")
-		lgWrites  = flag.Float64("loadgen-writes", 0, "loadgen: fraction of requests run in -mode; the rest run plain (0 or 1 = all in -mode)")
-		lgSeed    = flag.Uint64("loadgen-seed", 1, "loadgen: seed of the skew/hot/writes draws")
 
 		maxTraces   = flag.Int("max-traces", 512, "per-session live trace budget (0 = unbounded)")
 		maxTrBlocks = flag.Int("max-trace-blocks", 8192, "per-session cached trace block budget (0 = unbounded)")
@@ -127,7 +100,6 @@ func main() {
 		replayFile = flag.String("replay", "", "replay the traffic log at this path against the daemon at -addr, then exit")
 		replayPace = flag.Float64("replay-pace", 1, "replay: arrival-gap multiplier (1 = as recorded, 0 = max speed, 0.5 = double speed)")
 		replayConc = flag.Int("replay-inflight", 0, "replay: max concurrently outstanding requests (0 = 16 default)")
-		lgRecord   = flag.String("loadgen-record", "", "loadgen: also write the offered request stream as a traffic log to this path")
 	)
 	flag.Parse()
 
@@ -135,9 +107,6 @@ func main() {
 	switch {
 	case *replayFile != "":
 		err = runReplay(*addr, *replayFile, *replayPace, *replayConc)
-	case *loadgen:
-		err = runLoadgen(*addr, *conc, *requests, *workloads, *modeStr, *retries,
-			*lgSkew, *lgHot, *lgWrites, *lgSeed, *lgRecord)
 	default:
 		err = runServer(*addr, *debugAddr, *recordDir, serve.Config{
 			Workers:        *workers,
@@ -498,7 +467,8 @@ func runReplay(addr, path string, pace float64, inflight int) error {
 	return nil
 }
 
-// httpRunner adapts POST /v1/run into a serve.Runner for the load generator.
+// httpRunner adapts POST /v1/run into a serve.Runner, so a log replays
+// against a remote daemon exactly as Service.Replay plays it in process.
 func httpRunner(client *http.Client, baseURL string) serve.Runner {
 	return func(ctx context.Context, req serve.Request) (*serve.Response, error) {
 		wire := api.RunRequest{
@@ -546,59 +516,4 @@ func httpRunner(client *http.Client, baseURL string) serve.Runner {
 			Counters: wireResp.Counters,
 		}, nil
 	}
-}
-
-func runLoadgen(addr string, conc, requests int, workloadsCSV, modeStr string, retries int,
-	skew, hot, writes float64, seed uint64, recordPath string) error {
-	mode, err := api.ParseMode(modeStr)
-	if err != nil {
-		return err
-	}
-	baseURL := addr
-	if !strings.Contains(baseURL, "://") {
-		baseURL = "http://" + baseURL
-	}
-	baseURL = strings.TrimSuffix(baseURL, "/")
-	var workloads []string
-	if workloadsCSV != "" {
-		workloads = strings.Split(workloadsCSV, ",")
-	}
-	cfg := serve.LoadGenConfig{
-		Concurrency: conc,
-		Requests:    requests,
-		Workloads:   workloads,
-		Mode:        mode,
-		Skew:        skew,
-		HotRatio:    hot,
-		WriteFrac:   writes,
-		Seed:        seed,
-	}
-	if retries > 1 {
-		cfg.Retry = &serve.Backoff{Attempts: retries, Seed: seed}
-	}
-	if recordPath != "" {
-		cfg.Recorder = replay.NewRecorder()
-	}
-	res := serve.RunLoadGen(context.Background(), cfg, httpRunner(http.DefaultClient, baseURL))
-	if cfg.Recorder != nil {
-		if err := cfg.Recorder.Save(recordPath); err != nil {
-			return fmt.Errorf("saving traffic log: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "tracevmd: recorded %d requests to %s\n", cfg.Recorder.Len(), recordPath)
-	}
-	fmt.Printf("requests:    %d\n", res.Requests)
-	fmt.Printf("completed:   %d\n", res.Completed)
-	fmt.Printf("failed:      %d (rejected %d)\n", res.Failed, res.Rejected)
-	fmt.Printf("retries:     %d\n", res.Retries)
-	fmt.Printf("wall:        %v\n", res.Wall)
-	fmt.Printf("throughput:  %.2f req/s\n", res.Throughput)
-	fmt.Printf("instrs:      %d (%.1f M/s)\n", res.TotalInstrs,
-		float64(res.TotalInstrs)/1e6/res.Wall.Seconds())
-	for _, e := range res.Errors {
-		fmt.Printf("error:       %s\n", e)
-	}
-	if res.Failed > 0 {
-		return fmt.Errorf("%d of %d requests failed", res.Failed, res.Requests)
-	}
-	return nil
 }

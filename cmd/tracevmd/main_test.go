@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/replay"
 	"repro/internal/serve"
 )
 
@@ -207,17 +209,30 @@ func TestReadyzDrainingAfterClose(t *testing.T) {
 
 func TestHTTPRunnerAndLoadgen(t *testing.T) {
 	srv, svc := newTestServer(t, serve.Config{Workers: 2, QueueDepth: 16})
-	res := serve.RunLoadGen(context.Background(), serve.LoadGenConfig{
-		Concurrency: 3,
-		Requests:    6,
-		Workloads:   []string{"soot", "raytrace"},
-		Mode:        core.ModePlain,
-	}, httpRunner(srv.Client(), srv.URL))
-	if res.Completed != 6 || res.Failed != 0 {
-		t.Fatalf("loadgen over HTTP: %+v", res)
+	l := &replay.Log{}
+	for i := 0; i < 6; i++ {
+		l.Records = append(l.Records, replay.Record{
+			Kind: replay.RefWorkload, Workload: []string{"soot", "raytrace"}[i%2], Mode: core.ModePlain,
+		})
 	}
-	if res.TotalInstrs == 0 {
-		t.Error("loadgen did not propagate instruction counts")
+	run := httpRunner(srv.Client(), srv.URL)
+	var instrs atomic.Int64
+	res, err := replay.Play(context.Background(), l, replay.PlayOptions{MaxInFlight: 3},
+		func(ctx context.Context, rec replay.Record) error {
+			resp, err := run(ctx, serve.RequestFromRecord(rec))
+			if err == nil {
+				instrs.Add(resp.Counters.Instrs)
+			}
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 6 || res.Failed != 0 {
+		t.Fatalf("replay over HTTP: %+v", res)
+	}
+	if instrs.Load() == 0 {
+		t.Error("httpRunner did not propagate instruction counts")
 	}
 	if snap := svc.Stats(); snap.Completed != 6 {
 		t.Errorf("daemon accounted %d completions, want 6", snap.Completed)

@@ -234,7 +234,6 @@ func (ip *iproc) capture() *Facts {
 			return topFactsFor(ip.p)
 		}
 		f.analyzed++
-		ma.captureLoops(f)
 	}
 	return f
 }
@@ -771,214 +770,4 @@ func switchTargetBlock(b *cfg.Block, term bytecode.Instr, key int64) cfg.BlockID
 		}
 	}
 	return b.SwitchDefault
-}
-
-// captureLoops records, per natural-loop header, the local slots no block
-// of the loop writes. Membership follows both static successors and
-// exception edges, so a handler inside the loop counts its writes.
-func (ma *manalysis) captureLoops(f *Facts) {
-	const maxLoopLocals = 256
-	if ma.m.MaxLocals > maxLoopLocals {
-		return
-	}
-	blocks := ma.mc.Blocks
-	n := len(blocks)
-	succ := make([][]int, n)
-	addEdge := func(from, to int) {
-		for _, s := range succ[from] {
-			if s == to {
-				return
-			}
-		}
-		succ[from] = append(succ[from], to)
-	}
-	for i, b := range blocks {
-		for _, id := range b.StaticSuccessors() {
-			if t := ma.ip.p.Block(id); t != nil && t.Method == ma.m {
-				addEdge(i, t.Index)
-			}
-		}
-		for hi := range ma.m.Handlers {
-			h := &ma.m.Handlers[hi]
-			covered := false
-			for _, in := range b.Instrs {
-				if h.Covers(in.PC) {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				if t := ma.mc.BlockAtPC(h.HandlerPC); t != nil {
-					addEdge(i, t.Index)
-				}
-			}
-		}
-	}
-	preds := make([][]int, n)
-	for i, ss := range succ {
-		for _, s := range ss {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	idom := dominators(succ, preds)
-	dominates := func(a, b int) bool {
-		for x := b; x >= 0; x = idom[x] {
-			if x == a {
-				return true
-			}
-			if idom[x] == x {
-				break
-			}
-		}
-		return false
-	}
-	// Union the natural loops per header, then union their written slots.
-	written := make(map[int]map[int32]bool)
-	for i, ss := range succ {
-		if idom[i] < 0 {
-			continue
-		}
-		for _, h := range ss {
-			if !dominates(h, i) {
-				continue
-			}
-			w := written[h]
-			if w == nil {
-				w = make(map[int32]bool)
-				written[h] = w
-			}
-			collectLoopWrites(blocks, preds, h, i, w)
-		}
-	}
-	for h, w := range written {
-		hb := blocks[h]
-		bf := f.Block(hb.ID)
-		if bf == nil || !bf.Reachable {
-			continue
-		}
-		var inv []int32
-		for slot := int32(0); slot < int32(ma.m.MaxLocals); slot++ {
-			if !w[slot] {
-				inv = append(inv, slot)
-			}
-		}
-		if inv == nil {
-			continue
-		}
-		if f.invariant == nil {
-			f.invariant = make(map[cfg.BlockID][]int32)
-		}
-		f.invariant[hb.ID] = inv
-	}
-}
-
-// collectLoopWrites walks the natural loop of back edge tail→head backwards
-// from the tail, adding every local slot stored by a loop block.
-func collectLoopWrites(blocks []*cfg.Block, preds [][]int, head, tail int, w map[int32]bool) {
-	inLoop := make([]bool, len(blocks))
-	inLoop[head] = true
-	stack := []int{tail}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if inLoop[i] {
-			continue
-		}
-		inLoop[i] = true
-		stack = append(stack, preds[i]...)
-	}
-	for i, in := range inLoop {
-		if !in {
-			continue
-		}
-		for _, ins := range blocks[i].Instrs {
-			switch ins.Op {
-			case bytecode.IStore, bytecode.FStore, bytecode.AStore, bytecode.IInc:
-				w[ins.A] = true
-			}
-		}
-	}
-}
-
-// dominators computes immediate dominators over the method-local graph
-// (entry is block 0) with the standard iterative algorithm. idom[i] < 0
-// marks blocks unreachable from the entry.
-func dominators(succ, preds [][]int) []int {
-	n := len(succ)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if n == 0 {
-		return idom
-	}
-	// Reverse post-order from the entry (iterative: adversarial inputs
-	// must not be able to overflow the goroutine stack).
-	order := make([]int, 0, n)
-	state := make([]uint8, n) // 0 unseen, 1 expanded, 2 emitted
-	stack := []int{0}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		switch state[i] {
-		case 0:
-			state[i] = 1
-			for _, s := range succ[i] {
-				if state[s] == 0 {
-					stack = append(stack, s)
-				}
-			}
-		case 1:
-			state[i] = 2
-			order = append(order, i)
-			stack = stack[:len(stack)-1]
-		default:
-			stack = stack[:len(stack)-1]
-		}
-	}
-	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-		order[l], order[r] = order[r], order[l]
-	}
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range order {
-		rpoNum[b] = i
-	}
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range preds[b] {
-				if idom[p] < 0 {
-					continue
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom >= 0 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
 }

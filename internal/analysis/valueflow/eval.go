@@ -171,14 +171,15 @@ func (e *evaluator) exec(st *absState, in bytecode.Instr) {
 		out := topInt()
 		if a.kind == bytecode.KInt {
 			if n, ok := a.isIntConst(); ok {
-				out = intConst(-n) // wraps at MinInt64 exactly like the VM
+				out = intConst(bytecode.FoldUnary(in.Op, n)) // wraps at MinInt64 like the VM
 			} else if a.lo > math.MinInt64 {
 				out = intRange(-a.hi, -a.lo)
 			}
 		}
 		e.push(st, out)
 
-	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv, bytecode.FRem:
+	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv, bytecode.FRem,
+		bytecode.FCmpL, bytecode.FCmpG:
 		b := e.pop(st)
 		a := e.pop(st)
 		e.push(st, floatBinop(in.Op, a, b))
@@ -186,7 +187,7 @@ func (e *evaluator) exec(st *absState, in bytecode.Instr) {
 		a := e.pop(st)
 		out := topFloat()
 		if bits, ok := a.isFloatConst(); ok {
-			out = floatConst(math.Float64bits(-math.Float64frombits(bits)))
+			out = floatConst(uint64(bytecode.FoldUnary(in.Op, int64(bits))))
 		}
 		e.push(st, out)
 
@@ -194,45 +195,14 @@ func (e *evaluator) exec(st *absState, in bytecode.Instr) {
 		a := e.pop(st)
 		out := topFloat()
 		if n, ok := a.isIntConst(); ok {
-			out = floatConst(math.Float64bits(float64(n)))
+			out = floatConst(uint64(bytecode.FoldUnary(in.Op, n)))
 		}
 		e.push(st, out)
 	case bytecode.F2I:
 		a := e.pop(st)
 		out := topInt()
 		if bits, ok := a.isFloatConst(); ok {
-			// Fold only where int64(f) is portable: finite and within
-			// ±2^53 (integral-exact doubles). Out-of-range conversions
-			// differ across architectures, so they stay unknown.
-			f := math.Float64frombits(bits)
-			if f >= -(1<<53) && f <= 1<<53 {
-				out = intConst(int64(f))
-			}
-		}
-		e.push(st, out)
-
-	case bytecode.FCmpL, bytecode.FCmpG:
-		b := e.pop(st)
-		a := e.pop(st)
-		out := intRange(-1, 1)
-		ab, aok := a.isFloatConst()
-		bb, bok := b.isFloatConst()
-		if aok && bok {
-			af, bf := math.Float64frombits(ab), math.Float64frombits(bb)
-			switch {
-			case af < bf:
-				out = intConst(-1)
-			case af > bf:
-				out = intConst(1)
-			case af == bf:
-				out = intConst(0)
-			default: // NaN involved
-				if in.Op == bytecode.FCmpL {
-					out = intConst(-1)
-				} else {
-					out = intConst(1)
-				}
-			}
+			out = intConst(bytecode.FoldUnary(in.Op, int64(bits)))
 		}
 		e.push(st, out)
 
@@ -335,43 +305,10 @@ func intBinop(op bytecode.Op, a, b absVal) absVal {
 	an, aok := a.isIntConst()
 	bn, bok := b.isIntConst()
 	if aok && bok {
-		switch op {
-		case bytecode.IAdd:
-			return intConst(an + bn)
-		case bytecode.ISub:
-			return intConst(an - bn)
-		case bytecode.IMul:
-			return intConst(an * bn)
-		case bytecode.IDiv:
-			if bn == 0 {
-				return topInt() // always traps; no value to claim
-			}
-			if bn == -1 {
-				return intConst(-an)
-			}
-			return intConst(an / bn)
-		case bytecode.IRem:
-			if bn == 0 {
-				return topInt()
-			}
-			if bn == -1 {
-				return intConst(0)
-			}
-			return intConst(an % bn)
-		case bytecode.IShl:
-			return intConst(an << (uint64(bn) & 63))
-		case bytecode.IShr:
-			return intConst(an >> (uint64(bn) & 63))
-		case bytecode.IUshr:
-			return intConst(int64(uint64(an) >> (uint64(bn) & 63)))
-		case bytecode.IAnd:
-			return intConst(an & bn)
-		case bytecode.IOr:
-			return intConst(an | bn)
-		case bytecode.IXor:
-			return intConst(an ^ bn)
+		if v, ok := bytecode.FoldBinary(op, an, bn); ok {
+			return intConst(v)
 		}
-		return topInt()
+		return topInt() // ÷0 always traps; no value to claim
 	}
 	switch op {
 	case bytecode.IAdd:
@@ -426,29 +363,22 @@ func subNoOv(a, b int64) (int64, bool) {
 	return d, true
 }
 
-// floatBinop folds one float binary operation when both operands are
-// constant, running the identical float64 computation the VM runs.
+// floatBinop folds one float arithmetic or compare operation when both
+// operands are constant; no float operation traps, so the fold never
+// refuses.
 func floatBinop(op bytecode.Op, a, b absVal) absVal {
+	isCmp := op == bytecode.FCmpL || op == bytecode.FCmpG
 	ab, aok := a.isFloatConst()
 	bb, bok := b.isFloatConst()
-	if !aok || !bok {
-		return topFloat()
+	if aok && bok {
+		v, _ := bytecode.FoldBinary(op, int64(ab), int64(bb))
+		if isCmp {
+			return intConst(v)
+		}
+		return floatConst(uint64(v))
 	}
-	af, bf := math.Float64frombits(ab), math.Float64frombits(bb)
-	var r float64
-	switch op {
-	case bytecode.FAdd:
-		r = af + bf
-	case bytecode.FSub:
-		r = af - bf
-	case bytecode.FMul:
-		r = af * bf
-	case bytecode.FDiv:
-		r = af / bf
-	case bytecode.FRem:
-		r = math.Mod(af, bf)
-	default:
-		return topFloat()
+	if isCmp {
+		return intRange(-1, 1)
 	}
-	return floatConst(math.Float64bits(r))
+	return topFloat()
 }

@@ -4,8 +4,8 @@
 // call-site-summary interprocedural layer.
 //
 // The result is a per-block Facts table — constant locals and stack slots
-// at block entry, branch outcomes decided by ranges, references proven
-// non-null, and loop-invariant locals — consumed three ways: by
+// at block entry, branch outcomes decided by ranges, and references proven
+// non-null — consumed three ways: by
 // analysis.ComputeHintsWithFacts to pre-seed decided branches as
 // unique-successor BCG hints, by the trace cache (through GuardOracle) to
 // prove side-exit guards dead, and by cmd/tracelint as a report.
@@ -62,11 +62,10 @@ type BlockFacts struct {
 // Facts is the whole-program fact table, indexed by cfg.BlockID. A Facts
 // value is immutable after Compute and safe for concurrent readers.
 type Facts struct {
-	blocks    []BlockFacts
-	invariant map[cfg.BlockID][]int32
-	top       bool
-	analyzed  int // methods that reached a fixpoint
-	reached   int // methods proven reachable from main
+	blocks   []BlockFacts
+	top      bool
+	analyzed int // methods that reached a fixpoint
+	reached  int // methods proven reachable from main
 }
 
 func newFacts(numBlocks int) *Facts {
@@ -129,16 +128,6 @@ func (f *Facts) DecidedSucc(id cfg.BlockID) cfg.BlockID {
 	return cfg.NoBlock
 }
 
-// InvariantLocals returns the local slots not written anywhere inside the
-// natural loop headed by the given block (nil for non-headers). Invariance
-// is syntactic: the slots are operands a specializer may hoist reads of.
-func (f *Facts) InvariantLocals(id cfg.BlockID) []int32 {
-	if f == nil {
-		return nil
-	}
-	return f.invariant[id]
-}
-
 // Stats summarizes the table for reports.
 type Stats struct {
 	Blocks          int
@@ -149,7 +138,6 @@ type Stats struct {
 	FloatConsts     int
 	NonNull         int
 	StackConsts     int
-	LoopHeaders     int
 	MethodsReached  int
 	MethodsAnalyzed int
 	Top             bool
@@ -165,7 +153,6 @@ func (f *Facts) Stats() Stats {
 	s.Blocks = len(f.blocks)
 	s.MethodsReached = f.reached
 	s.MethodsAnalyzed = f.analyzed
-	s.LoopHeaders = len(f.invariant)
 	for i := range f.blocks {
 		bf := &f.blocks[i]
 		if bf.Reachable {

@@ -196,14 +196,6 @@ func TestRangeRefinementKillsBoundCheck(t *testing.T) {
 	if f.Block(deadB.ID).Reachable {
 		t.Errorf("dead bound-check target marked reachable")
 	}
-	// The loop header is a natural-loop head; slot 0 is written in the
-	// loop, so it must NOT be invariant (and the header must be known).
-	headB := blockAt(t, p, main.ID, pcs[iHead])
-	for _, s := range f.InvariantLocals(headB.ID) {
-		if s == 0 {
-			t.Errorf("loop counter reported invariant")
-		}
-	}
 }
 
 // TestNullnessFacts checks null/non-null propagation and decided null

@@ -1,7 +1,7 @@
 // Package api defines the versioned wire contract of the tracevmd HTTP
 // daemon: the request/response structs, their schema-version constants, and
 // the conversions to and from the serve layer. The daemon and every client
-// (the load generator, tests, external tooling) share these types, so the
+// (the -replay client, tests, external tooling) share these types, so the
 // wire shape is pinned in exactly one place.
 //
 // Versioning: every route lives under /v1/ and every response carries a

@@ -372,3 +372,27 @@ func TestBranchTargets(t *testing.T) {
 		t.Errorf("iadd targets = %v", tg)
 	}
 }
+
+// TestFloatToIntDocumentedRule pins the f2i rule LANGUAGE.md states; the
+// edge-operand differential in internal/progen holds every engine to it.
+func TestFloatToIntDocumentedRule(t *testing.T) {
+	for _, c := range []struct {
+		f    float64
+		want int64
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), math.MaxInt64},
+		{math.Inf(-1), math.MinInt64},
+		{1 << 63, math.MaxInt64},
+		{-(1 << 63), math.MinInt64},
+		{1e300, math.MaxInt64},
+		{-1e300, math.MinInt64},
+		{-1.9, -1},
+		{math.Copysign(0, -1), 0},
+		{1 << 53, 1 << 53},
+	} {
+		if got := FloatToInt(c.f); got != c.want {
+			t.Errorf("FloatToInt(%v) = %d, want %d", c.f, got, c.want)
+		}
+	}
+}

@@ -28,10 +28,11 @@ type Profiler struct {
 	Cache  *Cache
 }
 
-// NewProfiler builds an empty profiling pair: cache and graph are
-// constructed and bound exactly as NewSession would, with the dense indices
-// pre-sized to numBlocks and static hints applied. params' zero value means
-// DefaultParams; conf carries the trace-cache budgets.
+// NewProfiler builds an empty profiling pair: cache and graph constructed
+// and bound to each other, the dense dispatch-path indices pre-sized to
+// numBlocks so the hot loop never grows them, and static hints applied.
+// NewSession builds its private pair through here too. params' zero value
+// means DefaultParams; conf carries the trace-cache budgets.
 func NewProfiler(params profile.Params, conf Config, hints *analysis.Hints, numBlocks int) (*Profiler, error) {
 	if params == (profile.Params{}) {
 		params = profile.DefaultParams()
@@ -94,9 +95,9 @@ func (p *Profiler) EnableCompile(pcfg *cfg.ProgramCFG, facts *valueflow.Facts, s
 // shard seeds from a warm snapshot only while this is false.
 func (p *Profiler) Seeded() bool { return p.Graph.NumNodes() > 0 }
 
-// ExportSnapshot captures the profiler's learned state keyed to a program
-// identity — the same structural export Session.ExportSnapshot performs.
-// The result aliases nothing in the profiler.
+// ExportSnapshot captures the profiler's learned state — the BCG, the live
+// trace set, and the loop-header anchors — keyed to a program identity. The
+// result aliases nothing in the profiler.
 func (p *Profiler) ExportSnapshot(programKey, programName string) *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		ProgramKey:  programKey,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -67,6 +68,10 @@ type Session struct {
 	Graph    *profile.Graph
 	Cache    *Cache
 	Counters *stats.Counters
+
+	// pair is the profiling pair behind Graph and Cache (nil when
+	// unprofiled): the caller's shard, or one private to this session.
+	pair *Profiler
 }
 
 // SessionOptions configures NewSession.
@@ -125,8 +130,8 @@ type SessionOptions struct {
 
 // NewSession builds a session over a linked program and its CFGs.
 func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptions) (*Session, error) {
-	if opts.Params == (profile.Params{}) {
-		opts.Params = profile.DefaultParams()
+	if pcfg == nil {
+		return nil, fmt.Errorf("core: session needs the program's CFG")
 	}
 	ctr := &stats.Counters{}
 	s := &Session{Mode: opts.Mode, Counters: ctr}
@@ -139,64 +144,40 @@ func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptio
 		Probe:     opts.Probe,
 	}
 	if opts.Mode != ModePlain && opts.Mode != ModeInstr {
-		var g *profile.Graph
-		var cache *Cache
-		if p := opts.Profiler; p != nil {
-			// Shard reuse: attach to the persistent pair, rebinding its
-			// accounting to this run. Its params govern the session.
-			opts.Params = p.params
-			g, cache = p.Graph, p.Cache
-			p.SetCounters(ctr)
-			if opts.Sink != nil {
-				p.SetSink(opts.Sink)
-			}
-			if opts.Snapshot != nil && p.Seeded() {
-				// The shard already holds live learned state; a stale warm
-				// snapshot must not be layered over it.
-				opts.Snapshot = nil
-			}
-		} else {
-			cache = NewCache(opts.Config, ctr)
+		p := opts.Profiler
+		if p == nil {
+			// Private pair: built exactly as a shard is, with the prover and
+			// compile environment a shard's owner would attach itself.
 			var err error
-			g, err = profile.New(opts.Params, ctr, cache)
+			p, err = NewProfiler(opts.Params, opts.Config, opts.Hints, pcfg.NumBlocks())
 			if err != nil {
 				return nil, err
 			}
-			cache.Bind(g)
-			if pcfg != nil {
-				// Pre-size the dense dispatch-path indices to the program's
-				// block count so the hot loop never grows them.
-				g.Reserve(pcfg.NumBlocks())
-				cache.Reserve(pcfg.NumBlocks())
+			if opts.Facts != nil {
+				p.SetProver(valueflow.NewOracle(opts.Facts, pcfg))
 			}
-			if opts.Hints != nil {
-				g.SetStaticHints(opts.Hints.UniqueBlocks())
-				cache.Index().SetLoopHeaders(opts.Hints.LoopHeaders())
-			}
-			if opts.Sink != nil {
-				g.SetSink(opts.Sink)
-				cache.SetSink(opts.Sink)
-			}
-			if opts.Facts != nil && pcfg != nil {
-				cache.SetProver(valueflow.NewOracle(opts.Facts, pcfg))
-			}
-			if pcfg != nil && cache.Config().CompileTraces {
-				cache.SetCompileEnv(pcfg, opts.Facts)
-			}
+			p.EnableCompile(pcfg, opts.Facts, nil)
 		}
-		s.Graph = g
-		s.Cache = cache
-		if opts.Snapshot != nil {
-			if err := seedSession(s, opts.Snapshot, opts.Params); err != nil {
+		// Attach to the pair, rebinding its accounting to this run. Its
+		// params govern the session, never opts.Params.
+		p.SetCounters(ctr)
+		if opts.Sink != nil {
+			p.SetSink(opts.Sink)
+		}
+		s.pair, s.Graph, s.Cache = p, p.Graph, p.Cache
+		// A shard that already holds live learned state must not have a
+		// stale warm snapshot layered over it.
+		if opts.Snapshot != nil && !p.Seeded() {
+			if err := seedSession(s, opts.Snapshot, p.params); err != nil {
 				return nil, err
 			}
 		}
-		mopts.Hook = g
+		mopts.Hook = p.Graph
 		if opts.Mode == ModeTrace || opts.Mode == ModeTraceDeploy {
-			mopts.Traces = cache
+			mopts.Traces = p.Cache
 			mopts.HookInsideTraces = opts.Mode == ModeTrace
-			if cache.CompileEnabled() {
-				mopts.Tiering = cache
+			if p.Cache.CompileEnabled() {
+				mopts.Tiering = p.Cache
 			}
 		}
 	}

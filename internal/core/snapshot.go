@@ -18,17 +18,10 @@ import (
 // identity. The result aliases nothing in the session and stays valid after
 // it ends. Returns nil for unprofiled sessions, which have no learned state.
 func (s *Session) ExportSnapshot(programKey, programName string) *snapshot.Snapshot {
-	if s.Graph == nil || s.Cache == nil {
+	if s.pair == nil {
 		return nil
 	}
-	return &snapshot.Snapshot{
-		ProgramKey:  programKey,
-		Program:     programName,
-		Params:      s.Graph.Params(),
-		Nodes:       s.Graph.Export(),
-		Traces:      s.Cache.ExportTraces(),
-		LoopHeaders: s.Cache.Index().LoopHeaders(),
-	}
+	return s.pair.ExportSnapshot(programKey, programName)
 }
 
 // seedSession applies a snapshot to a freshly built session, before the

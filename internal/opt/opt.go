@@ -237,15 +237,26 @@ func (r *ir) remove(doomed map[int]bool) {
 	r.handlers = hs
 }
 
-// constOf returns the constant value of an instruction, if it pushes one.
-func constOf(in bytecode.Instr) (int64, float64, bool, bool) {
+// constOf returns the payload (floats as bit patterns, the form
+// bytecode.FoldBinary takes) and kind of the constant an instruction pushes;
+// the kind is KAny when it pushes none.
+func constOf(in bytecode.Instr) (int64, bytecode.ValKind) {
 	switch in.Op {
 	case bytecode.IConst:
-		return int64(in.A), 0, true, false
+		return int64(in.A), bytecode.KInt
 	case bytecode.FConst:
-		return 0, in.F, false, true
+		return int64(math.Float64bits(in.F)), bytecode.KFloat
 	}
-	return 0, 0, false, false
+	return 0, bytecode.KAny
+}
+
+// constInstr materializes a folded payload of kind k; ok is false for an
+// int no iconst immediate can hold.
+func constInstr(v int64, k bytecode.ValKind) (bytecode.Instr, bool) {
+	if k == bytecode.KFloat {
+		return bytecode.Instr{Op: bytecode.FConst, F: math.Float64frombits(uint64(v))}, true
+	}
+	return bytecode.Instr{Op: bytecode.IConst, A: int32(v)}, v >= math.MinInt32 && v <= math.MaxInt32
 }
 
 // foldConstants applies constant and algebraic peepholes once.
@@ -271,42 +282,25 @@ func (r *ir) foldConstants(st *Stats) bool {
 		if lead[j] || !clean(i, j) {
 			continue
 		}
-		a, b := r.ins[i].in, r.ins[j].in
-		an, af, aInt, aFlt := constOf(a)
-		if !aInt && !aFlt {
+		op := r.ins[j].in.Op
+		av, ak := constOf(r.ins[i].in)
+		if ak == bytecode.KAny {
 			continue
 		}
-		switch b.Op {
-		case bytecode.INeg:
-			if aInt && fits32(-an) {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.IConst, A: int32(-an)}
-				doomed[j] = true
-				st.Folded++
-				changed = true
+		switch op {
+		case bytecode.INeg, bytecode.FNeg, bytecode.I2F, bytecode.F2I:
+			pops, pushes, _ := bytecode.StackKinds(op)
+			if pops[0] != ak {
+				continue
 			}
-		case bytecode.FNeg:
-			if aFlt {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.FConst, F: -af}
-				doomed[j] = true
-				st.Folded++
-				changed = true
-			}
-		case bytecode.I2F:
-			if aInt {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.FConst, F: float64(an)}
-				doomed[j] = true
-				st.Folded++
-				changed = true
-			}
-		case bytecode.F2I:
-			if aFlt && !math.IsNaN(af) && !math.IsInf(af, 0) && fits32(int64(af)) {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.IConst, A: int32(int64(af))}
+			if c, ok := constInstr(bytecode.FoldUnary(op, av), pushes[0]); ok {
+				r.ins[i].in = c
 				doomed[j] = true
 				st.Folded++
 				changed = true
 			}
 		default:
-			if aInt && isIdentity(b.Op, an) {
+			if ak == bytecode.KInt && isIdentity(op, av) {
 				doomed[i], doomed[j] = true, true
 				st.Folded++
 				changed = true
@@ -320,19 +314,16 @@ func (r *ir) foldConstants(st *Stats) bool {
 		if lead[j] || lead[k] || !clean(i, j, k) {
 			continue
 		}
-		a, b, c := r.ins[i].in, r.ins[j].in, r.ins[k].in
-		an, af, aInt, aFlt := constOf(a)
-		bn, bf, bInt, bFlt := constOf(b)
-		if aInt && bInt {
-			if v, ok := foldIntOp(c.Op, an, bn); ok && fits32(v) {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.IConst, A: int32(v)}
-				doomed[j], doomed[k] = true, true
-				st.Folded++
-				changed = true
-			}
-		} else if aFlt && bFlt {
-			if v, ok := foldFloatOp(c.Op, af, bf); ok {
-				r.ins[i].in = bytecode.Instr{Op: bytecode.FConst, F: v}
+		av, ak := constOf(r.ins[i].in)
+		bv, bk := constOf(r.ins[j].in)
+		op := r.ins[k].in.Op
+		pops, pushes, _ := bytecode.StackKinds(op)
+		if ak == bytecode.KAny || len(pops) != 2 || pops[1] != ak || pops[0] != bk {
+			continue
+		}
+		if v, ok := bytecode.FoldBinary(op, av, bv); ok {
+			if c, ok := constInstr(v, pushes[0]); ok {
+				r.ins[i].in = c
 				doomed[j], doomed[k] = true, true
 				st.Folded++
 				changed = true
@@ -341,64 +332,6 @@ func (r *ir) foldConstants(st *Stats) bool {
 	}
 	r.remove(doomed)
 	return changed
-}
-
-func fits32(v int64) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
-
-func foldIntOp(op bytecode.Op, a, b int64) (int64, bool) {
-	switch op {
-	case bytecode.IAdd:
-		return a + b, true
-	case bytecode.ISub:
-		return a - b, true
-	case bytecode.IMul:
-		return a * b, true
-	case bytecode.IDiv:
-		if b == 0 {
-			return 0, false
-		}
-		if b == -1 {
-			return -a, true // Java wrapping semantics for MinInt64 / -1
-		}
-		return a / b, true
-	case bytecode.IRem:
-		if b == 0 {
-			return 0, false
-		}
-		if b == -1 {
-			return 0, true
-		}
-		return a % b, true
-	case bytecode.IShl:
-		return a << (uint64(b) & 63), true
-	case bytecode.IShr:
-		return a >> (uint64(b) & 63), true
-	case bytecode.IUshr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	case bytecode.IAnd:
-		return a & b, true
-	case bytecode.IOr:
-		return a | b, true
-	case bytecode.IXor:
-		return a ^ b, true
-	}
-	return 0, false
-}
-
-func foldFloatOp(op bytecode.Op, a, b float64) (float64, bool) {
-	switch op {
-	case bytecode.FAdd:
-		return a + b, true
-	case bytecode.FSub:
-		return a - b, true
-	case bytecode.FMul:
-		return a * b, true
-	case bytecode.FDiv:
-		return a / b, true
-	case bytecode.FRem:
-		return math.Mod(a, b), true
-	}
-	return 0, false
 }
 
 // isIdentity reports "x op const == x".
@@ -454,9 +387,9 @@ func (r *ir) foldBranches(st *Stats) bool {
 		// Constant single-operand conditionals: [iconst c; ifXX] resolves
 		// statically when the iconst feeds the branch (no interior leader).
 		if i > 0 && !lead[i] && !doomed[i-1] {
-			cn, _, isInt, _ := constOf(r.ins[i-1].in)
-			if isInt && isSingleIntCond(op) {
-				taken := evalSingleIntCond(op, cn)
+			cn, ck := constOf(r.ins[i-1].in)
+			if ck == bytecode.KInt && isSingleIntCond(op) {
+				taken := bytecode.Cond1(op, cn)
 				doomed[i-1] = true
 				if taken {
 					ii.in = bytecode.Instr{Op: bytecode.Goto}
@@ -478,24 +411,6 @@ func isSingleIntCond(op bytecode.Op) bool {
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe,
 		bytecode.IfGt, bytecode.IfLe:
 		return true
-	}
-	return false
-}
-
-func evalSingleIntCond(op bytecode.Op, v int64) bool {
-	switch op {
-	case bytecode.IfEq:
-		return v == 0
-	case bytecode.IfNe:
-		return v != 0
-	case bytecode.IfLt:
-		return v < 0
-	case bytecode.IfGe:
-		return v >= 0
-	case bytecode.IfGt:
-		return v > 0
-	case bytecode.IfLe:
-		return v <= 0
 	}
 	return false
 }

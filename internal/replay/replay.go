@@ -58,7 +58,7 @@ type Record struct {
 	Source string
 	// Key is the registry content key of the resolved program, recorded for
 	// correlation with snapshots and per-program metrics; empty when the
-	// recording client never learned it (e.g. the load generator). Replay
+	// recording client never learned it (a hand-built log). Replay
 	// re-resolves from the reference, never from the key.
 	Key string
 
@@ -73,8 +73,9 @@ type Record struct {
 	MaxSteps int64
 	// Timeout is the request's deadline (0 = service default).
 	Timeout time.Duration
-	// Seed is free client entropy — the load generator records its draw
-	// seed here so a replayed log is self-describing.
+	// Seed is free client entropy: a storm author records its draw seed
+	// here so the log is self-describing, and a replaying client may key
+	// per-request randomness (retry jitter) on it.
 	Seed uint64
 	// Delta is the arrival-time gap since the previous record (0 for the
 	// first); the as-recorded pacing replays these gaps.

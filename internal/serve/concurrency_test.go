@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/replay"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -129,32 +130,30 @@ func TestParallelThroughput(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need >= 4 CPUs to demonstrate scaling, have %d", runtime.NumCPU())
 	}
-	mix := LoadGenConfig{
-		Concurrency: 4,
-		Requests:    12,
-		Workloads:   []string{"soot", "raytrace", "javac"},
-		Mode:        core.ModeTrace,
-	}
-	measure := func(workers int) LoadGenResult {
-		s := New(Config{Workers: workers, QueueDepth: mix.Requests})
+	workloads := []string{"soot", "raytrace", "javac"}
+	mix := workloadLog(12, core.ModeTrace, workloads...)
+	measure := func(workers int) replay.PlayResult {
+		s := New(Config{Workers: workers, QueueDepth: len(mix.Records)})
 		defer s.Close()
 		// Pre-warm the registry so compilation is excluded from both sides.
-		for _, w := range mix.Workloads {
+		for _, w := range workloads {
 			if _, err := s.Registry().Workload(w); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res := RunLoadGen(context.Background(), mix, s.Do)
-		if res.Completed != int64(mix.Requests) {
-			t.Fatalf("%d workers: completed %d/%d, errs=%v", workers, res.Completed, mix.Requests, res.Errors)
+		res, err := s.Replay(context.Background(), mix, replay.PlayOptions{MaxInFlight: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != int64(len(mix.Records)) {
+			t.Fatalf("%d workers: completed %d/%d, errs=%v", workers, res.Completed, len(mix.Records), res.Errors)
 		}
 		return res
 	}
 	serial := measure(1)
 	parallel := measure(4)
 	speedup := serial.Wall.Seconds() / parallel.Wall.Seconds()
-	t.Logf("serial(1 worker) %v, parallel(4 workers) %v, speedup %.2fx, throughput %.1f -> %.1f req/s",
-		serial.Wall, parallel.Wall, speedup, serial.Throughput, parallel.Throughput)
+	t.Logf("serial(1 worker) %v, parallel(4 workers) %v, speedup %.2fx", serial.Wall, parallel.Wall, speedup)
 	if speedup < 1.5 {
 		t.Errorf("4-worker speedup %.2fx < 1.5x; sessions are not executing concurrently", speedup)
 	}

@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// Runner executes one request. Service.Do is a Runner; cmd/tracevmd wraps
+// an HTTP client into one, so Backoff and log replay drive an embedded
+// service and a remote daemon alike.
+type Runner func(ctx context.Context, req Request) (*Response, error)
+
 // Backoff retries a Runner on ErrQueueFull with exponentially growing,
 // jittered delays. Backpressure rejection is the service telling the client
 // "later", and the jitter keeps a fleet of rejected clients from

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/replay"
 )
 
 const tinySource = `class Main { static void main() { Sys.printlnInt(7); } }`
@@ -285,16 +286,22 @@ func TestLoadGenRetriesBackpressure(t *testing.T) {
 		}
 		return s.Do(ctx, req)
 	})
-	res := RunLoadGen(context.Background(), LoadGenConfig{
-		Concurrency: 2,
-		Requests:    6,
-		Workloads:   []string{"soot"},
-		Retry:       &Backoff{Base: time.Microsecond, Max: 10 * time.Microsecond, Seed: 1},
-	}, run)
+	var retries atomic.Int64
+	res, err := replay.Play(context.Background(), workloadLog(6, core.ModePlain, "soot"),
+		replay.PlayOptions{MaxInFlight: 2},
+		func(ctx context.Context, rec replay.Record) error {
+			b := Backoff{Base: time.Microsecond, Max: 10 * time.Microsecond, Seed: 1}
+			_, r, err := b.Retry(ctx, run, RequestFromRecord(rec))
+			retries.Add(int64(r))
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Failed != 0 {
 		t.Fatalf("failures despite retry: %+v", res)
 	}
-	if res.Retries == 0 {
+	if retries.Load() == 0 {
 		t.Error("no retries recorded")
 	}
 }
@@ -387,18 +394,29 @@ func TestSourceKindJasm(t *testing.T) {
 	}
 }
 
+// workloadLog builds the closed-loop traffic the tests offer: n requests
+// cycling through names, all in one mode, with no arrival gaps.
+func workloadLog(n int, mode core.Mode, names ...string) *replay.Log {
+	l := &replay.Log{}
+	for i := 0; i < n; i++ {
+		l.Records = append(l.Records, replay.Record{
+			Kind: replay.RefWorkload, Workload: names[i%len(names)], Mode: mode,
+		})
+	}
+	return l
+}
+
 func TestLoadGen(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 32})
-	res := RunLoadGen(context.Background(), LoadGenConfig{
-		Concurrency: 4,
-		Requests:    8,
-		Workloads:   []string{"soot", "raytrace"},
-		Mode:        core.ModePlain,
-	}, s.Do)
-	if res.Completed != 8 || res.Failed != 0 {
-		t.Fatalf("loadgen: completed=%d failed=%d errs=%v", res.Completed, res.Failed, res.Errors)
+	res, err := s.Replay(context.Background(), workloadLog(8, core.ModePlain, "soot", "raytrace"),
+		replay.PlayOptions{MaxInFlight: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Throughput <= 0 || res.TotalInstrs == 0 {
+	if res.Completed != 8 || res.Failed != 0 {
+		t.Fatalf("replay: completed=%d failed=%d errs=%v", res.Completed, res.Failed, res.Errors)
+	}
+	if res.Wall <= 0 || s.Stats().Global.Instrs == 0 {
 		t.Errorf("degenerate result: %+v", res)
 	}
 }

@@ -270,7 +270,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			return
 		}
 		if v := c.pend[n-1]; v.isConst {
-			c.pend[n-1] = symVal{isConst: true, val: foldUnary(in.Op, v.val)}
+			c.pend[n-1] = symVal{isConst: true, val: bytecode.FoldUnary(in.Op, v.val)}
 			c.lastBin = -1
 			return
 		}
@@ -292,7 +292,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		}
 		a, b := c.pend[n-2], c.pend[n-1]
 		if a.isConst && b.isConst {
-			if r, ok := foldBinary(in.Op, a.val, b.val); ok {
+			if r, ok := bytecode.FoldBinary(in.Op, a.val, b.val); ok {
 				c.pend = c.pend[:n-1]
 				c.pend[n-2] = symVal{isConst: true, val: r}
 				c.lastBin = -1
@@ -456,7 +456,7 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 			c.lastBin = -1
 			c.flushAll()
 			if v.isConst {
-				return c.staticCond(resolve, b, EvalCond1(term.Op, v.val))
+				return c.staticCond(resolve, b, bytecode.Cond1(term.Op, v.val))
 			}
 			taken, fall := resolve(b.Taken), resolve(b.FallThrough)
 			if taken == nil || fall == nil {
@@ -474,7 +474,7 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 				c.pend = c.pend[:n-2]
 				c.lastBin = -1
 				c.flushAll()
-				return c.staticCond(resolve, b, EvalCond2(term.Op, a.val, bv.val))
+				return c.staticCond(resolve, b, bytecode.Cond2(term.Op, a.val, bv.val))
 			}
 			c.flushAllBut(2)
 			a, bv = c.pend[0], c.pend[1]
@@ -541,129 +541,3 @@ func switchTarget(b *cfg.Block, term bytecode.Instr, key int64) (cfg.BlockID, bo
 	}
 	return 0, false
 }
-
-// EvalCond1 mirrors the interpreter's one-operand int conditionals
-// (ifeq..ifle against zero); shared by the compiler's constant folding and
-// the engine's specialized terminators.
-func EvalCond1(op bytecode.Op, v int64) bool {
-	switch op {
-	case bytecode.IfEq:
-		return v == 0
-	case bytecode.IfNe:
-		return v != 0
-	case bytecode.IfLt:
-		return v < 0
-	case bytecode.IfGe:
-		return v >= 0
-	case bytecode.IfGt:
-		return v > 0
-	default: // IfLe
-		return v <= 0
-	}
-}
-
-// EvalCond2 mirrors the interpreter's two-operand int compares
-// (if_icmp*); shared by the compiler's constant folding and the engine's
-// specialized terminators.
-func EvalCond2(op bytecode.Op, a, b int64) bool {
-	switch op {
-	case bytecode.IfICmpEq:
-		return a == b
-	case bytecode.IfICmpNe:
-		return a != b
-	case bytecode.IfICmpLt:
-		return a < b
-	case bytecode.IfICmpGe:
-		return a >= b
-	case bytecode.IfICmpGt:
-		return a > b
-	default: // IfICmpLe
-		return a <= b
-	}
-}
-
-// foldUnary evaluates a pure unary op on a constant payload, bit-for-bit as
-// the interpreter would.
-func foldUnary(op bytecode.Op, v int64) int64 {
-	switch op {
-	case bytecode.INeg:
-		return -v
-	case bytecode.FNeg:
-		return int64(math.Float64bits(-math.Float64frombits(uint64(v))))
-	case bytecode.I2F:
-		return int64(math.Float64bits(float64(v)))
-	default: // F2I
-		return int64(math.Float64frombits(uint64(v)))
-	}
-}
-
-// foldBinary evaluates a pure binary op on constant payloads, bit-for-bit
-// as the interpreter would. ok is false only for division by a constant
-// zero, which must stay live to trap at runtime.
-func foldBinary(op bytecode.Op, a, b int64) (int64, bool) {
-	switch op {
-	case bytecode.IAdd:
-		return a + b, true
-	case bytecode.ISub:
-		return a - b, true
-	case bytecode.IMul:
-		return a * b, true
-	case bytecode.IDiv:
-		if b == 0 {
-			return 0, false
-		}
-		if b == -1 {
-			return -a, true
-		}
-		return a / b, true
-	case bytecode.IRem:
-		if b == 0 {
-			return 0, false
-		}
-		if b == -1 {
-			return 0, true
-		}
-		return a % b, true
-	case bytecode.IShl:
-		return a << (uint64(b) & 63), true
-	case bytecode.IShr:
-		return a >> (uint64(b) & 63), true
-	case bytecode.IUshr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	case bytecode.IAnd:
-		return a & b, true
-	case bytecode.IOr:
-		return a | b, true
-	case bytecode.IXor:
-		return a ^ b, true
-	case bytecode.FAdd:
-		return fbits(ffrom(a) + ffrom(b)), true
-	case bytecode.FSub:
-		return fbits(ffrom(a) - ffrom(b)), true
-	case bytecode.FMul:
-		return fbits(ffrom(a) * ffrom(b)), true
-	case bytecode.FDiv:
-		return fbits(ffrom(a) / ffrom(b)), true
-	case bytecode.FRem:
-		return fbits(math.Mod(ffrom(a), ffrom(b))), true
-	case bytecode.FCmpL, bytecode.FCmpG:
-		x, y := ffrom(a), ffrom(b)
-		switch {
-		case x < y:
-			return -1, true
-		case x > y:
-			return 1, true
-		case x == y:
-			return 0, true
-		default: // NaN involved
-			if op == bytecode.FCmpL {
-				return -1, true
-			}
-			return 1, true
-		}
-	}
-	return 0, false
-}
-
-func ffrom(v int64) float64 { return math.Float64frombits(uint64(v)) }
-func fbits(f float64) int64 { return int64(math.Float64bits(f)) }

@@ -47,14 +47,22 @@ const (
 	constNull
 )
 
+// absVal is a symbolic value; n is the constant's payload in the form
+// bytecode.FoldBinary takes (floats as bit patterns).
 type absVal struct {
 	kind absKind
 	n    int64
-	f    float64
 }
 
-func intConst(n int64) absVal     { return absVal{kind: constInt, n: n} }
-func floatConst(f float64) absVal { return absVal{kind: constFloat, f: f} }
+func intConst(n int64) absVal { return absVal{kind: constInt, n: n} }
+
+// constKind maps a verifier value kind to the constant kind carrying it.
+func constKind(k bytecode.ValKind) absKind {
+	if k == bytecode.KFloat {
+		return constFloat
+	}
+	return constInt
+}
 
 // Report summarizes the optimization opportunities of one trace.
 type Report struct {
@@ -232,7 +240,7 @@ func (a *Analyzer) step(in bytecode.Instr, st *state, rep *Report, dead map[int]
 	case bytecode.IConst:
 		st.push(intConst(int64(in.A)))
 	case bytecode.FConst:
-		st.push(floatConst(in.F))
+		st.push(absVal{kind: constFloat, n: int64(math.Float64bits(in.F))})
 	case bytecode.AConstNull:
 		st.push(absVal{kind: constNull})
 	case bytecode.SConst, bytecode.New, bytecode.NewArray:
@@ -288,76 +296,29 @@ func (a *Analyzer) step(in bytecode.Instr, st *state, rep *Report, dead map[int]
 		st.push(x)
 
 	case bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv, bytecode.IRem,
-		bytecode.IShl, bytecode.IShr, bytecode.IUshr, bytecode.IAnd, bytecode.IOr, bytecode.IXor:
+		bytecode.IShl, bytecode.IShr, bytecode.IUshr, bytecode.IAnd, bytecode.IOr, bytecode.IXor,
+		bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv, bytecode.FRem,
+		bytecode.FCmpL, bytecode.FCmpG:
+		pops, pushes, _ := bytecode.StackKinds(op)
 		r := st.pop()
 		l := st.pop()
-		if l.kind == constInt && r.kind == constInt {
-			if v, ok := foldInt(op, l.n, r.n); ok {
+		if l.kind == constKind(pops[1]) && r.kind == constKind(pops[0]) {
+			// ok is false for a constant zero divisor: folding would hide
+			// the trap.
+			if v, ok := bytecode.FoldBinary(op, l.n, r.n); ok {
 				rep.Foldable++
-				st.push(intConst(v))
+				st.push(absVal{kind: constKind(pushes[0]), n: v})
 				return
 			}
 		}
 		st.push(absVal{})
 
-	case bytecode.INeg:
+	case bytecode.INeg, bytecode.FNeg, bytecode.I2F, bytecode.F2I:
+		pops, pushes, _ := bytecode.StackKinds(op)
 		v := st.pop()
-		if v.kind == constInt {
+		if v.kind == constKind(pops[0]) {
 			rep.Foldable++
-			st.push(intConst(-v.n))
-			return
-		}
-		st.push(absVal{})
-
-	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv, bytecode.FRem:
-		r := st.pop()
-		l := st.pop()
-		if l.kind == constFloat && r.kind == constFloat {
-			rep.Foldable++
-			st.push(floatConst(foldFloat(op, l.f, r.f)))
-			return
-		}
-		st.push(absVal{})
-
-	case bytecode.FNeg:
-		v := st.pop()
-		if v.kind == constFloat {
-			rep.Foldable++
-			st.push(floatConst(-v.f))
-			return
-		}
-		st.push(absVal{})
-
-	case bytecode.I2F:
-		v := st.pop()
-		if v.kind == constInt {
-			rep.Foldable++
-			st.push(floatConst(float64(v.n)))
-			return
-		}
-		st.push(absVal{})
-	case bytecode.F2I:
-		v := st.pop()
-		if v.kind == constFloat {
-			rep.Foldable++
-			st.push(intConst(int64(v.f)))
-			return
-		}
-		st.push(absVal{})
-
-	case bytecode.FCmpL, bytecode.FCmpG:
-		r := st.pop()
-		l := st.pop()
-		if l.kind == constFloat && r.kind == constFloat && !math.IsNaN(l.f) && !math.IsNaN(r.f) {
-			rep.Foldable++
-			switch {
-			case l.f < r.f:
-				st.push(intConst(-1))
-			case l.f > r.f:
-				st.push(intConst(1))
-			default:
-				st.push(intConst(0))
-			}
+			st.push(absVal{kind: constKind(pushes[0]), n: bytecode.FoldUnary(op, v.n)})
 			return
 		}
 		st.push(absVal{})
@@ -390,62 +351,6 @@ func allConst(vs []absVal) bool {
 		}
 	}
 	return true
-}
-
-func foldInt(op bytecode.Op, a, b int64) (int64, bool) {
-	switch op {
-	case bytecode.IAdd:
-		return a + b, true
-	case bytecode.ISub:
-		return a - b, true
-	case bytecode.IMul:
-		return a * b, true
-	case bytecode.IDiv:
-		if b == 0 {
-			return 0, false // folding would hide the trap
-		}
-		if b == -1 {
-			return -a, true // Java wrapping semantics for MinInt64 / -1
-		}
-		return a / b, true
-	case bytecode.IRem:
-		if b == 0 {
-			return 0, false
-		}
-		if b == -1 {
-			return 0, true
-		}
-		return a % b, true
-	case bytecode.IShl:
-		return a << (uint64(b) & 63), true
-	case bytecode.IShr:
-		return a >> (uint64(b) & 63), true
-	case bytecode.IUshr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	case bytecode.IAnd:
-		return a & b, true
-	case bytecode.IOr:
-		return a | b, true
-	case bytecode.IXor:
-		return a ^ b, true
-	}
-	return 0, false
-}
-
-func foldFloat(op bytecode.Op, a, b float64) float64 {
-	switch op {
-	case bytecode.FAdd:
-		return a + b
-	case bytecode.FSub:
-		return a - b
-	case bytecode.FMul:
-		return a * b
-	case bytecode.FDiv:
-		return a / b
-	case bytecode.FRem:
-		return math.Mod(a, b)
-	}
-	return 0
 }
 
 // Summary aggregates reports weighted by how often each trace completed,

@@ -428,7 +428,7 @@ func (m *Machine) execInstr(f *frame, in bytecode.Instr) error {
 	case bytecode.I2F:
 		f.push(FloatVal(float64(f.pop().Int())))
 	case bytecode.F2I:
-		f.push(IntVal(int64(f.pop().Float())))
+		f.push(IntVal(bytecode.FloatToInt(f.pop().Float())))
 
 	// Float comparison.
 	case bytecode.FCmpL, bytecode.FCmpG:

@@ -287,7 +287,7 @@ func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 	case bytecode.I2F:
 		r = FloatVal(float64(a.N))
 	case bytecode.F2I:
-		r = IntVal(int64(a.Float()))
+		r = IntVal(bytecode.FloatToInt(a.Float()))
 	default:
 		return m.trap(TrapBadProgram, op.PC, "opcode %s is not a compiled arithmetic op", op.Op)
 	}
@@ -311,7 +311,7 @@ func (m *Machine) execTerm(f *frame, seg *trace.Segment) (*cfg.Block, bool, erro
 		f.stack = f.stack[:len(f.stack)-int(t.PopN)]
 		return t.Static, false, nil
 	case trace.TCondI:
-		if trace.EvalCond1(t.Op, f.locals[t.A].N) {
+		if bytecode.Cond1(t.Op, f.locals[t.A].N) {
 			return t.Taken, false, nil
 		}
 		return t.Fall, false, nil
@@ -325,7 +325,7 @@ func (m *Machine) execTerm(f *frame, seg *trace.Segment) (*cfg.Block, bool, erro
 		default: // SrcCL
 			a, b = t.Val, f.locals[t.B].N
 		}
-		if trace.EvalCond2(t.Op, a, b) {
+		if bytecode.Cond2(t.Op, a, b) {
 			return t.Taken, false, nil
 		}
 		return t.Fall, false, nil
