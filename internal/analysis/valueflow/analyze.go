@@ -744,7 +744,9 @@ func (ma *manalysis) captureDecided(b *cfg.Block, bf *BlockFacts) {
 		}
 		key := tst.stack[len(tst.stack)-1]
 		if n, isC := key.isIntConst(); isC {
-			bf.Decided = switchTargetBlock(b, term, n)
+			if id, ok := b.SwitchSucc(term, n); ok {
+				bf.Decided = id
+			}
 		} else if term.Op == bytecode.TableSwitch && key.kind == bytecode.KInt && len(b.SwitchTargets) > 0 {
 			lo := int64(term.A)
 			hi := lo + int64(len(b.SwitchTargets)) - 1
@@ -753,21 +755,4 @@ func (ma *manalysis) captureDecided(b *cfg.Block, bf *BlockFacts) {
 			}
 		}
 	}
-}
-
-// switchTargetBlock mirrors the VM's switch dispatch at block granularity.
-func switchTargetBlock(b *cfg.Block, term bytecode.Instr, key int64) cfg.BlockID {
-	if term.Op == bytecode.TableSwitch {
-		idx := key - int64(term.A)
-		if idx >= 0 && idx < int64(len(b.SwitchTargets)) {
-			return b.SwitchTargets[idx]
-		}
-		return b.SwitchDefault
-	}
-	for i, k := range term.Keys {
-		if int64(k) == key && i < len(b.SwitchTargets) {
-			return b.SwitchTargets[i]
-		}
-	}
-	return b.SwitchDefault
 }

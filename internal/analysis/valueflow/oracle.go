@@ -93,10 +93,9 @@ func (o *GuardOracle) ProveGuards(blocks []cfg.BlockID) []bool {
 				proofs[i] = true
 			}
 			if n, isC := key.isIntConst(); isC {
-				tgt := switchTargetBlock(b, term, n)
-				if tgt == next {
+				if tgt, ok := b.SwitchSucc(term, n); ok && tgt == next {
 					proofs[i] = true
-				} else if !proofs[i] {
+				} else if ok && !proofs[i] {
 					// The walk contradicts the recording: no execution
 					// follows the trace past this position.
 					return proofs

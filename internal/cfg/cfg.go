@@ -79,6 +79,32 @@ func (b *Block) StaticSuccessors() []BlockID {
 	return out
 }
 
+// SwitchSucc returns the successor a switch terminator selects for key,
+// mirroring the interpreter's table/lookup dispatch. ok is false when term is
+// not a switch or the block's target table is shorter than the key list, so
+// an analysis leaves the branch undecided rather than guessing.
+func (b *Block) SwitchSucc(term bytecode.Instr, key int64) (BlockID, bool) {
+	switch term.Op {
+	case bytecode.TableSwitch:
+		idx := key - int64(term.A)
+		if idx >= 0 && idx < int64(len(b.SwitchTargets)) {
+			return b.SwitchTargets[idx], true
+		}
+		return b.SwitchDefault, true
+	case bytecode.LookupSwitch:
+		if len(term.Keys) > len(b.SwitchTargets) {
+			return NoBlock, false
+		}
+		for i, k := range term.Keys {
+			if int64(k) == key {
+				return b.SwitchTargets[i], true
+			}
+		}
+		return b.SwitchDefault, true
+	}
+	return NoBlock, false
+}
+
 // String identifies the block for diagnostics, e.g. "Main.run#3".
 func (b *Block) String() string {
 	return fmt.Sprintf("%s#%d", b.Method.QName(), b.Index)

@@ -347,6 +347,53 @@ handler:
 	}
 }
 
+// TestSwitchSucc: the analyses' one successor selector agrees with the
+// interpreter's dispatch on table and lookup switches, and refuses — never
+// guesses or indexes out of range — on a non-switch or a target table
+// shorter than the key list.
+func TestSwitchSucc(t *testing.T) {
+	pcfg := build(t, `
+.class Main
+.method static main ( ) void
+.locals 1
+    iload 0
+    tableswitch 3 dflt a b
+a:
+    iload 0
+    lookupswitch dflt -1:a 7:b
+b:
+    return
+dflt:
+    return
+.end
+.end
+.entry Main main
+`)
+	blocks := pcfg.Methods[pcfg.Program.Main.ID].Blocks
+	table, lookup, b, dflt := blocks[0], blocks[1], blocks[2].ID, blocks[3].ID
+	for _, tc := range []struct {
+		sw   *cfg.Block
+		key  int64
+		want cfg.BlockID
+	}{
+		{table, 3, lookup.ID}, {table, 4, b}, {table, 2, dflt}, {table, 5, dflt}, {table, -1 << 40, dflt},
+		{lookup, -1, lookup.ID}, {lookup, 7, b}, {lookup, 0, dflt}, {lookup, 7 + 1<<32, dflt},
+	} {
+		if got, ok := tc.sw.SwitchSucc(tc.sw.Terminator(), tc.key); !ok || got != tc.want {
+			t.Errorf("%v key %d: successor %d ok=%v, want %d", tc.sw.Terminator().Op, tc.key, got, ok, tc.want)
+		}
+	}
+
+	short := *lookup
+	short.SwitchTargets = short.SwitchTargets[:1]
+	if _, ok := short.SwitchSucc(short.Terminator(), 7); ok {
+		t.Error("lookup switch with a truncated target table selected a successor")
+	}
+	if _, ok := blocks[2].SwitchSucc(blocks[2].Terminator(), 0); ok {
+		t.Error("a return terminator selected a switch successor")
+	}
+}
+
 func TestSwitchSuccessorsDeduplicated(t *testing.T) {
 	// A switch whose default and every arm share one target must report a
 	// single deduplicated static successor; partially shared arms dedup to

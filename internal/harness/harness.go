@@ -20,7 +20,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/traceopt"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -663,62 +662,77 @@ func (s *Suite) SortedKeys() []string {
 	return keys
 }
 
-// Optimizability runs the future-work study (§6 of the paper): how much of
-// the executed trace instruction stream could trace-level optimization
-// (constant folding/propagation, guard removal, dead-store elimination)
-// remove. Reported per workload, weighted by trace completion counts.
+// Optimizability answers the paper's future-work question (§6) — "what
+// further improvement can be achieved by applying optimizations to the
+// traces" — with what tier 2 did remove: every cached trace of a tier-2 run
+// goes through the cache's own Compile, and the table sums the compiler's
+// counters. Instruction and op totals are static sums over the compiled
+// programs; the removed share weights each trace's instrs − ops by how often
+// it completed, over all cached traces (one that fails to compile removed
+// nothing).
 func (s *Suite) Optimizability() (Table, error) {
 	var rows [][]string
 	for _, name := range s.Workloads {
-		r, err := s.thresholdRun(name, DefaultThreshold)
-		if err != nil {
-			return Table{}, err
-		}
 		c, err := s.compileWorkload(name)
 		if err != nil {
 			return Table{}, err
 		}
-		// The cached Result does not retain the session; re-run to get the
-		// final trace cache, then analyze it.
 		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
 			Mode:     core.ModeTrace,
 			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
+			Config:   core.Config{CompileTraces: true},
 			MaxSteps: s.MaxSteps,
 			Facts:    c.facts, // traces register with guard proofs attached
 		})
 		if err != nil {
 			return Table{}, err
 		}
-		if err := sess.Run(); err != nil {
-			return Table{}, err
+		if err := sess.Run(); err != nil && !stepLimited(err) {
+			return Table{}, fmt.Errorf("harness: %s: %w", name, err)
 		}
 		traces := sess.Cache.Traces()
-		sum, reports, err := traceopt.New(c.cfg).AnalyzeAll(traces)
-		if err != nil {
-			return Table{}, err
+		var compiled, folded, forwarded, dropped, decided int
+		var instrs, ops, weightedInstrs, weightedRemoved int64
+		for _, t := range traces {
+			var n int64
+			for _, id := range t.Blocks {
+				n += int64(c.cfg.Block(id).NumInstrs())
+			}
+			weightedInstrs += n * t.Completed
+			p := sess.Cache.Compile(t)
+			if p == nil {
+				continue
+			}
+			emitted := p.Emitted()
+			compiled++
+			instrs += p.TotalInstrs
+			ops += emitted
+			folded += p.Folded
+			forwarded += p.Forwarded
+			dropped += p.DroppedGuards
+			decided += p.Decided
+			weightedRemoved += (p.TotalInstrs - emitted) * t.Completed
 		}
-		var fold, prop, stores int
-		for _, rep := range reports {
-			fold += rep.Foldable
-			prop += rep.Propagatable
-			stores += rep.DeadStores
+		removed := 0.0
+		if weightedInstrs > 0 {
+			removed = float64(weightedRemoved) / float64(weightedInstrs)
 		}
 		rows = append(rows, []string{
 			name,
-			fmt.Sprintf("%d", sum.Traces),
-			fmt.Sprintf("%d", fold),
-			fmt.Sprintf("%d", prop),
-			fmt.Sprintf("%d", sum.RemovableGuards),
-			fmt.Sprintf("%d", sum.ProvenGuards),
-			fmt.Sprintf("%.0f%%", sum.ProvenShare()*100),
-			fmt.Sprintf("%d", stores),
-			fmt.Sprintf("%.1f%%", sum.Ratio()*100),
+			fmt.Sprintf("%d", len(traces)),
+			fmt.Sprintf("%d", compiled),
+			fmt.Sprintf("%d", instrs),
+			fmt.Sprintf("%d", ops),
+			fmt.Sprintf("%d", folded),
+			fmt.Sprintf("%d", forwarded),
+			fmt.Sprintf("%d", dropped),
+			fmt.Sprintf("%d", decided),
+			fmt.Sprintf("%.1f%%", removed*100),
 		})
-		_ = r
 	}
 	return Table{
-		Title:   "Trace optimizability (future-work study; static counts, execution-weighted ratio; proven = value-flow guard proofs)",
-		Columns: []string{"benchmark", "traces", "foldable", "propagatable", "guards", "proven", "proven share", "dead stores", "weighted removable"},
+		Title:   "Trace optimizability (what trace.Compile removed; static counts over compiled traces, completion-weighted share)",
+		Columns: []string{"benchmark", "traces", "compiled", "instrs", "ops", "folded", "forwarded", "guards dropped", "branches decided", "weighted removed"},
 		Rows:    rows,
 	}, nil
 }

@@ -1,9 +1,10 @@
 // Package opt implements a static bytecode-to-bytecode optimizer: classic
 // method-local peephole passes plus unreachable-code elimination, iterated
 // to a fixpoint. It exists as the static counterpart to the dynamic
-// trace-level optimization study (internal/traceopt): the paper's premise
-// is that traces expose opportunities static optimization cannot see, and
-// comparing the two quantifies that.
+// trace-level optimizer (internal/trace's Compile, whose removal counters
+// tracebench -optimizability reports): the paper's premise is that traces
+// expose opportunities static optimization cannot see, and comparing the
+// two quantifies that.
 //
 // Passes (all target-safe: the rewriter works on an index-based IR where
 // branch targets are instruction indexes, and re-encodes with remapped

@@ -3,17 +3,16 @@ package replay
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/snapshot"
+	"repro/internal/frame"
 )
 
-// Binary layout (all integers varint/uvarint, fixed words little-endian):
+// Binary layout, inside internal/frame's magic line and CRC32 trailer (all
+// integers varint/uvarint, fixed words little-endian):
 //
 //	magic     "tracevm/replay/v1\n"
 //	payload   uvarint |records| · records
@@ -26,12 +25,10 @@ import (
 //	str       uvarint length · bytes
 //
 // As in internal/snapshot, Decode never trusts a length field for
-// allocation: every record costs at least one encoded byte, so any count is
-// capped by the bytes remaining.
+// allocation: frame.Reader caps every count by the bytes remaining.
 
 const (
-	magic       = Schema + "\n"
-	magicPrefix = "tracevm/replay/"
+	magic = Schema + "\n"
 
 	// maxRefLen bounds inline source text (matching the daemon's 1 MiB
 	// request body cap); maxKeyLen bounds the content key, a short hash.
@@ -39,7 +36,11 @@ const (
 	maxKeyLen = 128
 )
 
-var crcTable = crc32.IEEETable
+var format = frame.Format{
+	Prefix:   "tracevm/replay/",
+	Magic:    magic,
+	BadMagic: ErrBadMagic, Version: ErrVersion, Checksum: ErrChecksum, Corrupt: ErrCorrupt,
+}
 
 // Encode serializes a log. Encoding is deterministic: byte-equality of two
 // encodings means stream-equality, which is what lets a committed fixture be
@@ -60,8 +61,8 @@ func Encode(l *Log) []byte {
 		if r.Kind != RefWorkload {
 			ref = r.Source
 		}
-		b = appendString(b, ref)
-		b = appendString(b, r.Key)
+		b = frame.AppendString(b, ref)
+		b = frame.AppendString(b, r.Key)
 		b = append(b, byte(r.Mode))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Threshold))
 		b = binary.AppendVarint(b, int64(r.StartDelay))
@@ -71,7 +72,7 @@ func Encode(l *Log) []byte {
 		b = binary.AppendUvarint(b, r.Seed)
 		b = binary.AppendUvarint(b, uint64(r.Delta))
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return frame.Seal(b)
 }
 
 // Decode parses and validates an encoded traffic log. It never panics on
@@ -80,73 +81,55 @@ func Encode(l *Log) []byte {
 // trailing garbage, bad checksum, unknown version, or records violating
 // Validate.
 func Decode(data []byte) (*Log, error) {
-	if len(data) < len(magicPrefix) || string(data[:len(magicPrefix)]) != magicPrefix {
-		return nil, fmt.Errorf("%w (no %q header)", ErrBadMagic, magicPrefix)
+	d, err := format.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	nl := strings.IndexByte(string(data[:min(len(data), len(magicPrefix)+16)]), '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w (unterminated version line)", ErrBadMagic)
-	}
-	if got := string(data[:nl+1]); got != magic {
-		return nil, fmt.Errorf("%w %q (want %q)", ErrVersion, strings.TrimSuffix(got, "\n"), Schema)
-	}
-	if len(data) < nl+1+4 {
-		return nil, fmt.Errorf("%w: truncated before checksum", ErrCorrupt)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if want := binary.LittleEndian.Uint32(trailer); crc32.Checksum(body, crcTable) != want {
-		return nil, ErrChecksum
-	}
-
-	d := &decoder{b: body[len(magic):]}
-	n := d.count()
+	n := d.Count()
 	l := &Log{}
-	if d.err == nil && n > 0 {
+	if d.Err() == nil && n > 0 {
 		l.Records = make([]Record, 0, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var r Record
-		r.Kind = d.u8()
-		if d.err == nil && r.Kind >= numRefKinds {
-			d.fail("record %d: unknown reference kind %d", i, r.Kind)
+		r.Kind = d.U8()
+		if d.Err() == nil && r.Kind >= numRefKinds {
+			d.Fail("record %d: unknown reference kind %d", i, r.Kind)
 		}
-		ref := d.str(maxRefLen)
+		ref := d.Str(maxRefLen)
 		if r.Kind == RefWorkload {
 			r.Workload = ref
 		} else {
 			r.Source = ref
 		}
-		r.Key = d.str(maxKeyLen)
-		r.Mode = core.Mode(d.uvarint(uint64(core.ModeTraceDeploy)))
-		r.Threshold = d.f64()
-		if d.err == nil && (r.Threshold < 0 || r.Threshold > 1) {
-			d.fail("record %d: threshold %v outside [0,1]", i, r.Threshold)
+		r.Key = d.Str(maxKeyLen)
+		r.Mode = core.Mode(d.Uvarint(uint64(core.ModeTraceDeploy)))
+		r.Threshold = d.F64()
+		if d.Err() == nil && (r.Threshold < 0 || r.Threshold > 1) {
+			d.Fail("record %d: threshold %v outside [0,1]", i, r.Threshold)
 		}
-		r.StartDelay = int32(d.varint(0, math.MaxInt32))
-		r.DecayInterval = uint32(d.uvarint(math.MaxUint32))
-		r.MaxSteps = d.varint(0, math.MaxInt64)
-		r.Timeout = time.Duration(d.varint(0, math.MaxInt64))
-		r.Seed = d.uvarint(math.MaxUint64)
-		r.Delta = time.Duration(d.uvarint(math.MaxInt64))
-		if d.err == nil {
+		r.StartDelay = int32(d.Varint(0, math.MaxInt32))
+		r.DecayInterval = uint32(d.Uvarint(math.MaxUint32))
+		r.MaxSteps = d.Varint(0, math.MaxInt64)
+		r.Timeout = time.Duration(d.Varint(0, math.MaxInt64))
+		r.Seed = d.Uvarint(math.MaxUint64)
+		r.Delta = time.Duration(d.Uvarint(math.MaxInt64))
+		if d.Err() == nil {
 			if err := r.Validate(); err != nil {
 				return nil, fmt.Errorf("record %d: %w", i, err)
 			}
 		}
 		l.Records = append(l.Records, r)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
 // Save encodes l and commits it to path atomically (with the snapshot
 // store's fsync discipline, so a committed log survives a crash).
-func Save(path string, l *Log) error { return snapshot.WriteAtomic(path, Encode(l)) }
+func Save(path string, l *Log) error { return frame.WriteAtomic(path, Encode(l)) }
 
 // Load reads and decodes the traffic log at path. I/O failures (os errors)
 // are distinguishable from format rejections (the typed codec errors).
@@ -156,112 +139,4 @@ func Load(path string) (*Log, error) {
 		return nil, err
 	}
 	return Decode(data)
-}
-
-// decoder is a cursor over the payload; the first failure sticks, so parse
-// loops need no per-read error plumbing (same shape as internal/snapshot).
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.fail("truncated byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) uvarint(limit uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	if v > limit {
-		d.fail("value %d exceeds limit %d", v, limit)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) varint(lo, hi int64) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	if v < lo || v > hi {
-		d.fail("value %d outside [%d, %d]", v, lo, hi)
-		return 0
-	}
-	return v
-}
-
-// count reads an element count, bounded by the bytes remaining.
-func (d *decoder) count() int {
-	return int(d.uvarint(uint64(len(d.b))))
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		d.fail("non-finite float")
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) str(limit int) string {
-	n := int(d.uvarint(uint64(limit)))
-	if d.err != nil {
-		return ""
-	}
-	if n > len(d.b) {
-		d.fail("truncated string of length %d", n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,6 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "regenerate testdata fixtures")
 
+// crcTable lets the reseal helpers compute a trailer without going through
+// the codec under test.
+var crcTable = crc32.IEEETable
+
 func sampleLog() *Log {
 	return &Log{Records: []Record{
 		{Kind: RefWorkload, Workload: "compress", Mode: core.ModeTrace, Seed: 42},

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject/crash"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -380,7 +381,7 @@ func (st *snapStore) flush(thresholdOnly, wait bool) {
 			requeue(w.key, w.delta)
 			continue
 		}
-		if err := snapshot.WriteAtomic(st.fileFor(w.key), snapshot.Encode(snap)); err != nil {
+		if err := frame.WriteAtomic(st.fileFor(w.key), snapshot.Encode(snap)); err != nil {
 			requeue(w.key, w.delta)
 			continue
 		}

@@ -4,15 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"strings"
 
 	"repro/internal/cfg"
+	"repro/internal/frame"
 	"repro/internal/profile"
 )
 
-// Binary layout (all integers varint/uvarint, all fixed words little-endian):
+// Binary layout, inside internal/frame's magic line and CRC32 trailer (all
+// integers varint/uvarint, all fixed words little-endian):
 //
 //	magic     "tracevm/snapshot/v1\n"
 //	payload   str programKey · str programName
@@ -29,9 +29,8 @@ import (
 //	          uvarint |entryFrom| · block IDs
 //	str       uvarint length · bytes
 //
-// Decode never trusts a length field for allocation: every element costs at
-// least one encoded byte, so any count is capped by the bytes remaining —
-// a fuzzer-supplied count of 2^60 fails fast instead of allocating.
+// Decode never trusts a length field for allocation: frame.Reader caps every
+// count by the bytes remaining.
 
 // Rejection causes. Every non-nil Decode error wraps exactly one of these,
 // so callers can count and report rejection reasons without string matching.
@@ -43,22 +42,21 @@ var (
 	ErrWrongProgram = errors.New("snapshot: snapshot keyed to a different program")
 )
 
-const (
-	magic       = Schema + "\n"
-	magicPrefix = "tracevm/snapshot/"
+// maxStringLen bounds the program key/name fields; both are short
+// identifiers, never documents.
+const maxStringLen = 4096
 
-	// maxStringLen bounds the program key/name fields; both are short
-	// identifiers, never documents.
-	maxStringLen = 4096
-)
-
-var crcTable = crc32.IEEETable
+var format = frame.Format{
+	Prefix:   "tracevm/snapshot/",
+	Magic:    Schema + "\n",
+	BadMagic: ErrBadMagic, Version: ErrVersion, Checksum: ErrChecksum, Corrupt: ErrCorrupt,
+}
 
 // Encode serializes a snapshot. The inverse of Decode; encoding is
 // deterministic, so byte-equality of two encodings means state-equality.
 func Encode(s *Snapshot) []byte {
 	// Rough pre-size: fixed header plus a small multiple of element counts.
-	n := len(magic) + len(s.ProgramKey) + len(s.Program) + 64
+	n := len(format.Magic) + len(s.ProgramKey) + len(s.Program) + 64
 	for i := range s.Nodes {
 		n += 16 + 6*len(s.Nodes[i].Edges)
 	}
@@ -67,9 +65,9 @@ func Encode(s *Snapshot) []byte {
 	}
 	b := make([]byte, 0, n)
 
-	b = append(b, magic...)
-	b = appendString(b, s.ProgramKey)
-	b = appendString(b, s.Program)
+	b = append(b, format.Magic...)
+	b = frame.AppendString(b, s.ProgramKey)
+	b = frame.AppendString(b, s.Program)
 	b = binary.AppendVarint(b, int64(s.Params.StartDelay))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Params.Threshold))
 	b = binary.AppendUvarint(b, uint64(s.Params.DecayInterval))
@@ -112,7 +110,7 @@ func Encode(s *Snapshot) []byte {
 		b = binary.AppendUvarint(b, uint64(id))
 	}
 
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return frame.Seal(b)
 }
 
 // Decode parses and validates an encoded snapshot. It never panics on
@@ -122,61 +120,46 @@ func Encode(s *Snapshot) []byte {
 // values that violate the graph invariants (unsorted edges, out-of-range
 // states or counters, non-finite probabilities).
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magicPrefix) || string(data[:len(magicPrefix)]) != magicPrefix {
-		return nil, fmt.Errorf("%w (no %q header)", ErrBadMagic, magicPrefix)
+	d, err := format.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	nl := strings.IndexByte(string(data[:min(len(data), len(magicPrefix)+16)]), '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w (unterminated version line)", ErrBadMagic)
-	}
-	if got := string(data[:nl+1]); got != magic {
-		return nil, fmt.Errorf("%w %q (want %q)", ErrVersion, strings.TrimSuffix(got, "\n"), Schema)
-	}
-	if len(data) < nl+1+4 {
-		return nil, fmt.Errorf("%w: truncated before checksum", ErrCorrupt)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if want := binary.LittleEndian.Uint32(trailer); crc32.Checksum(body, crcTable) != want {
-		return nil, ErrChecksum
-	}
-
-	d := &decoder{b: body[len(magic):]}
 	s := &Snapshot{
-		ProgramKey: d.str(),
-		Program:    d.str(),
+		ProgramKey: d.Str(maxStringLen),
+		Program:    d.Str(maxStringLen),
 	}
-	s.Params.StartDelay = int32(d.varint(math.MinInt32, math.MaxInt32))
-	s.Params.Threshold = d.f64()
-	s.Params.DecayInterval = uint32(d.uvarint(math.MaxUint32))
+	s.Params.StartDelay = int32(d.Varint(math.MinInt32, math.MaxInt32))
+	s.Params.Threshold = d.F64()
+	s.Params.DecayInterval = uint32(d.Uvarint(math.MaxUint32))
 
-	nNodes := d.count()
-	if d.err == nil && nNodes > 0 {
+	nNodes := d.Count()
+	if d.Err() == nil && nNodes > 0 {
 		s.Nodes = make([]profile.NodeSnapshot, 0, nNodes)
 	}
-	for i := 0; i < nNodes && d.err == nil; i++ {
+	for i := 0; i < nNodes && d.Err() == nil; i++ {
 		ns := profile.NodeSnapshot{
-			X:     d.block(),
-			Y:     d.block(),
-			State: profile.State(d.uvarint(uint64(profile.StateUnique))),
+			X:     block(&d),
+			Y:     block(&d),
+			State: profile.State(d.Uvarint(uint64(profile.StateUnique))),
 		}
-		ns.StartDelay = int32(d.varint(-1, math.MaxInt32))
-		if best := d.uvarint(uint64(cfg.NoBlock)); best == 0 {
+		ns.StartDelay = int32(d.Varint(-1, math.MaxInt32))
+		if best := d.Uvarint(uint64(cfg.NoBlock)); best == 0 {
 			ns.Best = cfg.NoBlock
 		} else {
 			ns.Best = cfg.BlockID(best - 1)
 		}
-		nEdges := d.count()
-		if d.err == nil && nEdges > 0 {
+		nEdges := d.Count()
+		if d.Err() == nil && nEdges > 0 {
 			ns.Edges = make([]profile.EdgeSnapshot, 0, nEdges)
 		}
 		prevZ := cfg.NoBlock
-		for j := 0; j < nEdges && d.err == nil; j++ {
+		for j := 0; j < nEdges && d.Err() == nil; j++ {
 			e := profile.EdgeSnapshot{
-				Z:     d.block(),
-				Count: uint16(d.uvarint(math.MaxUint16)),
+				Z:     block(&d),
+				Count: uint16(d.Uvarint(math.MaxUint16)),
 			}
-			if d.err == nil && (e.Count == 0 || (prevZ != cfg.NoBlock && e.Z <= prevZ)) {
-				d.fail("node %d edge %d violates sorted-positive invariant", i, j)
+			if d.Err() == nil && (e.Count == 0 || (prevZ != cfg.NoBlock && e.Z <= prevZ)) {
+				d.Fail("node %d edge %d violates sorted-positive invariant", i, j)
 			}
 			prevZ = e.Z
 			ns.Edges = append(ns.Edges, e)
@@ -184,40 +167,37 @@ func Decode(data []byte) (*Snapshot, error) {
 		s.Nodes = append(s.Nodes, ns)
 	}
 
-	nTraces := d.count()
-	if d.err == nil && nTraces > 0 {
+	nTraces := d.Count()
+	if d.Err() == nil && nTraces > 0 {
 		s.Traces = make([]TraceState, 0, nTraces)
 	}
-	for i := 0; i < nTraces && d.err == nil; i++ {
+	for i := 0; i < nTraces && d.Err() == nil; i++ {
 		var ts TraceState
-		nBlocks := d.count()
-		if d.err == nil && nBlocks == 0 {
-			d.fail("trace %d has no blocks", i)
+		nBlocks := d.Count()
+		if d.Err() == nil && nBlocks == 0 {
+			d.Fail("trace %d has no blocks", i)
 		}
-		for j := 0; j < nBlocks && d.err == nil; j++ {
-			ts.Blocks = append(ts.Blocks, d.block())
+		for j := 0; j < nBlocks && d.Err() == nil; j++ {
+			ts.Blocks = append(ts.Blocks, block(&d))
 		}
-		ts.ExpectedCompletion = d.f64()
-		if d.err == nil && !(ts.ExpectedCompletion >= 0 && ts.ExpectedCompletion <= 1) {
-			d.fail("trace %d completion probability out of [0,1]", i)
+		ts.ExpectedCompletion = d.F64()
+		if d.Err() == nil && !(ts.ExpectedCompletion >= 0 && ts.ExpectedCompletion <= 1) {
+			d.Fail("trace %d completion probability out of [0,1]", i)
 		}
-		nFrom := d.count()
-		for j := 0; j < nFrom && d.err == nil; j++ {
-			ts.EntryFrom = append(ts.EntryFrom, d.block())
+		nFrom := d.Count()
+		for j := 0; j < nFrom && d.Err() == nil; j++ {
+			ts.EntryFrom = append(ts.EntryFrom, block(&d))
 		}
 		s.Traces = append(s.Traces, ts)
 	}
 
-	nHdrs := d.count()
-	for i := 0; i < nHdrs && d.err == nil; i++ {
-		s.LoopHeaders = append(s.LoopHeaders, d.block())
+	nHdrs := d.Count()
+	for i := 0; i < nHdrs && d.Err() == nil; i++ {
+		s.LoopHeaders = append(s.LoopHeaders, block(&d))
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	if err := s.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -225,105 +205,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// decoder is a cursor over the payload; the first failure sticks and every
-// subsequent read returns zero values, so parse loops need no per-read
-// error plumbing.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *decoder) uvarint(limit uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	if v > limit {
-		d.fail("value %d exceeds limit %d", v, limit)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) varint(lo, hi int64) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	if v < lo || v > hi {
-		d.fail("value %d outside [%d, %d]", v, lo, hi)
-		return 0
-	}
-	return v
-}
-
-// count reads an element count, bounded by the bytes remaining (each element
-// encodes to at least one byte), so a hostile count cannot drive allocation.
-func (d *decoder) count() int {
-	return int(d.uvarint(uint64(len(d.b))))
-}
-
 // block reads a block ID; cfg.NoBlock itself is not encodable as a real ID.
-func (d *decoder) block() cfg.BlockID {
-	v := d.uvarint(uint64(cfg.NoBlock) - 1)
-	return cfg.BlockID(v)
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		d.fail("non-finite float")
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) str() string {
-	n := int(d.uvarint(maxStringLen))
-	if d.err != nil {
-		return ""
-	}
-	if n > len(d.b) {
-		d.fail("truncated string of length %d", n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+func block(d *frame.Reader) cfg.BlockID {
+	return cfg.BlockID(d.Uvarint(uint64(cfg.NoBlock) - 1))
 }

@@ -3,7 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +14,8 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/profile"
 )
+
+var update = flag.Bool("update", false, "regenerate testdata fixtures")
 
 // sample builds a representative snapshot: classified and unclassified
 // nodes, hint-style sentinel delays, multi-edge correlations, traces with
@@ -60,6 +65,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeIsDeterministic(t *testing.T) {
 	if !bytes.Equal(Encode(sample()), Encode(sample())) {
 		t.Error("two encodings of the same snapshot differ")
+	}
+}
+
+// TestGoldenPinned pins the v1 wire format byte for byte, the way
+// replay's TestFixturePinned pins the traffic log: testdata/v1.tsnap is
+// sample() as the first v1 codec wrote it, so any change to the framing or
+// the payload grammar shows here. Regenerating it with -update is a format
+// change and needs a new Schema version.
+func TestGoldenPinned(t *testing.T) {
+	path := filepath.Join("testdata", "v1.tsnap")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, Encode(sample()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if got := Encode(sample()); !bytes.Equal(got, golden) {
+		t.Fatalf("Encode(sample()) diverged from the committed v1 golden:\n got %x\nwant %x", got, golden)
+	}
+	got, err := Decode(golden)
+	if err != nil {
+		t.Fatalf("golden does not decode: %v", err)
+	}
+	if want := sample(); !reflect.DeepEqual(got, want) {
+		t.Errorf("golden decodes to\n got %+v\nwant %+v", got, want)
 	}
 }
 

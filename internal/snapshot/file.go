@@ -2,11 +2,12 @@ package snapshot
 
 import (
 	"os"
-	"path/filepath"
+
+	"repro/internal/frame"
 )
 
 // Save encodes s and commits it to path atomically.
-func Save(path string, s *Snapshot) error { return WriteAtomic(path, Encode(s)) }
+func Save(path string, s *Snapshot) error { return frame.WriteAtomic(path, Encode(s)) }
 
 // Load reads and decodes the snapshot file at path. The error distinguishes
 // I/O failures (os errors, including fs.ErrNotExist) from format rejections
@@ -17,46 +18,4 @@ func Load(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	return Decode(data)
-}
-
-// WriteAtomic commits bytes via a same-directory temp file, fsync, and
-// rename, then fsyncs the parent directory. A crash mid-write never leaves a
-// torn snapshot where a loader can see it, and a power cut after return
-// cannot lose the rename — the commit is durable, not merely atomic.
-func WriteAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tsnap-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-committed rename survives power loss.
-// Filesystems that refuse directory fsync (it is optional in POSIX) don't
-// make the commit any less atomic, so those errors are not fatal.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

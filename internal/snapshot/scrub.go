@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/frame"
 )
 
 // CorruptExt is the sidecar suffix quarantined files are renamed to: a
@@ -29,7 +31,7 @@ type ScrubReport struct {
 	Valid   int
 	// Corrupt lists the rejects in deterministic (sorted-path) order.
 	Corrupt []ScrubFinding
-	// TempsRemoved counts abandoned write-temp files (".tsnap-*") swept away
+	// TempsRemoved counts abandoned write-temp files (frame.TempPrefix) swept away
 	// — the residue of a writer that died between CreateTemp and rename.
 	TempsRemoved int
 }
@@ -61,7 +63,7 @@ func ScrubDir(dir string, quarantine bool) (*ScrubReport, error) {
 
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		if strings.HasPrefix(name, ".tsnap-") {
+		if strings.HasPrefix(name, frame.TempPrefix) {
 			if os.Remove(path) == nil {
 				rep.TempsRemoved++
 			}

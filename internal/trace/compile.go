@@ -219,6 +219,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 	case bytecode.ILoad, bytecode.FLoad, bytecode.ALoad:
 		if v, ok := c.known[in.A]; ok {
 			c.push(symVal{isConst: true, val: v})
+			c.prog.Forwarded++
 		} else {
 			c.push(symVal{slot: in.A})
 		}
@@ -272,6 +273,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		if v := c.pend[n-1]; v.isConst {
 			c.pend[n-1] = symVal{isConst: true, val: bytecode.FoldUnary(in.Op, v.val)}
 			c.lastBin = -1
+			c.prog.Folded++
 			return
 		}
 		c.flushAllBut(1)
@@ -296,6 +298,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 				c.pend = c.pend[:n-1]
 				c.pend[n-2] = symVal{isConst: true, val: r}
 				c.lastBin = -1
+				c.prog.Folded++
 				return
 			}
 			// Division by a constant zero: keep the op live so the runtime
@@ -400,7 +403,7 @@ func (c *segCompiler) terminator(env *CompileEnv, resolve func(cfg.BlockID) *cfg
 			c.seg.Term = t
 			return true
 		}
-		return c.condTerm(resolve, b, term, arity)
+		return c.condTerm(resolve, b, term)
 
 	case bytecode.FlowSwitch:
 		if n := len(c.pend); n > 0 && c.pend[n-1].isConst {
@@ -408,16 +411,11 @@ func (c *segCompiler) terminator(env *CompileEnv, resolve func(cfg.BlockID) *cfg
 			c.pend = c.pend[:n-1]
 			c.lastBin = -1
 			c.flushAll()
-			id, ok := switchTarget(b, term, key)
+			id, ok := b.SwitchSucc(term, key)
 			if !ok {
 				return false
 			}
-			succ := resolve(id)
-			if succ == nil {
-				return false
-			}
-			c.seg.Term = Term{Kind: TStatic, Static: succ}
-			return true
+			return c.decided(resolve, id)
 		}
 		c.flushAll()
 		if env.proven(i) && i+1 < len(env.Blocks) {
@@ -447,7 +445,7 @@ func (c *segCompiler) terminator(env *CompileEnv, resolve func(cfg.BlockID) *cfg
 // condTerm lowers an unproven conditional: fold it when every operand is a
 // compile-time constant, specialize it when the operands are covered
 // int-typed symbolic values, and delegate otherwise.
-func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Block, term bytecode.Instr, arity int) bool {
+func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Block, term bytecode.Instr) bool {
 	switch term.Op {
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe, bytecode.IfGt, bytecode.IfLe:
 		if n := len(c.pend); n >= 1 {
@@ -456,7 +454,7 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 			c.lastBin = -1
 			c.flushAll()
 			if v.isConst {
-				return c.staticCond(resolve, b, bytecode.Cond1(term.Op, v.val))
+				return c.decided(resolve, condSucc(b, bytecode.Cond1(term.Op, v.val)))
 			}
 			taken, fall := resolve(b.Taken), resolve(b.FallThrough)
 			if taken == nil || fall == nil {
@@ -474,7 +472,7 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 				c.pend = c.pend[:n-2]
 				c.lastBin = -1
 				c.flushAll()
-				return c.staticCond(resolve, b, bytecode.Cond2(term.Op, a.val, bv.val))
+				return c.decided(resolve, condSucc(b, bytecode.Cond2(term.Op, a.val, bv.val)))
 			}
 			c.flushAllBut(2)
 			a, bv = c.pend[0], c.pend[1]
@@ -498,46 +496,26 @@ func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Bloc
 	}
 	// Reference conditionals or uncovered operands: the interpreter's
 	// terminator executor pops from the real stack.
-	_ = arity
 	c.flushAll()
 	c.seg.Term = Term{Kind: TGeneric}
 	return true
 }
 
-func (c *segCompiler) staticCond(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Block, taken bool) bool {
-	id := b.FallThrough
-	if taken {
-		id = b.Taken
-	}
+// decided lowers a conditional or switch whose outcome the symbolic region
+// fixed at compile time to a static jump to id.
+func (c *segCompiler) decided(resolve func(cfg.BlockID) *cfg.Block, id cfg.BlockID) bool {
 	succ := resolve(id)
 	if succ == nil {
 		return false
 	}
+	c.prog.Decided++
 	c.seg.Term = Term{Kind: TStatic, Static: succ}
 	return true
 }
 
-// switchTarget computes a switch's successor for a constant key, mirroring
-// the interpreter's table/lookup dispatch. ok is false when the block's
-// target table is malformed (the compiler bails rather than guessing).
-func switchTarget(b *cfg.Block, term bytecode.Instr, key int64) (cfg.BlockID, bool) {
-	switch term.Op {
-	case bytecode.TableSwitch:
-		idx := key - int64(term.A)
-		if idx >= 0 && idx < int64(len(b.SwitchTargets)) {
-			return b.SwitchTargets[idx], true
-		}
-		return b.SwitchDefault, true
-	case bytecode.LookupSwitch:
-		if len(term.Keys) > len(b.SwitchTargets) {
-			return 0, false
-		}
-		for i, k := range term.Keys {
-			if int64(k) == key {
-				return b.SwitchTargets[i], true
-			}
-		}
-		return b.SwitchDefault, true
+func condSucc(b *cfg.Block, taken bool) cfg.BlockID {
+	if taken {
+		return b.Taken
 	}
-	return 0, false
+	return b.FallThrough
 }

@@ -149,5 +149,8 @@ func FuzzSuperinstructionFoldNeverPanics(f *testing.F) {
 		if cp.DroppedGuards > proven {
 			t.Fatalf("dropped %d guards with only %d proven", cp.DroppedGuards, proven)
 		}
+		if cp.Emitted() > cp.TotalInstrs {
+			t.Fatalf("emitted %d ops for %d instructions", cp.Emitted(), cp.TotalInstrs)
+		}
 	})
 }

@@ -35,9 +35,29 @@ type Program struct {
 	// no per-segment limit checks are needed.
 	TotalInstrs int64
 
-	// DroppedGuards counts the proven side-exit guards Compile lowered to
-	// static jumps (reported with the trace-compiled event).
-	DroppedGuards int
+	// What Compile removed, counted while lowering and never read on the
+	// dispatch path. DroppedGuards: proven side-exit guards lowered to static
+	// jumps (reported with the trace-compiled event). Folded: arithmetic,
+	// conversion and comparison ops evaluated away because every operand was
+	// a compile-time constant. Forwarded: local loads replaced by the
+	// constant known to be in the slot. Decided: unproven conditionals and
+	// switches whose outcome the constants fixed, lowered to static jumps.
+	DroppedGuards, Folded, Forwarded, Decided int
+}
+
+// Emitted returns the runtime work a fused program kept: superinstructions
+// plus terminators that still execute (every kind but TStatic). Compile
+// never emits more than it consumed — Emitted() <= TotalInstrs — because each
+// deferred value is created by one instruction that itself emitted nothing.
+func (p *Program) Emitted() int64 {
+	var n int64
+	for i := range p.Segs {
+		n += int64(len(p.Segs[i].Ops))
+		if p.Segs[i].Term.Kind != TStatic {
+			n++
+		}
+	}
+	return n
 }
 
 // Lower builds the unfused program over a resolved block sequence (the
