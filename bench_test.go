@@ -198,6 +198,23 @@ func BenchmarkTableVI(b *testing.B) {
 	}
 }
 
+// BenchmarkPlainDispatch times the interpreter alone — block dispatch, no
+// profiler, no traces — per executed instruction, the micro-benchmark twin
+// of the scoreboard's vm.ns_per_instr.plain. It is the number an
+// instruction-body cost (an operand copy, a stack check) moves first.
+func BenchmarkPlainDispatch(b *testing.B) {
+	for _, name := range workload.Names() {
+		b.Run(name, func(b *testing.B) {
+			c := compiled(b, name)
+			var instrs int64
+			for i := 0; i < b.N; i++ {
+				instrs = runSession(b, c, core.ModePlain, profile.DefaultParams()).Counters.Instrs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
+		})
+	}
+}
+
 // BenchmarkTableVII times the full trace-dispatching VM in deployment mode
 // (one profiler hook per trace dispatch), the configuration whose overhead
 // Table VII projects.

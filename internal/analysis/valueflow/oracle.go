@@ -75,7 +75,7 @@ func (o *GuardOracle) ProveGuards(blocks []cfg.BlockID) []bool {
 		term := b.Terminator()
 		switch b.Kind {
 		case bytecode.FlowNext:
-			ev.exec(st, term)
+			ev.exec(st, *term)
 			if ev.bail {
 				st = nil
 			}
@@ -113,7 +113,7 @@ func (o *GuardOracle) ProveGuards(blocks []cfg.BlockID) []bool {
 
 // proveCond handles one conditional position; stop reports that the walk
 // proved the recorded direction impossible (the trace tail is dead).
-func (o *GuardOracle) proveCond(ev evaluator, st *absState, b *cfg.Block, term bytecode.Instr, next cfg.BlockID, proof *bool) (stop bool) {
+func (o *GuardOracle) proveCond(ev evaluator, st *absState, b *cfg.Block, term *bytecode.Instr, next cfg.BlockID, proof *bool) (stop bool) {
 	var a, b2 absVal
 	if bytecode.CondArity(term.Op) == 2 {
 		b2 = ev.pop(st)
@@ -153,7 +153,7 @@ func (o *GuardOracle) proveCond(ev evaluator, st *absState, b *cfg.Block, term b
 // native call always returns to the fallthrough block, and static/special
 // dispatch always enters the resolved callee (a trap aborts the run and
 // fires no side exit).
-func (o *GuardOracle) proveCall(b *cfg.Block, term bytecode.Instr, next cfg.BlockID) bool {
+func (o *GuardOracle) proveCall(b *cfg.Block, term *bytecode.Instr, next cfg.BlockID) bool {
 	if o.p.Program == nil || term.A < 0 || int(term.A) >= len(o.p.Program.MethodRefs) {
 		return false
 	}

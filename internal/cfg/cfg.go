@@ -48,8 +48,8 @@ type Block struct {
 // StartPC returns the byte offset of the block's first instruction.
 func (b *Block) StartPC() uint32 { return b.Instrs[0].PC }
 
-// Terminator returns the block's final instruction.
-func (b *Block) Terminator() bytecode.Instr { return b.Instrs[len(b.Instrs)-1] }
+// Terminator returns the block's final instruction in place (no 80-byte copy).
+func (b *Block) Terminator() *bytecode.Instr { return &b.Instrs[len(b.Instrs)-1] }
 
 // NumInstrs returns the number of bytecode instructions in the block.
 func (b *Block) NumInstrs() int { return len(b.Instrs) }
@@ -83,7 +83,7 @@ func (b *Block) StaticSuccessors() []BlockID {
 // mirroring the interpreter's table/lookup dispatch. ok is false when term is
 // not a switch or the block's target table is shorter than the key list, so
 // an analysis leaves the branch undecided rather than guessing.
-func (b *Block) SwitchSucc(term bytecode.Instr, key int64) (BlockID, bool) {
+func (b *Block) SwitchSucc(term *bytecode.Instr, key int64) (BlockID, bool) {
 	switch term.Op {
 	case bytecode.TableSwitch:
 		idx := key - int64(term.A)

@@ -242,6 +242,7 @@ func (r *Ring) SetClock(now func() int64) { r.now = now }
 // event, so callers holding an optional *Ring need no guard.
 //
 //tracevm:hotpath
+//tracevm:allow-alloc (the ring stores events by value; callers build them as literals)
 func (r *Ring) Emit(e Event) {
 	if r == nil {
 		return
@@ -253,7 +254,7 @@ func (r *Ring) Emit(e Event) {
 	} else {
 		e.UnixNano = time.Now().UnixNano()
 	}
-	r.buf[int(r.seq%uint64(len(r.buf)))] = e
+	r.buf[int(r.seq%uint64(len(r.buf)))] = e //tracevm:allow-alloc (the one store into the ring)
 	r.seq++
 	r.mu.Unlock()
 }

@@ -35,6 +35,7 @@ func (r *Recorder) SetClock(now func() time.Time) { r.now = now }
 // amortized log append.
 //
 //tracevm:hotpath
+//tracevm:allow-alloc (one copy per request, not per dispatch; the log stores records by value)
 func (r *Recorder) Record(rec Record) error {
 	if r == nil {
 		return nil

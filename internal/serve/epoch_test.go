@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/snapshot"
+	"repro/internal/vm"
 )
 
 // epochLoopSource is a deterministic 2000-iteration loop with a known
@@ -218,6 +220,51 @@ func TestEpochParamsMismatchFallsBack(t *testing.T) {
 	}
 	if snap := s.Stats(); snap.LiveShards != 1 {
 		t.Errorf("LiveShards = %d, want 1 (mismatch must not add shards)", snap.LiveShards)
+	}
+}
+
+// TestHookPanicDiscardsShard: a dispatch hook that panics mid-run may leave
+// the shard's graph half-updated. vm.Machine.Run reports that panic as a
+// TrapBadProgram, and serve must still treat it as a fault: the shard is
+// discarded (never merged, so never committed), the panic counts toward
+// quarantine, and the worker's next run rebuilds the shard.
+func TestHookPanicDiscardsShard(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	s := newTestService(t, Config{Workers: 1, EpochRuns: 1, Injector: InjectorFuncs{
+		Wrap: func(h vm.DispatchHook) vm.DispatchHook {
+			if !armed.Swap(false) {
+				return h
+			}
+			var n int
+			return vm.HookFunc(func(from, to cfg.BlockID) {
+				if n++; n == 100 {
+					panic("hook failure")
+				}
+				h.OnDispatch(from, to)
+			})
+		},
+	}})
+	req := Request{Source: epochLoopSource, Mode: core.ModeTrace}
+	_, err := s.Do(context.Background(), req)
+	if tr, ok := vm.AsTrap(err); !ok || tr.Kind != vm.TrapBadProgram {
+		t.Fatalf("err = %v, want the hook panic as a bad-program trap", err)
+	}
+	snap := s.Stats()
+	if snap.Panics != 1 || snap.Failed != 1 || snap.LiveShards != 0 || snap.EpochMerges != 0 {
+		t.Fatalf("after the hook panic: panics=%d failed=%d liveShards=%d merges=%d, want 1/1/0/0",
+			snap.Panics, snap.Failed, snap.LiveShards, snap.EpochMerges)
+	}
+	resp, err := s.Do(context.Background(), req)
+	if err != nil {
+		t.Fatalf("run after the hook panic: %v", err)
+	}
+	if resp.Output != epochLoopOutput {
+		t.Errorf("run after the hook panic: output %q, want %q", resp.Output, epochLoopOutput)
+	}
+	if snap := s.Stats(); snap.LiveShards != 1 || snap.EpochMerges != 1 {
+		t.Errorf("after a clean run: liveShards=%d merges=%d, want 1/1 (shard rebuilt and merged)",
+			snap.LiveShards, snap.EpochMerges)
 	}
 }
 

@@ -550,8 +550,7 @@ func (s *Service) worker(id int) {
 		case isInterrupt(err):
 			s.agg.timeout(lat)
 		default:
-			var pe *panicError
-			panicked := errors.As(err, &pe)
+			panicked := faulted(err)
 			if panicked {
 				s.notePanic(j.comp)
 			}
@@ -574,6 +573,22 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("serve: session panic: %v", e.val) }
 
+// faulted reports whether a run ended in a recovered panic: one runJob
+// caught, or one vm.Machine.Run caught and reported as a TrapBadProgram —
+// raised by the bytecode or by the dispatch hook, which may have died
+// mid-update. Either kind counts toward quarantine and discards the shard.
+func faulted(err error) bool {
+	if err == nil {
+		return false
+	}
+	var pe *panicError
+	if errors.As(err, &pe) {
+		return true
+	}
+	t, ok := vm.AsTrap(err)
+	return ok && t.Kind == vm.TrapBadProgram
+}
+
 // runJob executes one session, recovering panics into errors. mode is the
 // effective dispatch mode after any breaker demotion; demoted records it in
 // the response. workerID selects the worker's shard on the sharded profiling
@@ -581,24 +596,24 @@ func (e *panicError) Error() string { return fmt.Sprintf("serve: session panic: 
 func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (resp *Response, err error) {
 	// sh, once non-nil, is this run's locked shard. The deferred handler is
 	// the single release point: a clean (or failed-but-orderly) run releases
-	// it, counting toward the program's epoch; a panicking run discards the
-	// profiler first, since the dispatch hook may have died mid-update and
-	// left the graph unusable — the worker's next run rebuilds the shard from
-	// the merged view.
+	// it, counting toward the program's epoch; a faulted run (see faulted)
+	// discards the profiler first, since the dispatch hook may have died
+	// mid-update and left the graph unusable — the worker's next run rebuilds
+	// the shard from the merged view. A panic inside vm.Machine.Run, the
+	// hook's included, arrives here as a TrapBadProgram error, not a panic.
 	var sh *workerShard
 	var set *shardSet
 	defer func() {
-		r := recover()
+		if r := recover(); r != nil {
+			resp, err = nil, &panicError{val: r}
+		}
 		if sh != nil {
-			if r != nil {
+			if faulted(err) {
 				s.epochs.discard(sh)
 				sh.mu.Unlock()
 			} else {
 				s.epochs.release(sh, set)
 			}
-		}
-		if r != nil {
-			resp, err = nil, &panicError{val: r}
 		}
 	}()
 	if s.cfg.Injector != nil {

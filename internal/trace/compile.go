@@ -445,7 +445,7 @@ func (c *segCompiler) terminator(env *CompileEnv, resolve func(cfg.BlockID) *cfg
 // condTerm lowers an unproven conditional: fold it when every operand is a
 // compile-time constant, specialize it when the operands are covered
 // int-typed symbolic values, and delegate otherwise.
-func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Block, term bytecode.Instr) bool {
+func (c *segCompiler) condTerm(resolve func(cfg.BlockID) *cfg.Block, b *cfg.Block, term *bytecode.Instr) bool {
 	switch term.Op {
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe, bytecode.IfGt, bytecode.IfLe:
 		if n := len(c.pend); n >= 1 {

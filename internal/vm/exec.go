@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/bytecode"
@@ -25,7 +26,7 @@ func (f *frame) peek() Value { return f.stack[len(f.stack)-1] }
 //
 //tracevm:hotpath
 func (m *Machine) stepBlock(b *cfg.Block) (next *cfg.Block, halted bool, err error) {
-	defer m.recoverTrap(&b, &err)
+	m.block = b
 	f := m.top()
 	n := len(b.Instrs)
 	m.ctr.Instrs += int64(n)
@@ -36,20 +37,21 @@ func (m *Machine) stepBlock(b *cfg.Block) (next *cfg.Block, halted bool, err err
 		}
 	}
 	for i := 0; i < n-1; i++ {
-		if err := m.execInstr(f, b.Instrs[i]); err != nil {
+		if err := m.execInstr(f, &b.Instrs[i]); err != nil {
 			return nil, false, err
 		}
 	}
 	return m.execTerminator(f, b)
 }
 
-// recoverTrap, deferred by the block and trace executors, turns a panic —
-// operand stack underflow or similar structural breakage from hand-written
-// bytecode that the linker's checks cannot see — into a TrapBadProgram at
-// the block executing when it struck.
-func (m *Machine) recoverTrap(at **cfg.Block, err *error) {
+// recoverTrap, deferred once by Run, turns a panic — operand stack underflow
+// or similar breakage from hand-written bytecode that the linker's checks
+// cannot see — into a TrapBadProgram at m.block, the block or segment last
+// entered (its method too: on a call or return edge the top frame is already
+// the next block's), so a dispatch-hook panic names the block just run.
+func (m *Machine) recoverTrap(err *error) {
 	if r := recover(); r != nil {
-		*err = m.trap(TrapBadProgram, (*at).StartPC(), "execution panic: %v", r)
+		*err = &Trap{Kind: TrapBadProgram, Detail: fmt.Sprint("execution panic: ", r), Method: m.block.Method.QName(), PC: m.block.StartPC()}
 	}
 }
 
@@ -72,7 +74,9 @@ func (m *Machine) checkBlock(f *frame, b *cfg.Block) error {
 
 // execTerminator executes a block's final instruction and applies its
 // control transfer. Fused trace segments lower what they can and delegate
-// the rest here; callers are responsible for panic recovery.
+// the rest here; panics are recovered once, by Run.
+//
+//tracevm:hotpath
 func (m *Machine) execTerminator(f *frame, b *cfg.Block) (next *cfg.Block, halted bool, err error) {
 	term := b.Terminator()
 	switch bytecode.InfoOf(term.Op).Flow {
@@ -182,6 +186,7 @@ func (m *Machine) unwind(exc *Object, pc uint32) (*cfg.Block, bool, error) {
 	}
 }
 
+//tracevm:hotpath
 func (m *Machine) blockAt(id cfg.BlockID, pc uint32) (*cfg.Block, bool, error) {
 	b := m.cfg.Block(id)
 	if b == nil {
@@ -190,7 +195,8 @@ func (m *Machine) blockAt(id cfg.BlockID, pc uint32) (*cfg.Block, bool, error) {
 	return b, false, nil
 }
 
-func (m *Machine) evalCond(f *frame, in bytecode.Instr) (bool, error) {
+//tracevm:hotpath
+func (m *Machine) evalCond(f *frame, in *bytecode.Instr) (bool, error) {
 	switch in.Op {
 	case bytecode.IfEq:
 		return f.pop().Int() == 0, nil
@@ -239,7 +245,9 @@ func (m *Machine) evalCond(f *frame, in bytecode.Instr) (bool, error) {
 }
 
 // invoke handles the three invoke opcodes, including native dispatch.
-func (m *Machine) invoke(f *frame, b *cfg.Block, in bytecode.Instr) (*cfg.Block, bool, error) {
+//
+//tracevm:hotpath
+func (m *Machine) invoke(f *frame, b *cfg.Block, in *bytecode.Instr) (*cfg.Block, bool, error) {
 	ref := &m.prog.MethodRefs[in.A]
 	callee := ref.Method
 	nargs := callee.NArgs()
@@ -311,7 +319,9 @@ func (m *Machine) invoke(f *frame, b *cfg.Block, in bytecode.Instr) (*cfg.Block,
 }
 
 // execInstr executes one non-control-flow instruction in frame f.
-func (m *Machine) execInstr(f *frame, in bytecode.Instr) error {
+//
+//tracevm:hotpath
+func (m *Machine) execInstr(f *frame, in *bytecode.Instr) error {
 	switch in.Op {
 	case bytecode.Nop:
 

@@ -63,7 +63,7 @@ func (m *Machine) RunInstrMode() (err error) {
 	pc := 0
 
 	for {
-		in := d.ins[pc]
+		in := &d.ins[pc]
 		m.ctr.Instrs++
 		m.ctr.InstrDispatches++
 		if m.interrupt.Load() {

@@ -90,8 +90,9 @@ type Machine struct {
 	natives map[string]NativeFunc
 	statics [][]Value // per class ID
 	frames  []*frame
-	pool    []*frame // retired frames for reuse (calls are hot)
-	argbuf  []Value  // scratch for popping call arguments
+	pool    []*frame   // retired frames for reuse (calls are hot)
+	argbuf  []Value    // scratch for popping call arguments
+	block   *cfg.Block // block or trace segment last entered, for recoverTrap
 	steps   int64
 	decoded map[*classfile.Method]*decodedMethod // per-instruction engine cache
 }
@@ -166,15 +167,18 @@ func (m *Machine) Program() *classfile.Program { return m.prog }
 // CFG returns the machine's control-flow graphs.
 func (m *Machine) CFG() *cfg.ProgramCFG { return m.cfg }
 
-// Run executes the program's entry method to completion.
+// Run executes the program's entry method to completion. It holds the run's
+// only panic-recovery frame (see recoverTrap).
 //
 //tracevm:hotpath
-func (m *Machine) Run() error {
+func (m *Machine) Run() (err error) {
 	main := m.prog.Main
 	entry := m.cfg.MethodEntry(main)
 	if entry == nil {
 		return fmt.Errorf("vm: entry method %s has no bytecode", main.QName())
 	}
+	m.block = entry
+	defer m.recoverTrap(&err)
 	m.frames = m.frames[:0]
 	m.pushFrame(main, nil)
 
@@ -226,22 +230,22 @@ func (m *Machine) pushFrame(meth *classfile.Method, args []Value) *frame {
 	if n := len(m.pool); n > 0 {
 		f = m.pool[n-1]
 		m.pool = m.pool[:n-1]
-		if cap(f.locals) < meth.MaxLocals {
-			f.locals = make([]Value, meth.MaxLocals)
-		} else {
-			f.locals = f.locals[:meth.MaxLocals]
-			clear(f.locals)
-		}
-		f.stack = f.stack[:0]
-		f.retBlock = nil
-		f.callPC = 0
 	} else {
-		f = &frame{
-			locals: make([]Value, meth.MaxLocals),
-			stack:  make([]Value, 0, 16),
-		}
+		f = new(frame)
 	}
-	f.method = meth
+	if cap(f.locals) < meth.MaxLocals {
+		f.locals = make([]Value, meth.MaxLocals)
+	} else {
+		f.locals = f.locals[:meth.MaxLocals]
+		clear(f.locals)
+	}
+	// Room for the verifier's MaxStack, so push's append never grows the
+	// stack; a wrong bound costs a reallocation, never correctness.
+	if cap(f.stack) < meth.MaxStack {
+		f.stack = make([]Value, 0, max(meth.MaxStack, 16))
+	}
+	f.stack = f.stack[:0]
+	f.method, f.retBlock, f.callPC = meth, nil, 0
 	copy(f.locals, args)
 	m.frames = append(m.frames, f)
 	return f

@@ -20,7 +20,9 @@ import (
 // is decided once at trace entry: if none of it can fire inside this trace
 // the segments run unchecked, otherwise each is entered through checkBlock
 // as stepBlock would. Segment boundaries hold exact frame state in both
-// forms, so a trap or a probe there sees what ordinary dispatch would.
+// forms, so a trap or a probe there sees what ordinary dispatch would; and
+// each segment entry records its block in m.block, so a panic is reported
+// at the block ordinary dispatch would name.
 //
 //tracevm:hotpath
 func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, halted bool, err error) {
@@ -39,12 +41,6 @@ func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, 
 	}
 	instrsBefore := m.ctr.Instrs
 
-	// One recovery frame for the whole trace (ordinary dispatch pays one per
-	// block); cur tracks the executing segment so a panic is attributed to
-	// the block ordinary dispatch would name.
-	var cur *cfg.Block
-	defer m.recoverTrap(&cur, &err)
-
 	segs := p.Segs
 	blocksRun := 0
 	completed := false
@@ -52,7 +48,7 @@ func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, 
 	for i := range segs {
 		seg := &segs[i]
 		b := seg.Block
-		cur = b
+		m.block = b
 		f := m.top() // re-fetch: call/return segments switch frames
 		m.ctr.Instrs += seg.NInstrs
 		m.steps += seg.NInstrs
@@ -75,7 +71,7 @@ func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, 
 			nxt, h, err = m.execTerm(f, seg)
 		} else {
 			for k, n := 0, len(b.Instrs)-1; k < n; k++ {
-				if err := m.execInstr(f, b.Instrs[k]); err != nil {
+				if err := m.execInstr(f, &b.Instrs[k]); err != nil {
 					return nil, last, false, err
 				}
 			}
@@ -179,7 +175,7 @@ func (m *Machine) accountTrace(t *trace.Trace, blocksRun int, instrs int64, comp
 func (m *Machine) execSOp(f *frame, seg *trace.Segment, op *trace.SOp) error {
 	switch op.Kind {
 	case trace.SExec:
-		return m.execInstr(f, seg.Block.Instrs[op.A])
+		return m.execInstr(f, &seg.Block.Instrs[op.A])
 	case trace.SPushConst:
 		f.push(IntVal(op.Val))
 	case trace.SPushLocal:

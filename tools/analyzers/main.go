@@ -15,8 +15,9 @@
 //
 //	hotpathalloc  functions documented with //tracevm:hotpath must not
 //	              contain allocating constructs (make, new, append,
-//	              composite literals, closures); //tracevm:allow-alloc on
-//	              the same or preceding line suppresses one site.
+//	              composite literals, closures) nor copy a struct of 32+
+//	              bytes by value; //tracevm:allow-alloc on the same or
+//	              preceding line suppresses one site.
 //	statsatomic   stats.Counters fields may be written only by the
 //	              subsystems that own them (stats, vm, profile, core,
 //	              baseline); everyone else must use the Add/Snapshot API.
@@ -82,7 +83,7 @@ func main() {
 		// cmd/go derives the action cache key from this line; bump the
 		// version when an analyzer's behavior changes.
 		name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-		fmt.Printf("%s version 1 buildID=tracevm-analyzers-1\n", name)
+		fmt.Printf("%s version 2 buildID=tracevm-analyzers-2\n", name)
 		return
 	}
 	if len(args) == 1 && args[0] == "-flags" {
