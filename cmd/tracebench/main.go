@@ -56,7 +56,6 @@ func main() {
 	gateAbs := flag.Float64("gate-abs", harness.DefaultGateOptions().AbsOverheadPct, "absolute overhead slack in percentage points")
 	replayVerify := flag.String("replay-verify", "", "traffic log to replay repeatedly against fresh services; exits 1 if per-program counters diverge")
 	replayRounds := flag.Int("replay-rounds", 2, "replay rounds for -replay-verify")
-	replayWorkers := flag.Int("replay-workers", 4, "service workers per -replay-verify round")
 	vfSoundness := flag.Bool("valueflow-soundness", false, "differentially check every value-flow proof against dynamic execution on all workloads; exits 1 on any false proof")
 	flag.Parse()
 
@@ -69,7 +68,7 @@ func main() {
 	case *vfSoundness:
 		err = s.VerifyValueFlowSoundness(os.Stdout)
 	case *replayVerify != "":
-		err = runReplayVerify(os.Stdout, *replayVerify, *replayRounds, *replayWorkers)
+		err = runReplayVerify(os.Stdout, *replayVerify, *replayRounds)
 	case *benchGate != "":
 		opt := harness.DefaultGateOptions()
 		opt.RelOverheadPct = *gateRel
@@ -142,13 +141,12 @@ func runBenchGate(s *harness.Suite, w io.Writer, basePath, inPath string, opt ha
 // runReplayVerify replays a recorded traffic log repeatedly against fresh
 // services and fails if any per-program counter diverges between rounds —
 // the CI teeth behind the record/replay determinism claim.
-func runReplayVerify(w io.Writer, path string, rounds, workers int) error {
+func runReplayVerify(w io.Writer, path string, rounds int) error {
 	l, err := replay.Load(path)
 	if err != nil {
 		return err
 	}
-	rep, err := harness.VerifyReplayDeterminism(context.Background(), l, rounds,
-		serve.Config{Workers: workers})
+	rep, err := harness.VerifyReplayDeterminism(context.Background(), l, rounds, serve.Config{})
 	if err != nil {
 		return err
 	}

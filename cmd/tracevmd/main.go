@@ -94,7 +94,7 @@ func main() {
 		snapDir      = flag.String("snapshot-dir", "", "profile snapshot directory; warm-starts known programs and persists learned state (empty = disabled)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "coalescing snapshot writer commit period (0 = 30s default)")
 		snapNet      = flag.Int64("snapshot-net", 0, "per-program learning delta that forces an early snapshot commit (0 = 512 default)")
-		epochRuns    = flag.Int64("epoch-runs", 0, "profiled runs of a program between epoch merges of its per-worker profiler shards (0 = 32 default, negative = isolated per-request profilers)")
+		epochRuns    = flag.Int64("epoch-runs", 0, "profiled runs of a program between epoch merges of its per-worker profiler shards (<= 0 = 32 default)")
 
 		recordDir  = flag.String("record", "", "server: record every submission and commit the traffic log to this directory at shutdown")
 		replayFile = flag.String("replay", "", "replay the traffic log at this path against the daemon at -addr, then exit")

@@ -43,12 +43,11 @@ func TestSnapshotEndpointsDisabled(t *testing.T) {
 }
 
 // TestSnapshotEndpointRoundTrip: run a program, download its learned
-// profile, upload it back, and confirm the daemon warm-starts later runs.
-// Sharding is off (EpochRuns: -1): with shards on, the warm run would reuse
-// the cold run's live shard and never consult the installed snapshot, hiding
-// the per-session seeding this test pins.
+// profile, upload it into a second, fresh daemon, and confirm that daemon
+// warm-starts its first run of the program — the profile-shipping path.
 func TestSnapshotEndpointRoundTrip(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{Workers: 1, SnapshotDir: t.TempDir(), EpochRuns: -1})
+	srv, _ := newTestServer(t, serve.Config{Workers: 1, SnapshotDir: t.TempDir()})
+	fresh, _ := newTestServer(t, serve.Config{Workers: 1, SnapshotDir: t.TempDir()})
 
 	var cold api.RunResponse
 	resp, body := doReq(t, "POST", srv.URL+"/v1/run", []byte(`{"workload":"soot","mode":"trace"}`))
@@ -84,8 +83,8 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 		t.Errorf("by-key download differs: status %d, %d vs %d bytes", resp.StatusCode, len(byKey), len(data))
 	}
 
-	// Upload it back.
-	resp, body = doReq(t, "PUT", srv.URL+"/v1/snapshot", data)
+	// Upload it into the fresh daemon.
+	resp, body = doReq(t, "PUT", fresh.URL+"/v1/snapshot", data)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PUT snapshot: status %d (%s)", resp.StatusCode, body)
 	}
@@ -97,9 +96,9 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 		t.Errorf("install info = %+v", info)
 	}
 
-	// A later run of the same program is seeded.
+	// The fresh daemon's first run of the program is seeded.
 	var warm api.RunResponse
-	resp, body = doReq(t, "POST", srv.URL+"/v1/run", []byte(`{"workload":"soot","mode":"trace"}`))
+	resp, body = doReq(t, "POST", fresh.URL+"/v1/run", []byte(`{"workload":"soot","mode":"trace"}`))
 	if err := json.Unmarshal(body, &warm); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm run: status %d, err %v", resp.StatusCode, err)
 	}

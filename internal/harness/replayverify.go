@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/replay"
 	"repro/internal/serve"
@@ -42,13 +44,15 @@ type ReplayVerifyReport struct {
 // fresh service, and checks that every round reproduces identical
 // per-program run and dispatch counters — the property that makes a recorded
 // storm a regression test. The service config is forced into its
-// deterministic shape: isolated per-request profilers (no epoch sharding,
-// whose merge points depend on worker interleaving), no snapshot
-// persistence (a warm start shifts block dispatches into trace dispatches),
-// and enough submission headroom that backpressure never refuses a request
-// in one round but not another. The caller's Workers/TraceCache settings are
-// honoured; the breaker should be left disabled (its cool-down probes are
-// wall-clock dependent).
+// deterministic shape: one worker with one request in flight, the one shape
+// in which the sharded profiling path is deterministic (every profiled run
+// learns into the same shard in log order, and every epoch merge falls on
+// the same run), and no snapshot persistence (a warm start shifts block
+// dispatches into trace dispatches). The caller's Workers and QueueDepth are
+// overridden; its TraceCache settings are honoured. The breaker should be
+// left disabled (its cool-down probes are wall-clock dependent). Rounds run
+// concurrently, up to GOMAXPROCS at a time, each on its own service, so the
+// one-worker shape does not leave the other cores idle.
 func VerifyReplayDeterminism(ctx context.Context, l *replay.Log, rounds int, cfg serve.Config) (*ReplayVerifyReport, error) {
 	if len(l.Records) == 0 {
 		return nil, fmt.Errorf("harness: empty traffic log")
@@ -56,47 +60,52 @@ func VerifyReplayDeterminism(ctx context.Context, l *replay.Log, rounds int, cfg
 	if rounds < 2 {
 		rounds = 2
 	}
-	cfg.EpochRuns = -1
 	cfg.SnapshotDir = ""
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
+	cfg.Workers, cfg.QueueDepth = 1, 1
 	opts := replay.PlayOptions{
-		Scale: 0, // max speed: determinism must not depend on pacing
-		// Never submit more than the pool can hold, so no round sees a
-		// backpressure refusal the others don't.
-		MaxInFlight: cfg.Workers + cfg.QueueDepth,
+		Scale:       0, // max speed: determinism must not depend on pacing
+		MaxInFlight: 1,
 	}
+
+	counts := make([]map[string]ReplayProgramCounts, rounds)
+	errs := make([]error, rounds)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			svc := serve.New(cfg)
+			res, err := svc.Replay(ctx, l, opts)
+			counts[i] = collectReplayCounts(svc)
+			svc.Close()
+			if err == nil && res.Failed > 0 {
+				err = fmt.Errorf("%d requests failed (first: %v)", res.Failed, res.Errors)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
 
 	rep := &ReplayVerifyReport{
 		Records:       len(l.Records),
 		Programs:      len(l.Programs()),
 		Rounds:        rounds,
 		Deterministic: true,
+		PerProgram:    counts[0],
 	}
-	for round := 1; round <= rounds; round++ {
-		svc := serve.New(cfg)
-		res, err := svc.Replay(ctx, l, opts)
-		counts := collectReplayCounts(svc)
-		svc.Close()
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("harness: replay round %d: %w", round, err)
+			return nil, fmt.Errorf("harness: replay round %d: %w", i+1, err)
 		}
-		if res.Failed > 0 {
-			return nil, fmt.Errorf("harness: replay round %d: %d requests failed (first: %v)",
-				round, res.Failed, res.Errors)
-		}
-		if round == 1 {
-			rep.PerProgram = counts
-			continue
-		}
-		if diff := diffReplayCounts(rep.PerProgram, counts); diff != "" {
+	}
+	for i := 1; i < rounds; i++ {
+		if diff := diffReplayCounts(counts[0], counts[i]); diff != "" {
 			rep.Deterministic = false
-			rep.Divergence = fmt.Sprintf("round %d vs round 1: %s", round, diff)
-			return rep, nil
+			rep.Divergence = fmt.Sprintf("round %d vs round 1: %s", i+1, diff)
+			break
 		}
 	}
 	return rep, nil

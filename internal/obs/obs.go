@@ -68,8 +68,8 @@ const (
 	// EvSnapshotSaved: a program's learned profile was committed to durable
 	// storage. Val is the snapshot's node count.
 	EvSnapshotSaved
-	// EvSnapshotLoaded: a stored snapshot entered the warm-start store (from
-	// disk or a PUT). Val is the snapshot's node count.
+	// EvSnapshotLoaded: a stored snapshot was read from disk or installed by
+	// a PUT. Val is the snapshot's node count.
 	EvSnapshotLoaded
 	// EvSnapshotRejected: a snapshot was refused — corrupt, wrong format
 	// version, or keyed to a different program.

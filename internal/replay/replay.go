@@ -10,8 +10,8 @@
 // records what traffic was offered (including requests the service may have
 // refused under backpressure), and replaying it re-offers exactly that
 // stream. Because program execution is deterministic given the same request,
-// replaying a log against a cold service with isolated per-request profilers
-// reproduces every per-program counter exactly — which is what turns a
+// replaying a log in order against a cold one-worker service reproduces
+// every per-program counter exactly — which is what turns a
 // production incident into a regression test.
 //
 // Encode/Decode follow the internal/snapshot discipline: a magic version

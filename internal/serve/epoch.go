@@ -14,69 +14,81 @@ import (
 	"repro/internal/snapshot"
 )
 
-// This file is the serving layer's side of multicore scale-out: per-worker
-// BCG shards with epoch merge (Doppel-style phase reconciliation).
+// This file is the serving layer's side of multicore scale-out, and the one
+// in-memory home of every program's learned state: per-worker BCG shards
+// with epoch merge (Doppel-style phase reconciliation).
 //
-// Under the per-request model every profiled run built a fresh profiler and,
-// with persistence on, exported the whole graph afterwards through a global
-// store mutex — the scaling bottleneck the ROADMAP's open item 2 names.
-// Here every worker owns a private core.Profiler per program (a shard):
-// runs take exactly one uncontended lock, the dispatch hot path touches only
-// worker-local arenas, and nothing is exported per run. At phase boundaries
-// — every Config.EpochRuns profiled runs of a program, on a breaker trip,
-// when the snapshot writer wants to commit, or at drain — the coordinator
-// merges the shards' decayed counters into a fresh profiler, re-derives
-// node states/signals/start-delays from the combined history (so the merged
-// trace cache promotes only globally hot traces), and publishes the result:
-// it seeds new shards, answers GET /v1/snapshot, and is what the snapshot
-// writer serializes — never an individual shard.
+// A program has one shard set per profiler parameters it runs under. In a
+// set every worker owns a private core.Profiler (a shard): runs take exactly
+// one uncontended lock, the dispatch hot path touches only worker-local
+// arenas, and nothing is exported per run. At phase boundaries — every
+// Config.EpochRuns profiled runs of the set, on a breaker trip, when the
+// snapshot writer wants to commit, or at drain — the coordinator merges the
+// shards' decayed counters into a fresh profiler, re-derives node
+// states/signals/start-delays from the combined history (so the merged trace
+// cache promotes only globally hot traces), and publishes the result as the
+// set's merged view: it seeds new shards, answers GET /v1/snapshot, and is
+// what the snapshot writer serializes — never an individual shard. The
+// program's first set is the persisted one; sets under other parameters live
+// in memory only.
 
-// workerShard is one worker's private profiler for one program. The mutex is
+// workerShard is one worker's private profiler in one shard set. The mutex is
 // held for the duration of a run (workers never share a shard, so it is
 // uncontended except against a concurrent epoch merge, which only reads).
 type workerShard struct {
 	mu   sync.Mutex
 	prof *core.Profiler
-	runs int64 // profiled runs through this shard
+	gen  int64 // the set generation prof was built at
 }
 
-// shardSet is one program's sharding state: a fixed shard slot per worker
-// plus the latest merged view.
+// shardSet is one program's sharding state under one set of profiler
+// parameters: a fixed shard slot per worker plus the latest merged view.
 type shardSet struct {
 	key, name string
 	params    profile.Params
 	hints     *analysis.Hints
 	prover    core.GuardProver // static guard oracle; stamps shard-built traces
 	numBlocks int
+	// persist marks the program's first set: the one the snapshot writer
+	// commits and GET /v1/snapshot reads.
+	persist bool
 
 	// Tier-2 compilation state. cfgp/facts feed each shard's compile
-	// environment; compiled is the program-wide memo of lowered trace
-	// programs, shared by every shard so a block sequence compiles at most
-	// once and the compiled form is per-merged-view — a trace rebuilt from
-	// the merged snapshot in any shard rebinds to the same immutable
-	// Program. Nil when the trace-cache config leaves CompileTraces off.
+	// environment; compiled is the set-wide memo of lowered trace programs,
+	// shared by every shard so a block sequence compiles at most once and the
+	// compiled form is per-merged-view — a trace rebuilt from the merged
+	// snapshot in any shard rebinds to the same immutable Program. Nil when
+	// the trace-cache config leaves CompileTraces off.
 	cfgp     *cfg.ProgramCFG
 	facts    *valueflow.Facts
 	compiled *core.CompiledStore
 
 	shards []*workerShard
 
-	mu             sync.Mutex
-	merged         *snapshot.Snapshot // latest merged view; seeds fresh shards
-	epoch          int64              // completed merges for this program
-	runsSinceMerge int64              // releases since one last claimed an epoch
+	mu sync.Mutex
+	// merged is the latest merged view — before the first merge, the
+	// snapshot found on disk when the set was created — and seeds fresh
+	// shards.
+	merged *snapshot.Snapshot
+	// gen counts PUT installs: each replaces merged outright, so shards built
+	// at an older generation rebuild from it and merges of their state are
+	// dropped.
+	gen            int64
+	runsSinceMerge int64 // releases since one last claimed an epoch
 }
 
-// epochCoordinator owns every program's shard set and performs the merges.
+// epochCoordinator owns every program's shard sets and performs the merges.
 type epochCoordinator struct {
 	workers   int
 	epochRuns int64
 	conf      core.Config // trace-cache budgets for shard and merged profilers
 	ring      *obs.Ring
-	snaps     *snapStore // may be nil; consulted for first-sight warm seeds
+	// snaps is the persistence store (nil when persistence is off): new sets
+	// probe it for a warm seed, and releases note their learning in it.
+	snaps *snapStore
 
 	mu   sync.Mutex
-	sets map[string]*shardSet
+	sets map[string][]*shardSet // by program key, in creation order
 
 	// Lifetime accounting, read by Stats.
 	merges       atomic.Int64
@@ -84,63 +96,96 @@ type epochCoordinator struct {
 	liveShards   atomic.Int64
 }
 
-func newEpochCoordinator(workers int, epochRuns int64, conf core.Config, ring *obs.Ring, snaps *snapStore) *epochCoordinator {
+func newEpochCoordinator(workers int, epochRuns int64, conf core.Config, ring *obs.Ring) *epochCoordinator {
 	return &epochCoordinator{
 		workers:   workers,
 		epochRuns: epochRuns,
 		conf:      conf,
 		ring:      ring,
-		snaps:     snaps,
-		sets:      make(map[string]*shardSet),
+		sets:      make(map[string][]*shardSet),
 	}
 }
 
-// acquire locks and returns workerID's shard for the program, creating the
-// set on first sight. Returns nils when the request's profiler parameters
-// differ from the ones the program's shards were built with — such requests
-// fall back to the isolated per-request path rather than pollute shards
-// learned under other parameters.
+// acquire locks and returns workerID's shard in the program's set for
+// params, creating the set on first sight.
 func (ec *epochCoordinator) acquire(comp *Compiled, params profile.Params, workerID int) (*workerShard, *shardSet) {
-	ec.mu.Lock()
-	set := ec.sets[comp.Key]
-	if set == nil {
-		set = &shardSet{
-			key:    comp.Key,
-			name:   comp.Name,
-			params: params,
-			hints:  comp.Hints,
-			shards: make([]*workerShard, ec.workers),
-		}
-		if comp.Facts != nil && comp.CFG != nil {
-			set.prover = valueflow.NewOracle(comp.Facts, comp.CFG)
-		}
-		if ec.conf.CompileTraces && comp.CFG != nil {
-			set.cfgp = comp.CFG
-			set.facts = comp.Facts
-			set.compiled = core.NewCompiledStore()
-		}
-		for i := range set.shards {
-			set.shards[i] = &workerShard{}
-		}
-		if comp.CFG != nil {
-			set.numBlocks = comp.CFG.NumBlocks()
-		}
-		ec.sets[comp.Key] = set
-	}
-	ec.mu.Unlock()
-	if set.params != params || workerID < 0 || workerID >= len(set.shards) {
-		return nil, nil
-	}
+	set := ec.setFor(comp, params)
 	sh := set.shards[workerID]
 	sh.mu.Lock()
 	return sh, set
 }
 
-// newShard builds (and installs) the profiler for a locked, empty shard.
-func (ec *epochCoordinator) newShard(sh *workerShard, set *shardSet) (*core.Profiler, error) {
+// find returns the program's set for params, nil if there is none. Callers
+// hold ec.mu.
+func (ec *epochCoordinator) find(key string, params profile.Params) *shardSet {
+	for _, set := range ec.sets[key] {
+		if set.params == params {
+			return set
+		}
+	}
+	return nil
+}
+
+// setFor returns the program's set for params, creating it on first sight.
+// A new set probes the snapshot directory once, holding its own lock so that
+// its first runs wait for the warm seed instead of starting cold.
+func (ec *epochCoordinator) setFor(comp *Compiled, params profile.Params) *shardSet {
+	ec.mu.Lock()
+	if set := ec.find(comp.Key, params); set != nil {
+		ec.mu.Unlock()
+		return set
+	}
+	set := &shardSet{
+		key:     comp.Key,
+		name:    comp.Name,
+		params:  params,
+		hints:   comp.Hints,
+		persist: len(ec.sets[comp.Key]) == 0,
+		shards:  make([]*workerShard, ec.workers),
+	}
+	if comp.Facts != nil && comp.CFG != nil {
+		set.prover = valueflow.NewOracle(comp.Facts, comp.CFG)
+	}
+	if ec.conf.CompileTraces && comp.CFG != nil {
+		set.cfgp = comp.CFG
+		set.facts = comp.Facts
+		set.compiled = core.NewCompiledStore()
+	}
+	for i := range set.shards {
+		set.shards[i] = &workerShard{}
+	}
+	if comp.CFG != nil {
+		set.numBlocks = comp.CFG.NumBlocks()
+	}
+	set.mu.Lock()
+	ec.sets[comp.Key] = append(ec.sets[comp.Key], set)
+	ec.mu.Unlock()
+	if ec.snaps != nil {
+		// Seeded only under the exact parameters the state was learned with;
+		// anything else runs cold.
+		if warm := ec.snaps.load(comp.Key, comp.Name); warm != nil && warm.Params == params {
+			set.merged = warm
+		}
+	}
+	set.mu.Unlock()
+	return set
+}
+
+// profiler returns the locked shard's profiler. An empty shard (first run,
+// or discarded after a panic) or one built before a PUT gets a fresh
+// profiler, returned with the set's merged view to seed it from (nil: cold
+// start).
+func (ec *epochCoordinator) profiler(sh *workerShard, set *shardSet) (*core.Profiler, *snapshot.Snapshot, error) {
+	set.mu.Lock()
+	merged, gen := set.merged, set.gen
+	set.mu.Unlock()
+	if sh.prof != nil && sh.gen == gen {
+		return sh.prof, nil, nil
+	}
+	ec.discard(sh)
 	prof, err := core.NewProfiler(set.params, ec.conf, set.hints, set.numBlocks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if set.prover != nil {
 		prof.SetProver(set.prover)
@@ -148,26 +193,9 @@ func (ec *epochCoordinator) newShard(sh *workerShard, set *shardSet) (*core.Prof
 	if set.compiled != nil {
 		prof.EnableCompile(set.cfgp, set.facts, set.compiled)
 	}
-	sh.prof = prof
+	sh.prof, sh.gen = prof, gen
 	ec.liveShards.Add(1)
-	return prof, nil
-}
-
-// warmSeed returns the snapshot a fresh shard should seed from: the latest
-// merged view if one exists, else the persistence store's warm snapshot for
-// the program (which probes disk on first sight). Nil means cold start. The
-// caller re-checks params before applying, exactly like the legacy path.
-func (ec *epochCoordinator) warmSeed(set *shardSet) *snapshot.Snapshot {
-	set.mu.Lock()
-	m := set.merged
-	set.mu.Unlock()
-	if m != nil {
-		return m
-	}
-	if ec.snaps != nil {
-		return ec.snaps.lookup(set.key, set.name)
-	}
-	return nil
+	return prof, merged, nil
 }
 
 // discard drops a locked shard's profiler (after a panicking run left it in
@@ -179,19 +207,24 @@ func (ec *epochCoordinator) discard(sh *workerShard) {
 	}
 }
 
-// release unlocks a shard after a run and, when the program's epoch quota is
-// reached, performs the merge. The merging request pays the (amortized 1 in
-// EpochRuns) phase-boundary cost; the dispatch hot path never does. The
-// quota check itself runs after every profiled request, so it must not
-// allocate (the merge it occasionally triggers is the sanctioned cold path).
-// The quota is reset here, under the lock that read it, and nowhere else:
-// releases landing while the merge runs count toward the next epoch instead
-// of each seeing the same full quota and merging again.
+// release unlocks a shard after a run, notes the run's learning delta toward
+// the snapshot writer's threshold, and, when the set's epoch quota is
+// reached, performs the merge. The delta is noted only once the shard is
+// unlocked, so the commit it may trigger can absorb this run. The merging
+// request pays the (amortized 1 in EpochRuns) phase-boundary cost; the
+// dispatch hot path never does. The quota check itself runs after every
+// profiled request, so it must not allocate (the merge it occasionally
+// triggers is the sanctioned cold path). The quota is reset here, under the
+// lock that read it, and nowhere else: releases landing while the merge runs
+// count toward the next epoch instead of each seeing the same full quota and
+// merging again.
 //
 //tracevm:hotpath
-func (ec *epochCoordinator) release(sh *workerShard, set *shardSet) {
-	sh.runs++
+func (ec *epochCoordinator) release(sh *workerShard, set *shardSet, delta int64) {
 	sh.mu.Unlock()
+	if delta > 0 && set.persist && ec.snaps != nil {
+		ec.snaps.noteDirty(set.key, delta)
+	}
 	set.mu.Lock()
 	set.runsSinceMerge++
 	due := set.runsSinceMerge >= ec.epochRuns
@@ -206,11 +239,12 @@ func (ec *epochCoordinator) release(sh *workerShard, set *shardSet) {
 
 // merge absorbs every shard's current history into a fresh profiler,
 // re-derives states (signalling the merged cache, which promotes globally
-// hot traces), and publishes the export as the program's merged view. With
-// wait false, shards locked by an in-flight run are skipped — their learning
+// hot traces), and publishes the export as the set's merged view. With wait
+// false, shards locked by an in-flight run are skipped — their learning
 // lands next epoch — so a merge never stalls behind a long run; drain-time
-// merges pass wait true, when every worker has already exited. Returns nil
-// when nothing was absorbed.
+// merges pass wait true, when every worker has already exited. Shards built
+// before the set's latest PUT are skipped too, and a merge that a PUT
+// overtook publishes nothing. Returns nil when nothing was published.
 func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	merged, err := core.NewProfiler(set.params, ec.conf, set.hints, set.numBlocks)
 	if err != nil {
@@ -221,6 +255,9 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 		// seed fresh shards and the snapshot writer serializes them.
 		merged.SetProver(set.prover)
 	}
+	set.mu.Lock()
+	gen := set.gen
+	set.mu.Unlock()
 	absorbed := 0
 	for _, sh := range set.shards {
 		if wait {
@@ -228,7 +265,7 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 		} else if !sh.mu.TryLock() {
 			continue
 		}
-		if sh.prof != nil && sh.prof.Seeded() {
+		if sh.prof != nil && sh.gen == gen && sh.prof.Seeded() {
 			if _, err := merged.Absorb(sh.prof); err == nil {
 				absorbed++
 			}
@@ -245,8 +282,11 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	merged.DeriveStates()
 	snap := merged.ExportSnapshot(set.key, set.name)
 	set.mu.Lock()
+	if set.gen != gen {
+		set.mu.Unlock()
+		return nil
+	}
 	set.merged = snap
-	set.epoch++
 	set.mu.Unlock()
 	ec.merges.Add(1)
 	ec.shardsMerged.Add(int64(absorbed))
@@ -258,34 +298,33 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	return snap
 }
 
-// mergeProgram forces an epoch boundary for one program — the breaker-trip
-// hook: when churn trips the breaker mid-epoch the program demotes to plain
-// dispatch, so without this merge the shards' tracing-phase learning would
-// sit stranded (unmerged, uncommittable) for as long as the breaker stays
-// open.
+// mergeProgram forces an epoch boundary for every set of one program — the
+// breaker-trip hook: when churn trips the breaker mid-epoch the program
+// demotes to plain dispatch, so without this merge the shards' tracing-phase
+// learning would sit stranded (unmerged, uncommittable) for as long as the
+// breaker stays open.
 func (ec *epochCoordinator) mergeProgram(key string) {
 	ec.mu.Lock()
-	set := ec.sets[key]
+	sets := ec.sets[key]
 	ec.mu.Unlock()
-	if set != nil {
+	for _, set := range sets {
 		ec.merge(set, false)
 	}
 }
 
-// exportForCommit gives the snapshot writer the freshest merged view of a
-// program at commit time — the writer's commit is itself a phase boundary.
-// Returns nil for programs with no shard set (legacy-path entries, bare
-// installs) or nothing absorbed; the writer then falls back to whatever
-// warm snapshot it already holds. wait semantics as in merge: the final
-// drain commit waits for (quiescent) shards, periodic commits skip busy
-// ones.
+// exportForCommit gives the snapshot writer and GET /v1/snapshot the
+// freshest merged view of a program's first set — a commit is itself a
+// phase boundary. Nil when the program has no set or its set holds no
+// merged state yet. wait semantics as in merge: the final drain commit waits
+// for (quiescent) shards, periodic commits skip busy ones.
 func (ec *epochCoordinator) exportForCommit(key string, wait bool) *snapshot.Snapshot {
 	ec.mu.Lock()
-	set := ec.sets[key]
+	sets := ec.sets[key]
 	ec.mu.Unlock()
-	if set == nil {
+	if len(sets) == 0 {
 		return nil
 	}
+	set := sets[0]
 	if snap := ec.merge(set, wait); snap != nil {
 		return snap
 	}
@@ -294,10 +333,38 @@ func (ec *epochCoordinator) exportForCommit(key string, wait bool) *snapshot.Sna
 	return set.merged
 }
 
-// gauges reports (programs with a shard set, live shards) for Stats.
-func (ec *epochCoordinator) gauges() (programs, shards int) {
+// install makes an uploaded snapshot the merged view of the program's set
+// under the same parameters, if one exists; that set's shards rebuild from
+// it on their next run.
+func (ec *epochCoordinator) install(snap *snapshot.Snapshot) {
+	ec.mu.Lock()
+	set := ec.find(snap.ProgramKey, snap.Params)
+	ec.mu.Unlock()
+	if set == nil {
+		return
+	}
+	set.mu.Lock()
+	set.merged = snap
+	set.gen++
+	set.mu.Unlock()
+}
+
+// gauges reports (programs with a shard set, live shards, sets holding
+// merged state) for Stats.
+func (ec *epochCoordinator) gauges() (programs, shards, merged int) {
 	ec.mu.Lock()
 	programs = len(ec.sets)
+	var all []*shardSet
+	for _, sets := range ec.sets {
+		all = append(all, sets...)
+	}
 	ec.mu.Unlock()
-	return programs, int(ec.liveShards.Load())
+	for _, set := range all {
+		set.mu.Lock()
+		if set.merged != nil {
+			merged++
+		}
+		set.mu.Unlock()
+	}
+	return programs, int(ec.liveShards.Load()), merged
 }

@@ -196,10 +196,11 @@ func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 	}
 }
 
-// TestEpochParamsMismatchFallsBack: a request whose profiler parameters
-// differ from the ones a program's shards were built with must not pollute
-// the shards — it runs isolated and the shard set keeps its parameters.
-func TestEpochParamsMismatchFallsBack(t *testing.T) {
+// TestEpochParamsKeyedSets: a request whose profiler parameters differ from
+// the default ones gets a shard set of its own and keeps reusing it, while
+// the program's default set keeps its parameters — parameters never mix
+// within a set.
+func TestEpochParamsKeyedSets(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 8, EpochRuns: 2})
 	base := Request{Source: epochLoopSource, Mode: core.ModeTrace}
 	if _, err := s.Do(context.Background(), base); err != nil {
@@ -207,19 +208,34 @@ func TestEpochParamsMismatchFallsBack(t *testing.T) {
 	}
 	odd := base
 	odd.Threshold, odd.StartDelay, odd.DecayInterval = 0.5, 2, 32
-	resp, err := s.Do(context.Background(), odd)
+	for run := 1; run <= 2; run++ {
+		resp, err := s.Do(context.Background(), odd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Output != epochLoopOutput {
+			t.Errorf("override run %d: output = %q, want %q", run, resp.Output, epochLoopOutput)
+		}
+		// The first override run learns from scratch in its own set; the
+		// second reuses that set's shard and relearns nothing.
+		if learned := resp.Counters.NodesCreated > 0; learned != (run == 1) {
+			t.Errorf("override run %d created %d nodes", run, resp.Counters.NodesCreated)
+		}
+	}
+	if snap := s.Stats(); snap.LiveShards != 2 || snap.ShardPrograms != 1 {
+		t.Errorf("LiveShards = %d, ShardPrograms = %d, want 2 and 1 (one program, two sets)",
+			snap.LiveShards, snap.ShardPrograms)
+	}
+	comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Output != epochLoopOutput {
-		t.Errorf("mismatched-params run output = %q, want %q", resp.Output, epochLoopOutput)
-	}
-	// The isolated run built its own profiler from scratch.
-	if resp.Counters.NodesCreated == 0 {
-		t.Error("mismatched-params run reused shard state")
-	}
-	if snap := s.Stats(); snap.LiveShards != 1 {
-		t.Errorf("LiveShards = %d, want 1 (mismatch must not add shards)", snap.LiveShards)
+	s.epochs.mu.Lock()
+	sets := s.epochs.sets[comp.Key]
+	s.epochs.mu.Unlock()
+	want := profile.Params{Threshold: odd.Threshold, StartDelay: odd.StartDelay, DecayInterval: odd.DecayInterval}
+	if len(sets) != 2 || sets[0].params != profile.DefaultParams() || sets[1].params != want {
+		t.Fatalf("sets = %d; want the default set first, then the override set", len(sets))
 	}
 }
 
@@ -268,30 +284,6 @@ func TestHookPanicDiscardsShard(t *testing.T) {
 	}
 }
 
-// TestEpochDisabledKeepsLegacyPath: EpochRuns < 0 switches sharding off
-// entirely — every profiled run is isolated, and the gauges stay zero.
-func TestEpochDisabledKeepsLegacyPath(t *testing.T) {
-	s := newTestService(t, Config{Workers: 2, QueueDepth: 8, EpochRuns: -1})
-	for i := 0; i < 3; i++ {
-		resp, err := s.Do(context.Background(), Request{Source: epochLoopSource, Mode: core.ModeTrace})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Output != epochLoopOutput {
-			t.Fatalf("output = %q", resp.Output)
-		}
-		// Isolated runs relearn everything each time.
-		if resp.Counters.NodesCreated == 0 {
-			t.Error("isolated run created no nodes")
-		}
-	}
-	snap := s.Stats()
-	if snap.ShardPrograms != 0 || snap.LiveShards != 0 || snap.EpochMerges != 0 {
-		t.Errorf("sharding gauges nonzero with EpochRuns=-1: %+v",
-			[3]int64{int64(snap.ShardPrograms), int64(snap.LiveShards), snap.EpochMerges})
-	}
-}
-
 // TestEpochReleaseClaimsEachEpochOnce: with every worker releasing its shard
 // concurrently, each full quota of runs must trigger exactly one merge. The
 // release that sees the quota reached has to claim it under the same lock —
@@ -310,7 +302,7 @@ func TestEpochReleaseClaimsEachEpochOnce(t *testing.T) {
 	// (a merge that absorbs nothing is not counted).
 	for w := 0; w < workers; w++ {
 		sh, set := ec.acquire(comp, params, w)
-		prof, err := ec.newShard(sh, set)
+		prof, _, err := ec.profiler(sh, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +322,8 @@ func TestEpochReleaseClaimsEachEpochOnce(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ec.release(ec.acquire(comp, params, w))
+				sh, set := ec.acquire(comp, params, w)
+				ec.release(sh, set, 0)
 			}
 		}(w)
 	}

@@ -93,14 +93,14 @@ type Snapshot struct {
 	RecordedRequests int64
 
 	// Profile-persistence state (zero when Config.SnapshotDir is unset):
-	// programs holding a warm snapshot, and programs whose learning deltas
-	// await the coalescing writer's next commit.
+	// shard sets holding merged learned state, and programs whose learning
+	// deltas await the coalescing writer's next commit.
 	SnapshotPrograms int
 	SnapshotsPending int
 
-	// Sharded-profiling state (zero when Config.EpochRuns is negative):
-	// programs with a shard set, live per-worker shards, completed epoch
-	// merges, and the total shards absorbed across those merges.
+	// Sharded-profiling state: programs with a shard set, live per-worker
+	// shards, completed epoch merges, and the total shards absorbed across
+	// those merges.
 	ShardPrograms int
 	LiveShards    int
 	EpochMerges   int64

@@ -87,14 +87,13 @@ type Config struct {
 	// replay.Record — the record/replay tap. Refused requests (backpressure)
 	// are recorded too: the log is a transcript of offered traffic.
 	Recorder *replay.Recorder
-	// EpochRuns is the epoch length of the sharded profiling path. Every
-	// worker owns a private BCG profiler per program (a shard) whose learned
-	// state persists across that worker's requests, and the epoch coordinator
-	// merges a program's shards into a globally derived view every EpochRuns
-	// profiled runs of that program — plus on breaker trips, snapshot-writer
-	// commits, and drain. Default 32. Negative disables sharding and restores
-	// the fully isolated per-request profiler (each profiled run then builds,
-	// and discards, its own graph).
+	// EpochRuns is the epoch length of sharded profiling. Every worker owns a
+	// private BCG profiler per program and profiler parameters (a shard)
+	// whose learned state persists across that worker's requests, and the
+	// epoch coordinator merges a set of shards into a globally derived view
+	// every EpochRuns profiled runs through it — plus on breaker trips,
+	// snapshot-writer commits, and drain. Zero or negative means the default
+	// of 32.
 	EpochRuns int64
 }
 
@@ -111,7 +110,7 @@ func (c *Config) fillDefaults() {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.EpochRuns == 0 {
+	if c.EpochRuns <= 0 {
 		c.EpochRuns = 32
 	}
 	c.Breaker.fillDefaults()
@@ -182,8 +181,8 @@ type Service struct {
 	// is empty).
 	snaps *snapStore
 
-	// epochs coordinates the per-worker profiler shards and their epoch
-	// merges (nil when Config.EpochRuns is negative).
+	// epochs holds every program's learned state — its per-worker profiler
+	// shards and their merged view — and performs the epoch merges.
 	epochs *epochCoordinator
 
 	jobs chan *job
@@ -237,16 +236,9 @@ func New(cfg Config) *Service {
 	if cfg.EventTrace > 0 {
 		s.ring = obs.NewRing(cfg.EventTrace)
 	}
+	s.epochs = newEpochCoordinator(cfg.Workers, cfg.EpochRuns, cfg.TraceCache, s.ring)
 	if cfg.SnapshotDir != "" {
-		s.snaps = newSnapStore(cfg.SnapshotDir, cfg.SnapshotInterval, cfg.SnapshotNet, s.ring)
-	}
-	if cfg.EpochRuns > 0 {
-		s.epochs = newEpochCoordinator(cfg.Workers, cfg.EpochRuns, cfg.TraceCache, s.ring, s.snaps)
-		if s.snaps != nil {
-			// Shard runs never export; the snapshot writer pulls a fresh
-			// merged view at commit time instead.
-			s.snaps.exporter = s.epochs.exportForCommit
-		}
+		s.snaps = newSnapStore(cfg.SnapshotDir, cfg.SnapshotInterval, cfg.SnapshotNet, s.ring, s.epochs)
 	}
 	s.reg.NoVerify = cfg.NoVerify
 	if cfg.Breaker.ChurnPerK > 0 {
@@ -469,18 +461,17 @@ func (s *Service) Stats() Snapshot {
 		}
 		s.qmu.Unlock()
 	}
+	var merged int
+	snap.ShardPrograms, snap.LiveShards, merged = s.epochs.gauges()
+	snap.EpochMerges = s.epochs.merges.Load()
+	snap.ShardsMerged = s.epochs.shardsMerged.Load()
 	if s.snaps != nil {
 		// Store-level lifecycle counters (saves, rejections) live in the
 		// store's journal, not in any session; merge them into the global
 		// counters so /v1/stats and the Prometheus export see them.
 		jc := s.snaps.journal.Counters()
 		snap.Global.Add(&jc)
-		snap.SnapshotPrograms, snap.SnapshotsPending = s.snaps.gauges()
-	}
-	if s.epochs != nil {
-		snap.ShardPrograms, snap.LiveShards = s.epochs.gauges()
-		snap.EpochMerges = s.epochs.merges.Load()
-		snap.ShardsMerged = s.epochs.shardsMerged.Load()
+		snap.SnapshotPrograms, snap.SnapshotsPending = merged, s.snaps.pending()
 	}
 	return snap
 }
@@ -499,8 +490,8 @@ func (s *Service) Close() {
 	close(s.jobs)
 	s.wg.Wait()
 	if s.snaps != nil {
-		// Save-on-drain: every worker has exited, so the store holds the
-		// final exports; commit whatever is still dirty before returning.
+		// Save-on-drain: every worker has exited, so the final merges see
+		// every shard; commit whatever is still dirty before returning.
 		s.snaps.close()
 	}
 }
@@ -536,7 +527,7 @@ func (s *Service) worker(id int) {
 			if err == nil {
 				churn = churnPerK(&resp.Counters)
 			}
-			if brk.observe(s.cfg.Clock(), churn, demote, probe) && s.epochs != nil {
+			if brk.observe(s.cfg.Clock(), churn, demote, probe) {
 				// The program demotes to plain dispatch while the breaker is
 				// open; merge now so the shards' learning up to the trip is
 				// published (and committable) rather than stranded.
@@ -591,18 +582,19 @@ func faulted(err error) bool {
 
 // runJob executes one session, recovering panics into errors. mode is the
 // effective dispatch mode after any breaker demotion; demoted records it in
-// the response. workerID selects the worker's shard on the sharded profiling
-// path.
+// the response. workerID selects the worker's shard for a profiled run.
 func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (resp *Response, err error) {
 	// sh, once non-nil, is this run's locked shard. The deferred handler is
 	// the single release point: a clean (or failed-but-orderly) run releases
-	// it, counting toward the program's epoch; a faulted run (see faulted)
-	// discards the profiler first, since the dispatch hook may have died
-	// mid-update and left the graph unusable — the worker's next run rebuilds
-	// the shard from the merged view. A panic inside vm.Machine.Run, the
-	// hook's included, arrives here as a TrapBadProgram error, not a panic.
+	// it with its learning delta, counting toward the set's epoch; a faulted
+	// run (see faulted) discards the profiler first, since the dispatch hook
+	// may have died mid-update and left the graph unusable — the worker's next
+	// run rebuilds the shard from the merged view. A panic inside
+	// vm.Machine.Run, the hook's included, arrives here as a TrapBadProgram
+	// error, not a panic.
 	var sh *workerShard
 	var set *shardSet
+	var delta int64
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, &panicError{val: r}
@@ -612,7 +604,7 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 				s.epochs.discard(sh)
 				sh.mu.Unlock()
 			} else {
-				s.epochs.release(sh, set)
+				s.epochs.release(sh, set, delta)
 			}
 		}
 	}()
@@ -654,39 +646,17 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 		// so /v1/events can be filtered per program under live traffic.
 		sopts.Sink = obs.Tagged{Sink: s.ring, Program: j.comp.Name}
 	}
-	if s.epochs != nil && mode.Profiled() {
+	if mode.Profiled() {
+		// Invalid parameters must not leave a shard set behind.
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
+		// Attach the session to this worker's persistent profiler in the
+		// program's set for these parameters. A fresh shard seeds from the
+		// set's merged view, so it starts from global knowledge, not cold.
 		sh, set = s.epochs.acquire(j.comp, params, workerID)
-	}
-	if sh != nil {
-		// Sharded path: attach the session to this worker's persistent
-		// profiler. A fresh shard (first run, or rebuilt after a panic)
-		// seeds from the latest merged view — falling back to the warm
-		// store's snapshot — so it starts from global knowledge, not cold.
-		prof := sh.prof
-		if prof == nil {
-			p, perr := s.epochs.newShard(sh, set)
-			if perr != nil {
-				sh.mu.Unlock()
-				sh, set = nil, nil
-			} else {
-				prof = p
-				if warm := s.epochs.warmSeed(set); warm != nil && warm.Params == params {
-					sopts.Snapshot = warm
-				}
-			}
-		}
-		if prof != nil {
-			sopts.Profiler = prof
-		}
-	}
-	if sh == nil && s.snaps != nil && mode.Profiled() {
-		// Isolated per-request path (sharding disabled, or the request's
-		// profiler parameters differ from the shards'): seed the session
-		// from the program's stored learned state. Applied only under the
-		// exact parameters the state was learned with — a mismatched
-		// request simply runs cold.
-		if warm := s.snaps.lookup(j.comp.Key, j.comp.Name); warm != nil && warm.Params == params {
-			sopts.Snapshot = warm
+		if sopts.Profiler, sopts.Snapshot, err = s.epochs.profiler(sh, set); err != nil {
+			return nil, err
 		}
 	}
 	sess, err := core.NewSession(j.comp.Prog, j.comp.CFG, sopts)
@@ -717,27 +687,16 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 	if sess.Graph != nil {
 		resp.BCGNodes = sess.Graph.NumNodes()
 	}
-	if s.snaps != nil && sess.Graph != nil {
-		// Accumulate this run's learning toward the commit threshold. A fully
-		// warm, stable run has a zero delta and is skipped outright —
-		// steady-state traffic neither re-exports nor re-commits anything.
-		if delta := learnedDelta(&resp.Counters); delta > 0 {
-			if sh != nil {
-				// Sharded runs never export; the writer pulls a merged view
-				// at commit time through the coordinator.
-				s.snaps.noteDirty(j.comp.Key, j.comp.Name, delta)
-			} else {
-				s.snaps.update(j.comp.Key, j.comp.Name, sess.ExportSnapshot(j.comp.Key, j.comp.Name), delta)
-			}
-		}
-	}
+	// A fully warm, stable run has a zero delta: steady-state traffic never
+	// wakes the snapshot writer.
+	delta = learnedDelta(&resp.Counters)
 	return resp, nil
 }
 
 // learnedDelta measures how much a run changed the program's learned state:
 // organically created nodes (seeded ones restored existing knowledge),
-// profiler signals, and trace churn. It is both the "did anything change"
-// gate for re-exporting and the coalescing writer's commit currency.
+// profiler signals, and trace churn. It is the coalescing writer's commit
+// currency.
 func learnedDelta(ctr *stats.Counters) int64 {
 	return (ctr.NodesCreated - ctr.NodesSeededFromSnapshot) +
 		ctr.Signals + ctr.TracesBuilt + ctr.TracesRetired

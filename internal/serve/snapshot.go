@@ -15,59 +15,43 @@ import (
 	"repro/internal/snapshot"
 )
 
-// snapStore is the service's profile-persistence layer: the warm-start cache
-// of per-program learned state and the coalescing writer that commits it.
+// snapStore is the service's profile-persistence layer: the disk probe that
+// warm-starts a program's shard set, and the coalescing writer that commits
+// the set's merged view.
 //
-// Sessions are per-request, so learned state would die with each run; the
-// store retains the latest export per program key and seeds it into every
-// later profiled session of the same program — the in-memory warm path. The
-// durable path follows the coalescing-commit discipline (ROADMAP item 3):
-// runs accumulate a per-program learning delta, and the background writer
-// commits a program's snapshot when the accumulated delta crosses the net
-// threshold or the interval elapses, never per run — keeping disk I/O off
-// the request path and amortizing bursts into single writes.
+// A program's learned state lives in its shard sets (epoch.go); the store
+// holds none of it. The durable path follows the coalescing-commit
+// discipline (ROADMAP item 3): runs accumulate a per-program learning delta,
+// and the background writer commits a program's snapshot when the
+// accumulated delta crosses the net threshold or the interval elapses, never
+// per run — keeping disk I/O off the request path and amortizing bursts into
+// single writes. Each commit pulls a fresh epoch merge of the program's
+// first set from the coordinator.
 //
-// Store operations happen at session construction/teardown and in the
-// writer goroutine; nothing here is ever called from the dispatch hot path.
+// Store operations happen at set creation, run release, and in the writer
+// goroutine; nothing here is ever called from the dispatch hot path.
 type snapStore struct {
 	dir      string
 	interval time.Duration
 	net      int64
 	ring     *obs.Ring
-
-	// exporter, when set (sharded profiling), produces the freshest learned
-	// state for a program at commit time: each commit is a phase boundary
-	// that pulls an epoch merge on demand. Runs then only accumulate deltas
-	// (noteDirty) and never export. wait asks the merge to wait for busy
-	// shards — true only on the final drain commit, when the workers have
-	// exited. A nil return (no shard set, or nothing absorbed) falls back to
-	// the entry's stored snapshot. Set once before the service starts; called
-	// only outside st.mu.
-	exporter func(key string, wait bool) *snapshot.Snapshot
+	ec       *epochCoordinator
 
 	// journal counts store-level lifecycle events (saves, rejections);
 	// session-level loads are counted by the sessions themselves.
 	journal snapshot.Journal
 
-	mu      sync.Mutex
-	entries map[string]*snapEntry
+	// commitMu serializes commits — the writer's flushes and PUT installs —
+	// so a commit in flight never lands over a newer upload.
+	commitMu sync.Mutex
+
+	mu sync.Mutex
+	// dirty is the learning delta per program key since its last commit.
+	dirty map[string]int64
 
 	wake    chan struct{}
 	stopped chan struct{}
 	done    chan struct{}
-}
-
-// snapEntry is one program's persistence state.
-type snapEntry struct {
-	name string
-	snap *snapshot.Snapshot
-	// dirty accumulates the learning delta since the last commit; the
-	// writer commits when it crosses the store's net threshold or on the
-	// interval tick.
-	dirty int64
-	// loadTried marks the one-time disk probe (hit or miss), so a program
-	// with no stored snapshot costs one stat per process, not per request.
-	loadTried bool
 }
 
 // snapExt is the on-disk suffix; files are named <programKey>.tsnap.
@@ -78,8 +62,9 @@ const (
 	defaultSnapshotNet      = 512
 )
 
-// newSnapStore builds the store and starts its writer. dir must be non-empty.
-func newSnapStore(dir string, interval time.Duration, net int64, ring *obs.Ring) *snapStore {
+// newSnapStore builds the store, attaches it to the coordinator whose sets
+// it persists, and starts its writer. dir must be non-empty.
+func newSnapStore(dir string, interval time.Duration, net int64, ring *obs.Ring, ec *epochCoordinator) *snapStore {
 	if interval <= 0 {
 		interval = defaultSnapshotInterval
 	}
@@ -92,11 +77,13 @@ func newSnapStore(dir string, interval time.Duration, net int64, ring *obs.Ring)
 		interval: interval,
 		net:      net,
 		ring:     ring,
-		entries:  make(map[string]*snapEntry),
+		ec:       ec,
+		dirty:    make(map[string]int64),
 		wake:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	ec.snaps = st
 	st.scrub()
 	go st.flushLoop()
 	return st
@@ -110,7 +97,7 @@ func newSnapStore(dir string, interval time.Duration, net int64, ring *obs.Ring)
 func (st *snapStore) scrub() {
 	rep, err := snapshot.ScrubDir(st.dir, true)
 	if err != nil {
-		return // an unreadable directory will surface on the first lookup
+		return // an unreadable directory will surface on the first load
 	}
 	for _, f := range rep.Corrupt {
 		st.journal.Quarantined()
@@ -146,20 +133,12 @@ func (st *snapStore) fileFor(key string) string {
 	return filepath.Join(st.dir, key+snapExt)
 }
 
-// lookup returns the warm snapshot for a program key, probing the snapshot
-// directory once per key ("first sight of a known hash"). Returns nil when
-// nothing valid is stored.
-func (st *snapStore) lookup(key, name string) *snapshot.Snapshot {
+// load probes the snapshot directory for a program's committed state. Nil
+// when nothing valid is stored; a damaged file is counted and refused.
+func (st *snapStore) load(key, name string) *snapshot.Snapshot {
 	if !validKey(key) {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e := st.entry(key, name)
-	if e.snap != nil || e.loadTried {
-		return e.snap
-	}
-	e.loadTried = true
 	data, err := os.ReadFile(st.fileFor(key))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
@@ -175,79 +154,47 @@ func (st *snapStore) lookup(key, name string) *snapshot.Snapshot {
 		st.reject(name)
 		return nil
 	}
-	e.snap = snap
 	st.emit(obs.EvSnapshotLoaded, name, int64(len(snap.Nodes)))
 	return snap
 }
 
-// entry returns (creating) the record for key. Callers hold the lock.
-func (st *snapStore) entry(key, name string) *snapEntry {
-	e := st.entries[key]
-	if e == nil {
-		e = &snapEntry{name: name}
-		st.entries[key] = e
-	}
-	if e.name == "" {
-		e.name = name
-	}
-	return e
-}
-
-// update replaces a program's warm snapshot after a run and accumulates its
-// learning delta toward the commit threshold.
-func (st *snapStore) update(key, name string, snap *snapshot.Snapshot, delta int64) {
-	if snap == nil || !validKey(key) {
-		return
-	}
-	if delta < 1 {
-		delta = 1
-	}
+// noteDirty accumulates a run's learning delta toward the commit threshold,
+// waking the writer when it is crossed.
+func (st *snapStore) noteDirty(key string, delta int64) {
 	st.mu.Lock()
-	e := st.entry(key, name)
-	e.snap = snap
-	e.loadTried = true
-	e.dirty += delta
-	over := e.dirty >= st.net
+	st.dirty[key] += delta
+	over := st.dirty[key] >= st.net
 	st.mu.Unlock()
 	if over {
 		st.kick()
 	}
 }
 
-// noteDirty accumulates a sharded run's learning delta toward the commit
-// threshold without touching the warm snapshot — the exporter supplies the
-// actual state when the writer commits.
-func (st *snapStore) noteDirty(key, name string, delta int64) {
-	if !validKey(key) {
-		return
-	}
-	if delta < 1 {
-		delta = 1
-	}
-	st.mu.Lock()
-	e := st.entry(key, name)
-	e.dirty += delta
-	over := e.dirty >= st.net
-	st.mu.Unlock()
-	if over {
-		st.kick()
-	}
-}
-
-// install adopts an externally supplied snapshot (PUT /v1/snapshot) as the
-// program's warm state and schedules it for commit.
+// install commits an uploaded snapshot (PUT /v1/snapshot) durably, then
+// makes it the merged view of the program's live set under the same
+// parameters, if there is one.
 func (st *snapStore) install(snap *snapshot.Snapshot) error {
-	if !validKey(snap.ProgramKey) {
-		return fmt.Errorf("%w: unusable program key %q", snapshot.ErrCorrupt, snap.ProgramKey)
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if err := st.commit(snap); err != nil {
+		return err
 	}
-	st.mu.Lock()
-	e := st.entry(snap.ProgramKey, snap.Program)
-	e.snap = snap
-	e.loadTried = true
-	e.dirty += st.net // an explicit install always commits at the next wake
-	st.mu.Unlock()
+	st.ec.install(snap)
 	st.emit(obs.EvSnapshotLoaded, snap.Program, int64(len(snap.Nodes)))
-	st.kick()
+	return nil
+}
+
+// commit writes a snapshot durably as its program's .tsnap. Callers hold
+// commitMu.
+func (st *snapStore) commit(snap *snapshot.Snapshot) error {
+	if err := frame.WriteAtomic(st.fileFor(snap.ProgramKey), snapshot.Encode(snap)); err != nil {
+		return err
+	}
+	// Crash point: the commit is durable but unaccounted — restart must
+	// warm-start from exactly this file.
+	crash.Here(crash.PointSnapshotCommit)
+	st.journal.Saved()
+	st.emit(obs.EvSnapshotSaved, snap.Program, int64(len(snap.Nodes)))
 	return nil
 }
 
@@ -257,34 +204,6 @@ func (st *snapStore) kick() {
 	case st.wake <- struct{}{}:
 	default:
 	}
-}
-
-// encoded returns the serialized warm snapshot for key. Under sharded
-// profiling it asks the exporter for a fresh merged view first — a snapshot
-// GET should see the live learned state, not the last commit — and falls
-// back to the stored entry (probing disk like lookup does) when the
-// coordinator has nothing for the key.
-func (st *snapStore) encoded(key, name string) ([]byte, bool) {
-	if st.exporter != nil && validKey(key) {
-		if snap := st.exporter(key, false); snap != nil {
-			st.adopt(key, name, snap)
-			return snapshot.Encode(snap), true
-		}
-	}
-	snap := st.lookup(key, name)
-	if snap == nil {
-		return nil, false
-	}
-	return snapshot.Encode(snap), true
-}
-
-// adopt stores a freshly merged snapshot as the entry's warm state.
-func (st *snapStore) adopt(key, name string, snap *snapshot.Snapshot) {
-	st.mu.Lock()
-	e := st.entry(key, name)
-	e.snap = snap
-	e.loadTried = true
-	st.mu.Unlock()
 }
 
 // reject counts one refused snapshot and emits its event.
@@ -301,20 +220,11 @@ func (st *snapStore) emit(typ obs.EventType, program string, val int64) {
 	})
 }
 
-// gauges reports (programs with a warm snapshot, programs with uncommitted
-// deltas) for the stats snapshot.
-func (st *snapStore) gauges() (programs, pending int) {
+// pending reports the programs whose learning deltas await a commit.
+func (st *snapStore) pending() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, e := range st.entries {
-		if e.snap != nil {
-			programs++
-		}
-		if e.dirty > 0 {
-			pending++
-		}
-	}
-	return programs, pending
+	return len(st.dirty)
 }
 
 // flushLoop is the coalescing writer: one goroutine, committing on the
@@ -335,61 +245,37 @@ func (st *snapStore) flushLoop() {
 	}
 }
 
-// flush commits dirty entries: every entry past the net threshold, plus —
-// on interval ticks and the final drain — everything dirty at all. With an
-// exporter attached, each committed entry's state is pulled fresh (an epoch
-// merge) at this moment; wait is forwarded to it and is true only on the
-// drain commit. Encoding, exporting and file I/O happen outside the entry
-// lock; an entry that yields nothing committable (busy shards, failed write)
-// is re-marked dirty so the next cycle retries it.
+// flush commits dirty programs: every one past the net threshold, plus — on
+// interval ticks and the final drain — everything dirty at all. Each
+// program's state is pulled fresh (an epoch merge of its first set) at this
+// moment; wait is forwarded to the merge and is true only on the drain
+// commit. A program that yields nothing committable (no merged state yet,
+// failed write) is re-marked dirty so the next cycle retries it.
 func (st *snapStore) flush(thresholdOnly, wait bool) {
 	type pending struct {
-		key, name string
-		snap      *snapshot.Snapshot
-		delta     int64
+		key   string
+		delta int64
 	}
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
 	var work []pending
 	st.mu.Lock()
-	for key, e := range st.entries {
-		if e.dirty == 0 || (thresholdOnly && e.dirty < st.net) {
+	for key, d := range st.dirty {
+		if thresholdOnly && d < st.net {
 			continue
 		}
-		if e.snap == nil && st.exporter == nil {
-			continue
-		}
-		work = append(work, pending{key: key, name: e.name, snap: e.snap, delta: e.dirty})
-		e.dirty = 0
+		work = append(work, pending{key: key, delta: d})
+		delete(st.dirty, key)
 	}
 	st.mu.Unlock()
 
-	requeue := func(key string, delta int64) {
-		st.mu.Lock()
-		if e := st.entries[key]; e != nil {
-			e.dirty += delta
-		}
-		st.mu.Unlock()
-	}
 	for _, w := range work {
-		snap := w.snap
-		if st.exporter != nil {
-			if m := st.exporter(w.key, wait); m != nil {
-				snap = m
-				st.adopt(w.key, w.name, m)
-			}
+		snap := st.ec.exportForCommit(w.key, wait)
+		if snap == nil || st.commit(snap) != nil {
+			st.mu.Lock()
+			st.dirty[w.key] += w.delta
+			st.mu.Unlock()
 		}
-		if snap == nil {
-			requeue(w.key, w.delta)
-			continue
-		}
-		if err := frame.WriteAtomic(st.fileFor(w.key), snapshot.Encode(snap)); err != nil {
-			requeue(w.key, w.delta)
-			continue
-		}
-		// Crash point: the commit is durable but unaccounted — restart must
-		// warm-start from exactly this file.
-		crash.Here(crash.PointSnapshotCommit)
-		st.journal.Saved()
-		st.emit(obs.EvSnapshotSaved, w.name, int64(len(snap.Nodes)))
 	}
 }
 
@@ -405,21 +291,29 @@ func (st *snapStore) close() {
 // persistence (Config.SnapshotDir).
 func (s *Service) SnapshotEnabled() bool { return s.snaps != nil }
 
-// SnapshotBytes returns the encoded warm snapshot for a registry key,
-// probing the snapshot directory if the program has not been seen yet.
-// The second result is false when persistence is disabled or nothing valid
-// is stored for the key.
+// SnapshotBytes returns the encoded learned state of a registry key: a fresh
+// merge of the program's first shard set, or — for a program not run since
+// start — its committed snapshot on disk. The second result is false when
+// persistence is disabled or nothing valid exists for the key.
 func (s *Service) SnapshotBytes(key string) ([]byte, bool) {
 	if s.snaps == nil {
 		return nil, false
 	}
-	return s.snaps.encoded(key, "")
+	snap := s.epochs.exportForCommit(key, false)
+	if snap == nil {
+		snap = s.snaps.load(key, "")
+	}
+	if snap == nil {
+		return nil, false
+	}
+	return snapshot.Encode(snap), true
 }
 
-// InstallSnapshot decodes, validates and adopts a serialized snapshot as a
-// program's warm state (the PUT /v1/snapshot path), scheduling it for
-// commit. The returned snapshot describes what was installed. Rejections
-// are counted and emitted like any other refused snapshot.
+// InstallSnapshot decodes and validates a serialized snapshot (the PUT
+// /v1/snapshot path), commits it durably, and makes it the learned state of
+// the program's live shard set under the same parameters, if there is one.
+// The returned snapshot describes what was installed. Rejections are
+// counted and emitted like any other refused snapshot.
 func (s *Service) InstallSnapshot(data []byte) (*snapshot.Snapshot, error) {
 	if s.snaps == nil {
 		return nil, errors.New("serve: snapshot persistence disabled")
@@ -429,8 +323,11 @@ func (s *Service) InstallSnapshot(data []byte) (*snapshot.Snapshot, error) {
 		s.snaps.reject("")
 		return nil, err
 	}
-	if err := s.snaps.install(snap); err != nil {
+	if !validKey(snap.ProgramKey) {
 		s.snaps.reject(snap.Program)
+		return nil, fmt.Errorf("%w: unusable program key %q", snapshot.ErrCorrupt, snap.ProgramKey)
+	}
+	if err := s.snaps.install(snap); err != nil {
 		return nil, err
 	}
 	return snap, nil

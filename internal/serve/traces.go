@@ -41,32 +41,32 @@ type ProgramTraces struct {
 	Traces  []TraceRecord
 }
 
-// TraceInventory reports every live trace of every program under sharded
-// profiling, aggregated per program across worker shards (GET /v1/traces).
-// Shards locked by an in-flight run are skipped, exactly like an epoch
-// merge: the inventory is a best-effort observability read, never a stall.
-// Nil when sharding is disabled — isolated per-request sessions discard
-// their caches at completion, so there is no retained inventory to report.
+// TraceInventory reports every live trace of every program, aggregated per
+// program across its worker shards (GET /v1/traces). Shards locked by an
+// in-flight run are skipped, exactly like an epoch merge: the inventory is a
+// best-effort observability read, never a stall.
 func (s *Service) TraceInventory() []ProgramTraces {
-	if s.epochs == nil {
-		return nil
+	type program struct {
+		name   string
+		shards []*workerShard // of every set the program has
 	}
-	return s.epochs.traceInventory()
-}
-
-func (ec *epochCoordinator) traceInventory() []ProgramTraces {
+	ec := s.epochs
 	ec.mu.Lock()
-	sets := make([]*shardSet, 0, len(ec.sets))
-	for _, set := range ec.sets {
-		sets = append(sets, set)
+	programs := make([]program, 0, len(ec.sets))
+	for _, sets := range ec.sets {
+		p := program{name: sets[0].name}
+		for _, set := range sets {
+			p.shards = append(p.shards, set.shards...)
+		}
+		programs = append(programs, p)
 	}
 	ec.mu.Unlock()
-	sort.Slice(sets, func(i, j int) bool { return sets[i].name < sets[j].name })
+	sort.Slice(programs, func(i, j int) bool { return programs[i].name < programs[j].name })
 
-	out := make([]ProgramTraces, 0, len(sets))
-	for _, set := range sets {
+	out := make([]ProgramTraces, 0, len(programs))
+	for _, p := range programs {
 		byKey := make(map[string]*TraceRecord)
-		for _, sh := range set.shards {
+		for _, sh := range p.shards {
 			if !sh.mu.TryLock() {
 				continue
 			}
@@ -112,7 +112,7 @@ func (ec *epochCoordinator) traceInventory() []ProgramTraces {
 			}
 			return recs[i].Key < recs[j].Key
 		})
-		out = append(out, ProgramTraces{Program: set.name, Traces: recs})
+		out = append(out, ProgramTraces{Program: p.name, Traces: recs})
 	}
 	return out
 }

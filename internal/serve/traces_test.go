@@ -72,28 +72,16 @@ func TestTraceInventoryTier2(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.epochs.mu.Lock()
-	set := s.epochs.sets[comp.Key]
+	sets := s.epochs.sets[comp.Key]
 	s.epochs.mu.Unlock()
-	if set == nil || set.compiled == nil {
+	if len(sets) != 1 || sets[0].compiled == nil {
 		t.Fatal("shard set has no shared compiled store with CompileTraces on")
 	}
-	if got := set.compiled.Len(); got == 0 || got > len(p.Traces) {
+	if got := sets[0].compiled.Len(); got == 0 || got > len(p.Traces) {
 		t.Errorf("compiled store holds %d programs for %d logical traces", got, len(p.Traces))
 	}
 	if stats := s.Stats(); stats.Global.TracesCompiled == 0 || stats.Global.CompiledDispatches == 0 {
 		t.Errorf("global counters missed tier-2 work: compiled=%d dispatches=%d",
 			stats.Global.TracesCompiled, stats.Global.CompiledDispatches)
-	}
-}
-
-// TestTraceInventoryDisabled: with sharding off there is no retained
-// inventory, and the accessor reports that as nil rather than inventing one.
-func TestTraceInventoryDisabled(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, EpochRuns: -1})
-	if _, err := s.Do(context.Background(), Request{Source: epochLoopSource, Mode: core.ModeTrace}); err != nil {
-		t.Fatal(err)
-	}
-	if inv := s.TraceInventory(); inv != nil {
-		t.Errorf("inventory without sharding = %+v, want nil", inv)
 	}
 }
