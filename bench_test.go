@@ -1,11 +1,10 @@
-// Benchmarks regenerating the paper's evaluation, one per table/figure.
-// Each benchmark runs a workload under the relevant configuration and
-// reports the paper's dependent values via b.ReportMetric, so
+// Per-layer micro-benchmarks: each measures one layer or cost that no paper
+// table shows — interpreter dispatch, in-trace execution at each tier, the
+// profiler hook, trace lookup and the baseline selectors. The paper's tables
+// and figures come from cmd/tracebench; service-level numbers come from the
+// benchmark/ module.
 //
-//	go test -bench=. -benchmem
-//
-// prints the same series the tables contain (cmd/tracebench renders them as
-// the formatted tables themselves).
+//	go test -run '^$' -bench . -count 5 .
 package repro_test
 
 import (
@@ -51,9 +50,9 @@ func compiled(b *testing.B, name string) *benchProg {
 	return c
 }
 
-func runSession(b *testing.B, c *benchProg, mode core.Mode, params profile.Params) *core.Session {
+func runSession(b *testing.B, c *benchProg, mode core.Mode) *core.Session {
 	b.Helper()
-	s, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{Mode: mode, Params: params})
+	s, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{Mode: mode, Params: profile.DefaultParams()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,141 +60,6 @@ func runSession(b *testing.B, c *benchProg, mode core.Mode, params profile.Param
 		b.Fatal(err)
 	}
 	return s
-}
-
-// BenchmarkDispatchGranularity regenerates the Figure 1/2 contrast: the
-// dispatch count at instruction, basic-block, and trace granularity.
-func BenchmarkDispatchGranularity(b *testing.B) {
-	for _, name := range workload.Names() {
-		b.Run(name, func(b *testing.B) {
-			c := compiled(b, name)
-			var instr, blocks, traces int64
-			for i := 0; i < b.N; i++ {
-				s := runSession(b, c, core.ModeTrace, profile.DefaultParams())
-				instr = s.Counters.Instrs
-				blocks = s.Counters.BlockDispatches
-				traces = s.Counters.TraceDispatches
-			}
-			b.ReportMetric(float64(instr), "instr-dispatches")
-			b.ReportMetric(float64(blocks), "block-dispatches")
-			b.ReportMetric(float64(traces), "trace-dispatches")
-		})
-	}
-}
-
-// BenchmarkTableI reports the average completed-trace length per threshold.
-func BenchmarkTableI(b *testing.B) {
-	benchThresholdSweep(b, func(m stats.Metrics) (float64, string) {
-		return m.AvgTraceLength, "blocks/trace"
-	})
-}
-
-// BenchmarkTableII reports instruction stream coverage per threshold.
-func BenchmarkTableII(b *testing.B) {
-	benchThresholdSweep(b, func(m stats.Metrics) (float64, string) {
-		return m.Coverage * 100, "coverage-%"
-	})
-}
-
-// BenchmarkTableIII reports the dynamic trace completion rate per threshold.
-func BenchmarkTableIII(b *testing.B) {
-	benchThresholdSweep(b, func(m stats.Metrics) (float64, string) {
-		return m.CompletionRate * 100, "completion-%"
-	})
-}
-
-// BenchmarkTableIV reports thousands of dispatches per state-change signal.
-func BenchmarkTableIV(b *testing.B) {
-	benchThresholdSweep(b, func(m stats.Metrics) (float64, string) {
-		return m.DispatchesPerSignal / 1000, "kdispatch/signal"
-	})
-}
-
-func benchThresholdSweep(b *testing.B, metric func(stats.Metrics) (float64, string)) {
-	for _, name := range workload.Names() {
-		for _, th := range []float64{1.00, 0.99, 0.98, 0.97, 0.95} {
-			b.Run(name+"/th="+thLabel(th), func(b *testing.B) {
-				c := compiled(b, name)
-				params := profile.Params{StartDelay: 64, Threshold: th, DecayInterval: 256}
-				var v float64
-				var unit string
-				for i := 0; i < b.N; i++ {
-					s := runSession(b, c, core.ModeTrace, params)
-					v, unit = metric(s.Metrics())
-				}
-				b.ReportMetric(v, unit)
-			})
-		}
-	}
-}
-
-func thLabel(th float64) string {
-	switch th {
-	case 1.00:
-		return "100"
-	case 0.99:
-		return "99"
-	case 0.98:
-		return "98"
-	case 0.97:
-		return "97"
-	default:
-		return "95"
-	}
-}
-
-// BenchmarkTableV reports thousands of dispatches per trace event across
-// start-state delays at the 97% threshold.
-func BenchmarkTableV(b *testing.B) {
-	for _, name := range workload.Names() {
-		for _, delay := range []int32{1, 64, 4096} {
-			b.Run(name+"/delay="+delayLabel(delay), func(b *testing.B) {
-				c := compiled(b, name)
-				params := profile.Params{StartDelay: delay, Threshold: 0.97, DecayInterval: 256}
-				var v float64
-				for i := 0; i < b.N; i++ {
-					s := runSession(b, c, core.ModeTrace, params)
-					v = s.Metrics().TraceEventInterval / 1000
-				}
-				b.ReportMetric(v, "kdispatch/event")
-			})
-		}
-	}
-}
-
-func delayLabel(d int32) string {
-	switch d {
-	case 1:
-		return "1"
-	case 64:
-		return "64"
-	default:
-		return "4096"
-	}
-}
-
-// BenchmarkTableVI times the interpreter without and with the profiler —
-// the wall-clock measurement behind the paper's per-dispatch overhead.
-func BenchmarkTableVI(b *testing.B) {
-	for _, name := range workload.Names() {
-		c := compiled(b, name)
-		b.Run(name+"/plain", func(b *testing.B) {
-			var dispatches int64
-			for i := 0; i < b.N; i++ {
-				s := runSession(b, c, core.ModePlain, profile.DefaultParams())
-				dispatches = s.Counters.BlockDispatches
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dispatches), "ns/dispatch")
-		})
-		b.Run(name+"/profiled", func(b *testing.B) {
-			var dispatches int64
-			for i := 0; i < b.N; i++ {
-				s := runSession(b, c, core.ModeProfile, profile.DefaultParams())
-				dispatches = s.Counters.BlockDispatches
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dispatches), "ns/dispatch")
-		})
-	}
 }
 
 // BenchmarkPlainDispatch times the interpreter alone — block dispatch, no
@@ -208,28 +72,9 @@ func BenchmarkPlainDispatch(b *testing.B) {
 			c := compiled(b, name)
 			var instrs int64
 			for i := 0; i < b.N; i++ {
-				instrs = runSession(b, c, core.ModePlain, profile.DefaultParams()).Counters.Instrs
+				instrs = runSession(b, c, core.ModePlain).Counters.Instrs
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
-		})
-	}
-}
-
-// BenchmarkTableVII times the full trace-dispatching VM in deployment mode
-// (one profiler hook per trace dispatch), the configuration whose overhead
-// Table VII projects.
-func BenchmarkTableVII(b *testing.B) {
-	for _, name := range workload.Names() {
-		b.Run(name, func(b *testing.B) {
-			c := compiled(b, name)
-			var traceDisp, profiled int64
-			for i := 0; i < b.N; i++ {
-				s := runSession(b, c, core.ModeTraceDeploy, profile.DefaultParams())
-				traceDisp = s.Counters.TraceDispatches
-				profiled = s.Counters.ProfiledDispatches
-			}
-			b.ReportMetric(float64(traceDisp)/1e6, "Mtrace-dispatches")
-			b.ReportMetric(float64(profiled)/1e6, "Mprofiled-dispatches")
 		})
 	}
 }
@@ -239,8 +84,8 @@ func BenchmarkTableVII(b *testing.B) {
 // same traces. The reported metric is nanoseconds per block executed inside
 // traces — one executor runs both forms and counts blocks the same way, so
 // both tiers share the denominator and the delta is the fused form's
-// per-trace-block saving. This is the regression
-// benchmark behind the tier rules of harness.CompareBenchReports.
+// per-trace-block saving. It is the instrument for the tier-2 gain per
+// workload; run it with -count 5 and compare medians.
 func BenchmarkTraceThroughput(b *testing.B) {
 	tiers := []struct {
 		label  string
@@ -289,7 +134,7 @@ func BenchmarkBaselines(b *testing.B) {
 	c := compiled(b, "soot")
 	b.Run("bcg", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runSession(b, c, core.ModeTrace, profile.DefaultParams())
+			runSession(b, c, core.ModeTrace)
 		}
 	})
 	b.Run("dynamo-net", func(b *testing.B) {

@@ -1,10 +1,8 @@
 // Command tracebench regenerates the paper's evaluation: Tables I–VII, the
-// dispatch-granularity figure data, and the baseline comparison. It also
-// maintains the repo's benchmark trajectory: -bench-json emits a
-// machine-readable overhead report, and -bench-gate compares a report
-// against a committed baseline for the CI regression gate. Service
-// throughput, latency and memory are measured by the benchmark/ module,
-// not here.
+// dispatch-granularity figure data, and the baseline comparison. Profiler
+// overhead per dispatch is Table VI. Service throughput, latency, memory
+// and per-layer costs are measured by the benchmark/ module; the tier-1 vs
+// tier-2 in-trace cost by BenchmarkTraceThroughput in the root package.
 //
 // Usage:
 //
@@ -13,11 +11,6 @@
 //	tracebench -figures                  # dispatch-granularity figure data
 //	tracebench -baselines                # Dynamo-NET / rePLay / Whaley comparison
 //	tracebench -repeats 5                # wall-clock repetitions for Tables VI/VII
-//	tracebench -bench-json               # measure, write BENCH_<date>.json
-//	tracebench -bench-json -out F.json   # measure, write F.json
-//	tracebench -bench-gate BENCH_baseline.json -in F.json
-//	                                     # compare F.json to the baseline;
-//	                                     # exit 1 on >10% overhead regression
 //	tracebench -valueflow-soundness      # differentially check every value-flow
 //	                                     # proof on all six workloads; exit 1
 //	                                     # on any false proof
@@ -25,13 +18,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/replay"
@@ -48,12 +39,6 @@ func main() {
 	warmstart := flag.Bool("warmstart", false, "print the snapshot warm-start comparison (cold vs seeded first trace)")
 	repeats := flag.Int("repeats", 3, "wall-clock repetitions for overhead tables")
 	maxSteps := flag.Int64("maxsteps", 0, "instruction budget per run (0 = unlimited)")
-	benchJSON := flag.Bool("bench-json", false, "measure per-workload profiler overhead and write a JSON report")
-	out := flag.String("out", "", "output path for -bench-json (default BENCH_<date>.json)")
-	benchGate := flag.String("bench-gate", "", "baseline report to gate against; exits 1 on regression")
-	in := flag.String("in", "", "pre-measured report for -bench-gate (default: measure fresh)")
-	gateRel := flag.Float64("gate-rel", harness.DefaultGateOptions().RelOverheadPct, "allowed relative overhead regression (0.10 = 10%)")
-	gateAbs := flag.Float64("gate-abs", harness.DefaultGateOptions().AbsOverheadPct, "absolute overhead slack in percentage points")
 	replayVerify := flag.String("replay-verify", "", "traffic log to replay repeatedly against fresh services; exits 1 if per-program counters diverge")
 	replayRounds := flag.Int("replay-rounds", 2, "replay rounds for -replay-verify")
 	vfSoundness := flag.Bool("valueflow-soundness", false, "differentially check every value-flow proof against dynamic execution on all workloads; exits 1 on any false proof")
@@ -69,13 +54,6 @@ func main() {
 		err = s.VerifyValueFlowSoundness(os.Stdout)
 	case *replayVerify != "":
 		err = runReplayVerify(os.Stdout, *replayVerify, *replayRounds)
-	case *benchGate != "":
-		opt := harness.DefaultGateOptions()
-		opt.RelOverheadPct = *gateRel
-		opt.AbsOverheadPct = *gateAbs
-		err = runBenchGate(s, os.Stdout, *benchGate, *in, opt)
-	case *benchJSON:
-		err = runBenchJSON(s, os.Stdout, *out)
 	default:
 		err = run(s, os.Stdout, *table, *figures, *baselines, *optim, *ablations, *stability, *warmstart)
 	}
@@ -83,59 +61,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runBenchJSON measures the suite's overhead report and writes it to path
-// (default BENCH_<date>.json), echoing the table to w.
-func runBenchJSON(s *harness.Suite, w io.Writer, path string) error {
-	rep, err := s.BenchReport()
-	if err != nil {
-		return err
-	}
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, harness.FormatBenchReport(rep))
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
-}
-
-// runBenchGate loads the baseline, obtains the current report (from inPath
-// if given, else by measuring fresh), and fails on regressions.
-func runBenchGate(s *harness.Suite, w io.Writer, basePath, inPath string, opt harness.GateOptions) error {
-	base, err := loadBenchReport(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var cur harness.BenchReport
-	if inPath != "" {
-		cur, err = loadBenchReport(inPath)
-		if err != nil {
-			return fmt.Errorf("current report: %w", err)
-		}
-	} else {
-		cur, err = s.BenchReport()
-		if err != nil {
-			return err
-		}
-	}
-	violations := harness.CompareBenchReports(base, cur, opt)
-	if len(violations) == 0 {
-		fmt.Fprintf(w, "bench gate passed: %d workloads within %.0f%% (+%.1fpp) of baseline\n",
-			len(cur.Workloads), opt.RelOverheadPct*100, opt.AbsOverheadPct)
-		return nil
-	}
-	for _, v := range violations {
-		fmt.Fprintf(w, "bench gate violation: %s\n", v)
-	}
-	return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), basePath)
 }
 
 // runReplayVerify replays a recorded traffic log repeatedly against fresh
@@ -167,18 +92,6 @@ func runReplayVerify(w io.Writer, path string, rounds int) error {
 	}
 	fmt.Fprintln(w, "replay-verify: deterministic")
 	return nil
-}
-
-func loadBenchReport(path string) (harness.BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return harness.BenchReport{}, err
-	}
-	var rep harness.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return harness.BenchReport{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 func run(s *harness.Suite, out io.Writer, table int, figures, baselines, optim, ablations, stability, warmstart bool) error {

@@ -17,6 +17,19 @@ func TestOpMetadataComplete(t *testing.T) {
 	}
 }
 
+// TestStackKindsCoverEveryOpcode: the stack-effect table gives exact counts
+// for every opcode but the calls, whose arity lives in the method ref.
+func TestStackKindsCoverEveryOpcode(t *testing.T) {
+	for op := 0; op < NumOps; op++ {
+		if _, _, ok := StackKinds(Op(op)); ok == Op(op).IsCall() {
+			t.Errorf("%s: StackKinds ok = %v, want %v", Op(op), ok, !Op(op).IsCall())
+		}
+	}
+	if _, _, ok := StackKinds(Op(NumOps)); ok {
+		t.Error("StackKinds(NumOps) ok = true")
+	}
+}
+
 func TestOpByNameRoundTrip(t *testing.T) {
 	for op := 0; op < NumOps; op++ {
 		name := Op(op).String()

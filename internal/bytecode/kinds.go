@@ -50,11 +50,13 @@ func ElemValKind(elem int32) (ValKind, bool) {
 	return KAny, false
 }
 
-// stackKinds is the typed stack effect of every opcode whose effect is
-// static. Pops lists the popped kinds top-of-stack first; Pushes lists the
-// pushed kinds bottom first. Opcodes with operand-dependent effects (calls,
-// field access, the dup family) have ok == false and are interpreted
-// specially by the verifier.
+// stackKinds is the stack effect of every opcode: the package's one
+// per-op stack table. Pops lists the popped kinds top-of-stack first;
+// Pushes lists the pushed kinds bottom first. The counts are exact for
+// every opcode but the calls, whose arity comes from the method ref (ok ==
+// false). KAny marks a slot whose kind the opcode does not fix: a typed
+// verifier refines the dup family, swap and field access from the stack or
+// the field ref.
 var stackKinds = [NumOps]struct {
 	pops   []ValKind
 	pushes []ValKind
@@ -75,11 +77,10 @@ var stackKinds = [NumOps]struct {
 	IInc:   {nil, nil, true},
 
 	Pop: {[]ValKind{KAny}, nil, true},
-	// Dup, DupX1 and Swap replicate or permute whatever is on the stack;
-	// the verifier models them directly.
-	Dup:   {nil, nil, false},
-	DupX1: {nil, nil, false},
-	Swap:  {nil, nil, false},
+	// Dup, DupX1 and Swap replicate or permute whatever is on the stack.
+	Dup:   {[]ValKind{KAny}, []ValKind{KAny, KAny}, true},
+	DupX1: {[]ValKind{KAny, KAny}, []ValKind{KAny, KAny, KAny}, true},
+	Swap:  {[]ValKind{KAny, KAny}, []ValKind{KAny, KAny}, true},
 
 	IAdd:  {[]ValKind{KInt, KInt}, []ValKind{KInt}, true},
 	ISub:  {[]ValKind{KInt, KInt}, []ValKind{KInt}, true},
@@ -139,12 +140,11 @@ var stackKinds = [NumOps]struct {
 	AReturn:       {[]ValKind{KRef}, nil, true},
 
 	New: {nil, []ValKind{KRef}, true},
-	// Field access pushes or pops the referenced field's kind; the verifier
-	// resolves the reference.
-	GetField:   {nil, nil, false},
-	PutField:   {nil, nil, false},
-	GetStatic:  {nil, nil, false},
-	PutStatic:  {nil, nil, false},
+	// Field access pushes or pops the referenced field's kind.
+	GetField:   {[]ValKind{KRef}, []ValKind{KAny}, true},
+	PutField:   {[]ValKind{KAny, KRef}, nil, true},
+	GetStatic:  {nil, []ValKind{KAny}, true},
+	PutStatic:  {[]ValKind{KAny}, nil, true},
 	InstanceOf: {[]ValKind{KRef}, []ValKind{KInt}, true},
 	CheckCast:  {[]ValKind{KRef}, []ValKind{KRef}, true},
 
@@ -164,10 +164,9 @@ var stackKinds = [NumOps]struct {
 }
 
 // StackKinds returns the typed stack effect of an opcode: the kinds it pops
-// (top-of-stack first) and pushes (bottom first). ok is false for opcodes
-// whose effect depends on operands — the dup family, calls, and field access
-// — which a verifier must model specially. Out-of-range opcodes return
-// (nil, nil, false).
+// (top-of-stack first) and pushes (bottom first). ok is false only for the
+// three invokes, whose arity a verifier resolves through the method ref,
+// and for out-of-range opcodes, which return (nil, nil, false).
 func StackKinds(op Op) (pops, pushes []ValKind, ok bool) {
 	if int(op) >= NumOps {
 		return nil, nil, false

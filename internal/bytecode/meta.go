@@ -58,108 +58,104 @@ type Info struct {
 	Name    string
 	Operand OperandKind
 	Flow    Flow
-	// Pop and Push give the operand-stack effect. Pop == -1 means the
-	// effect is variable (calls, which pop their arguments).
-	Pop  int8
-	Push int8
 }
 
 var infos = [NumOps]Info{
-	Nop:        {"nop", KindNone, FlowNext, 0, 0},
-	IConst:     {"iconst", KindI32, FlowNext, 0, 1},
-	FConst:     {"fconst", KindF64, FlowNext, 0, 1},
-	SConst:     {"sconst", KindU16, FlowNext, 0, 1},
-	AConstNull: {"aconst_null", KindNone, FlowNext, 0, 1},
+	Nop:        {"nop", KindNone, FlowNext},
+	IConst:     {"iconst", KindI32, FlowNext},
+	FConst:     {"fconst", KindF64, FlowNext},
+	SConst:     {"sconst", KindU16, FlowNext},
+	AConstNull: {"aconst_null", KindNone, FlowNext},
 
-	ILoad:  {"iload", KindU16, FlowNext, 0, 1},
-	IStore: {"istore", KindU16, FlowNext, 1, 0},
-	FLoad:  {"fload", KindU16, FlowNext, 0, 1},
-	FStore: {"fstore", KindU16, FlowNext, 1, 0},
-	ALoad:  {"aload", KindU16, FlowNext, 0, 1},
-	AStore: {"astore", KindU16, FlowNext, 1, 0},
-	IInc:   {"iinc", KindIInc, FlowNext, 0, 0},
+	ILoad:  {"iload", KindU16, FlowNext},
+	IStore: {"istore", KindU16, FlowNext},
+	FLoad:  {"fload", KindU16, FlowNext},
+	FStore: {"fstore", KindU16, FlowNext},
+	ALoad:  {"aload", KindU16, FlowNext},
+	AStore: {"astore", KindU16, FlowNext},
+	IInc:   {"iinc", KindIInc, FlowNext},
 
-	Pop:   {"pop", KindNone, FlowNext, 1, 0},
-	Dup:   {"dup", KindNone, FlowNext, 1, 2},
-	DupX1: {"dup_x1", KindNone, FlowNext, 2, 3},
-	Swap:  {"swap", KindNone, FlowNext, 2, 2},
+	Pop:   {"pop", KindNone, FlowNext},
+	Dup:   {"dup", KindNone, FlowNext},
+	DupX1: {"dup_x1", KindNone, FlowNext},
+	Swap:  {"swap", KindNone, FlowNext},
 
-	IAdd:  {"iadd", KindNone, FlowNext, 2, 1},
-	ISub:  {"isub", KindNone, FlowNext, 2, 1},
-	IMul:  {"imul", KindNone, FlowNext, 2, 1},
-	IDiv:  {"idiv", KindNone, FlowNext, 2, 1},
-	IRem:  {"irem", KindNone, FlowNext, 2, 1},
-	INeg:  {"ineg", KindNone, FlowNext, 1, 1},
-	IShl:  {"ishl", KindNone, FlowNext, 2, 1},
-	IShr:  {"ishr", KindNone, FlowNext, 2, 1},
-	IUshr: {"iushr", KindNone, FlowNext, 2, 1},
-	IAnd:  {"iand", KindNone, FlowNext, 2, 1},
-	IOr:   {"ior", KindNone, FlowNext, 2, 1},
-	IXor:  {"ixor", KindNone, FlowNext, 2, 1},
+	IAdd:  {"iadd", KindNone, FlowNext},
+	ISub:  {"isub", KindNone, FlowNext},
+	IMul:  {"imul", KindNone, FlowNext},
+	IDiv:  {"idiv", KindNone, FlowNext},
+	IRem:  {"irem", KindNone, FlowNext},
+	INeg:  {"ineg", KindNone, FlowNext},
+	IShl:  {"ishl", KindNone, FlowNext},
+	IShr:  {"ishr", KindNone, FlowNext},
+	IUshr: {"iushr", KindNone, FlowNext},
+	IAnd:  {"iand", KindNone, FlowNext},
+	IOr:   {"ior", KindNone, FlowNext},
+	IXor:  {"ixor", KindNone, FlowNext},
 
-	FAdd: {"fadd", KindNone, FlowNext, 2, 1},
-	FSub: {"fsub", KindNone, FlowNext, 2, 1},
-	FMul: {"fmul", KindNone, FlowNext, 2, 1},
-	FDiv: {"fdiv", KindNone, FlowNext, 2, 1},
-	FRem: {"frem", KindNone, FlowNext, 2, 1},
-	FNeg: {"fneg", KindNone, FlowNext, 1, 1},
+	FAdd: {"fadd", KindNone, FlowNext},
+	FSub: {"fsub", KindNone, FlowNext},
+	FMul: {"fmul", KindNone, FlowNext},
+	FDiv: {"fdiv", KindNone, FlowNext},
+	FRem: {"frem", KindNone, FlowNext},
+	FNeg: {"fneg", KindNone, FlowNext},
 
-	I2F: {"i2f", KindNone, FlowNext, 1, 1},
-	F2I: {"f2i", KindNone, FlowNext, 1, 1},
+	I2F: {"i2f", KindNone, FlowNext},
+	F2I: {"f2i", KindNone, FlowNext},
 
-	FCmpL: {"fcmpl", KindNone, FlowNext, 2, 1},
-	FCmpG: {"fcmpg", KindNone, FlowNext, 2, 1},
+	FCmpL: {"fcmpl", KindNone, FlowNext},
+	FCmpG: {"fcmpg", KindNone, FlowNext},
 
-	Goto:      {"goto", KindBranch, FlowGoto, 0, 0},
-	IfEq:      {"ifeq", KindBranch, FlowCond, 1, 0},
-	IfNe:      {"ifne", KindBranch, FlowCond, 1, 0},
-	IfLt:      {"iflt", KindBranch, FlowCond, 1, 0},
-	IfGe:      {"ifge", KindBranch, FlowCond, 1, 0},
-	IfGt:      {"ifgt", KindBranch, FlowCond, 1, 0},
-	IfLe:      {"ifle", KindBranch, FlowCond, 1, 0},
-	IfICmpEq:  {"if_icmpeq", KindBranch, FlowCond, 2, 0},
-	IfICmpNe:  {"if_icmpne", KindBranch, FlowCond, 2, 0},
-	IfICmpLt:  {"if_icmplt", KindBranch, FlowCond, 2, 0},
-	IfICmpGe:  {"if_icmpge", KindBranch, FlowCond, 2, 0},
-	IfICmpGt:  {"if_icmpgt", KindBranch, FlowCond, 2, 0},
-	IfICmpLe:  {"if_icmple", KindBranch, FlowCond, 2, 0},
-	IfACmpEq:  {"if_acmpeq", KindBranch, FlowCond, 2, 0},
-	IfACmpNe:  {"if_acmpne", KindBranch, FlowCond, 2, 0},
-	IfNull:    {"ifnull", KindBranch, FlowCond, 1, 0},
-	IfNonNull: {"ifnonnull", KindBranch, FlowCond, 1, 0},
+	Goto:      {"goto", KindBranch, FlowGoto},
+	IfEq:      {"ifeq", KindBranch, FlowCond},
+	IfNe:      {"ifne", KindBranch, FlowCond},
+	IfLt:      {"iflt", KindBranch, FlowCond},
+	IfGe:      {"ifge", KindBranch, FlowCond},
+	IfGt:      {"ifgt", KindBranch, FlowCond},
+	IfLe:      {"ifle", KindBranch, FlowCond},
+	IfICmpEq:  {"if_icmpeq", KindBranch, FlowCond},
+	IfICmpNe:  {"if_icmpne", KindBranch, FlowCond},
+	IfICmpLt:  {"if_icmplt", KindBranch, FlowCond},
+	IfICmpGe:  {"if_icmpge", KindBranch, FlowCond},
+	IfICmpGt:  {"if_icmpgt", KindBranch, FlowCond},
+	IfICmpLe:  {"if_icmple", KindBranch, FlowCond},
+	IfACmpEq:  {"if_acmpeq", KindBranch, FlowCond},
+	IfACmpNe:  {"if_acmpne", KindBranch, FlowCond},
+	IfNull:    {"ifnull", KindBranch, FlowCond},
+	IfNonNull: {"ifnonnull", KindBranch, FlowCond},
 
-	TableSwitch:  {"tableswitch", KindTableSwitch, FlowSwitch, 1, 0},
-	LookupSwitch: {"lookupswitch", KindLookupSwitch, FlowSwitch, 1, 0},
+	TableSwitch:  {"tableswitch", KindTableSwitch, FlowSwitch},
+	LookupSwitch: {"lookupswitch", KindLookupSwitch, FlowSwitch},
 
-	InvokeStatic:  {"invokestatic", KindU16, FlowCall, -1, 0},
-	InvokeVirtual: {"invokevirtual", KindU16, FlowCall, -1, 0},
-	InvokeSpecial: {"invokespecial", KindU16, FlowCall, -1, 0},
-	ReturnVoid:    {"return", KindNone, FlowReturn, 0, 0},
-	IReturn:       {"ireturn", KindNone, FlowReturn, 1, 0},
-	FReturn:       {"freturn", KindNone, FlowReturn, 1, 0},
-	AReturn:       {"areturn", KindNone, FlowReturn, 1, 0},
+	InvokeStatic:  {"invokestatic", KindU16, FlowCall},
+	InvokeVirtual: {"invokevirtual", KindU16, FlowCall},
+	InvokeSpecial: {"invokespecial", KindU16, FlowCall},
+	ReturnVoid:    {"return", KindNone, FlowReturn},
+	IReturn:       {"ireturn", KindNone, FlowReturn},
+	FReturn:       {"freturn", KindNone, FlowReturn},
+	AReturn:       {"areturn", KindNone, FlowReturn},
 
-	New:        {"new", KindU16, FlowNext, 0, 1},
-	GetField:   {"getfield", KindU16, FlowNext, 1, 1},
-	PutField:   {"putfield", KindU16, FlowNext, 2, 0},
-	GetStatic:  {"getstatic", KindU16, FlowNext, 0, 1},
-	PutStatic:  {"putstatic", KindU16, FlowNext, 1, 0},
-	InstanceOf: {"instanceof", KindU16, FlowNext, 1, 1},
-	CheckCast:  {"checkcast", KindU16, FlowNext, 1, 1},
+	New:        {"new", KindU16, FlowNext},
+	GetField:   {"getfield", KindU16, FlowNext},
+	PutField:   {"putfield", KindU16, FlowNext},
+	GetStatic:  {"getstatic", KindU16, FlowNext},
+	PutStatic:  {"putstatic", KindU16, FlowNext},
+	InstanceOf: {"instanceof", KindU16, FlowNext},
+	CheckCast:  {"checkcast", KindU16, FlowNext},
 
-	NewArray:    {"newarray", KindElem, FlowNext, 1, 1},
-	ArrayLength: {"arraylength", KindNone, FlowNext, 1, 1},
-	IALoad:      {"iaload", KindNone, FlowNext, 2, 1},
-	IAStore:     {"iastore", KindNone, FlowNext, 3, 0},
-	FALoad:      {"faload", KindNone, FlowNext, 2, 1},
-	FAStore:     {"fastore", KindNone, FlowNext, 3, 0},
-	AALoad:      {"aaload", KindNone, FlowNext, 2, 1},
-	AAStore:     {"aastore", KindNone, FlowNext, 3, 0},
-	BALoad:      {"baload", KindNone, FlowNext, 2, 1},
-	BAStore:     {"bastore", KindNone, FlowNext, 3, 0},
+	NewArray:    {"newarray", KindElem, FlowNext},
+	ArrayLength: {"arraylength", KindNone, FlowNext},
+	IALoad:      {"iaload", KindNone, FlowNext},
+	IAStore:     {"iastore", KindNone, FlowNext},
+	FALoad:      {"faload", KindNone, FlowNext},
+	FAStore:     {"fastore", KindNone, FlowNext},
+	AALoad:      {"aaload", KindNone, FlowNext},
+	AAStore:     {"aastore", KindNone, FlowNext},
+	BALoad:      {"baload", KindNone, FlowNext},
+	BAStore:     {"bastore", KindNone, FlowNext},
 
-	Halt:  {"halt", KindNone, FlowHalt, 0, 0},
-	Throw: {"throw", KindNone, FlowThrow, 1, 0},
+	Halt:  {"halt", KindNone, FlowHalt},
+	Throw: {"throw", KindNone, FlowThrow},
 }
 
 // InfoOf returns the metadata for op. It returns a zero Info with an empty

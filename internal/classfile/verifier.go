@@ -142,14 +142,11 @@ func byPCIdx(byPC map[uint32]int, pc uint32) int {
 	return -1
 }
 
-// stackEffect returns the pop/push counts of an instruction, resolving the
-// variable effects of calls and returns from the reference tables.
+// stackEffect returns the pop/push counts of an instruction: the counts of
+// bytecode.StackKinds, with a call's resolved through its method ref.
 func (p *Program) stackEffect(m *Method, in bytecode.Instr) (pops, pushes int, err error) {
-	info := bytecode.InfoOf(in.Op)
-	switch in.Op {
-	case bytecode.InvokeStatic, bytecode.InvokeVirtual, bytecode.InvokeSpecial:
-		ref := p.MethodRefs[in.A]
-		callee := ref.Method
+	if in.Op.IsCall() {
+		callee := p.MethodRefs[in.A].Method
 		if callee == nil {
 			return 0, 0, fmt.Errorf("classfile: verify %s pc %d: unresolved method ref", m.QName(), in.PC)
 		}
@@ -158,13 +155,10 @@ func (p *Program) stackEffect(m *Method, in bytecode.Instr) (pops, pushes int, e
 			pushes = 1
 		}
 		return pops, pushes, nil
-	case bytecode.IReturn, bytecode.FReturn, bytecode.AReturn, bytecode.Throw:
-		return 1, 0, nil
-	case bytecode.ReturnVoid, bytecode.Halt:
-		return 0, 0, nil
 	}
-	if info.Pop < 0 {
+	popKinds, pushKinds, ok := bytecode.StackKinds(in.Op)
+	if !ok {
 		return 0, 0, fmt.Errorf("classfile: verify %s pc %d: %s has unmodeled stack effect", m.QName(), in.PC, in.Op)
 	}
-	return int(info.Pop), int(info.Push), nil
+	return len(popKinds), len(pushKinds), nil
 }

@@ -181,7 +181,10 @@ func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 		return SoundnessResult{}, err
 	}
 	res := SoundnessResult{Workload: name, Stats: c.facts.Stats()}
-	for _, conf := range []core.Config{{}, {CompileTraces: true, TierUpDispatches: BenchTierUpDispatches}} {
+	// A low promotion threshold compiles hot traces early in a step-bounded
+	// run, so the fused leg checks compiled execution rather than warm-up.
+	const tierUpDispatches = 4
+	for _, conf := range []core.Config{{}, {CompileTraces: true, TierUpDispatches: tierUpDispatches}} {
 		checker := NewFactChecker(c.facts)
 		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
 			Mode:     core.ModeTrace,
