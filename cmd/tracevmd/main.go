@@ -58,6 +58,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -152,8 +153,8 @@ func newMux(svc *serve.Service) *http.ServeMux {
 
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var wire api.RunRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&wire); err != nil {
-			writeJSON(w, http.StatusBadRequest, api.NewError("bad JSON: "+err.Error()))
+		if err := readRunRequest(w, r, &wire); err != nil {
+			writeJSON(w, http.StatusBadRequest, api.NewError(err.Error()))
 			return
 		}
 		req, err := wire.ToServe()
@@ -313,6 +314,41 @@ func newMux(svc *serve.Service) *http.ServeMux {
 	})
 
 	return mux
+}
+
+const (
+	// maxRunBody caps a POST /v1/run body; a larger one answers 400.
+	maxRunBody = 1 << 20
+	// maxPooledBody caps the buffers runBodies keeps, so one huge request
+	// does not pin its buffer for the daemon's lifetime.
+	maxPooledBody = 64 << 10
+)
+
+// runBodies recycles POST /v1/run body buffers across requests.
+var runBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readRunRequest reads the request body once into a pooled buffer and
+// decodes it in place. DecodeRunRequest copies every string it keeps, so
+// the buffer goes back to the pool as soon as the decode returns.
+func readRunRequest(w http.ResponseWriter, r *http.Request, wire *api.RunRequest) error {
+	buf := runBodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			runBodies.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxRunBody {
+		// MinRead more, so the read that sees EOF does not grow it again.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRunBody)); err != nil {
+		return fmt.Errorf("reading body: %w", err)
+	}
+	if err := api.DecodeRunRequest(buf.Bytes(), wire); err != nil {
+		return fmt.Errorf("bad JSON: %w", err)
+	}
+	return nil
 }
 
 // newDebugMux serves net/http/pprof explicitly (no DefaultServeMux

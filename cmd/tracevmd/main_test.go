@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -75,18 +76,37 @@ func TestRunEndpointInlineSource(t *testing.T) {
 }
 
 func TestRunEndpointErrors(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{Workers: 1})
+	// The injector records the threshold each run was submitted with.
+	var threshold atomic.Uint64
+	srv, _ := newTestServer(t, serve.Config{Workers: 1, Injector: serve.InjectorFuncs{
+		Exec: func(req serve.Request) { threshold.Store(math.Float64bits(req.Threshold)) },
+	}})
 
+	const tiny = `"class Main { static void main() { Sys.printlnInt(42); } }"`
+	// A body one byte over the 1 MiB cap.
+	oversized := `{"source":"` + strings.Repeat(" ", 1<<20+1-len(`{"source":""}`)) + `"}`
 	cases := []struct {
 		name, body string
 		status     int
+		// For 200s: the mode the response reports and the threshold the run
+		// received, both as json.Unmarshal decodes the body.
+		mode      string
+		threshold float64
 	}{
-		{"bad json", `{`, http.StatusBadRequest},
-		{"bad mode", `{"workload":"soot","mode":"warp"}`, http.StatusBadRequest},
-		{"bad kind", `{"source":"x","kind":"cobol"}`, http.StatusBadRequest},
-		{"no program", `{}`, http.StatusUnprocessableEntity},
-		{"compile error", `{"source":"class {"}`, http.StatusUnprocessableEntity},
-		{"run trap", `{"source":"class Main { static void main() { Sys.printlnInt(1/0); } }"}`, http.StatusUnprocessableEntity},
+		{name: "bad json", body: `{`, status: http.StatusBadRequest},
+		{name: "bad mode", body: `{"workload":"soot","mode":"warp"}`, status: http.StatusBadRequest},
+		{name: "bad kind", body: `{"source":"x","kind":"cobol"}`, status: http.StatusBadRequest},
+		{name: "no program", body: `{}`, status: http.StatusUnprocessableEntity},
+		{name: "compile error", body: `{"source":"class {"}`, status: http.StatusUnprocessableEntity},
+		{name: "run trap", body: `{"source":"class Main { static void main() { Sys.printlnInt(1/0); } }"}`, status: http.StatusUnprocessableEntity},
+		// Only whitespace may follow the request object.
+		{name: "trailing data", body: `{"workload":"soot"} x`, status: http.StatusBadRequest},
+		{name: "body over 1 MiB", body: oversized, status: http.StatusBadRequest},
+		{name: "after oversized", body: `{"source":` + tiny + `,"mode":"plain"}`, status: http.StatusOK, mode: "plain"},
+		// Shapes only encoding/json handles: a case-folded key, an unknown
+		// key with a nested value.
+		{name: "json.Unmarshal shape", body: `{"source":` + tiny + `,"Mode":"plain","extra":[1,{"a":null}],"threshold":0.9}`,
+			status: http.StatusOK, mode: "plain", threshold: 0.9},
 	}
 	for _, c := range cases {
 		resp, m := postRun(t, srv.URL, c.body)
@@ -97,6 +117,13 @@ func TestRunEndpointErrors(t *testing.T) {
 			if s, _ := m["error"].(string); s == "" {
 				t.Errorf("%s: no error message", c.name)
 			}
+			continue
+		}
+		if m["mode"] != c.mode || m["output"] != "42\n" {
+			t.Errorf("%s: mode %v output %q, want %s and 42", c.name, m["mode"], m["output"], c.mode)
+		}
+		if got := math.Float64frombits(threshold.Load()); got != c.threshold {
+			t.Errorf("%s: run threshold %v, want %v", c.name, got, c.threshold)
 		}
 	}
 }

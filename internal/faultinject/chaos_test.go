@@ -275,39 +275,3 @@ func TestDelayedDispatchHitsDeadline(t *testing.T) {
 		t.Errorf("timedOut = %d, want 1", snap.TimedOut)
 	}
 }
-
-// TestLoadGenBackoffAbsorbsOverload overloads a deliberately tiny service;
-// with the backoff helper engaged every offered request must complete,
-// rejections turning into retries.
-func TestLoadGenBackoffAbsorbsOverload(t *testing.T) {
-	s := newService(t, serve.Config{Workers: 2, QueueDepth: 2})
-	l := &replay.Log{}
-	for i := 0; i < 12; i++ {
-		l.Records = append(l.Records, replay.Record{
-			Kind: replay.RefWorkload, Workload: "soot", Mode: core.ModePlain,
-			Seed: uint64(i), // spreads the clients' jitter streams
-		})
-	}
-	var retries atomic.Int64
-	res, err := replay.Play(context.Background(), l, replay.PlayOptions{MaxInFlight: 8},
-		func(ctx context.Context, rec replay.Record) error {
-			// The retry budget must dominate the drain time of the backlog
-			// even on slow machines (the race detector makes runs ~10×
-			// slower), so it is deliberately over-provisioned: ~20s of
-			// cumulative backoff against a few seconds of actual work.
-			b := serve.Backoff{Attempts: 90, Base: 5 * time.Millisecond, Max: 250 * time.Millisecond, Seed: 3 + rec.Seed}
-			_, r, err := b.Retry(ctx, s.Do, serve.RequestFromRecord(rec))
-			retries.Add(int64(r))
-			return err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failures despite backoff: %+v", res)
-	}
-	if res.Completed != 12 {
-		t.Fatalf("completed = %d, want 12", res.Completed)
-	}
-	t.Logf("absorbed %d rejections as retries", retries.Load())
-}

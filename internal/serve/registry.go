@@ -108,12 +108,27 @@ func NewRegistry() *Registry {
 	return r
 }
 
+// hashBufs recycles hashKey's input buffers. sha256's digest has no
+// WriteString, so hashing a string through it would copy the source onto
+// the heap on every request.
+var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledHashBuf bounds the buffers hashBufs keeps; a rare huge source
+// leaves its buffer to the GC.
+const maxPooledHashBuf = 64 << 10
+
+// hashKey is the registry key of body in domain: the hex of the first 16
+// bytes of sha256(domain || 0 || body). Snapshot file names are these keys,
+// so the format must never change.
 func hashKey(domain string, body string) string {
-	h := sha256.New()
-	h.Write([]byte(domain))
-	h.Write([]byte{0})
-	h.Write([]byte(body))
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	bp := hashBufs.Get().(*[]byte)
+	buf := append(append(append((*bp)[:0], domain...), 0), body...)
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxPooledHashBuf {
+		*bp = buf
+		hashBufs.Put(bp)
+	}
+	return hex.EncodeToString(sum[:16])
 }
 
 func (r *Registry) shard(key string) *regShard {

@@ -10,6 +10,11 @@ import (
 // replay.Recorder at submission, and a recorded log replays through the
 // same Do path that live traffic takes.
 
+// Runner executes one request. Service.Do is a Runner; cmd/tracevmd wraps
+// an HTTP client into one, so log replay drives an embedded service and a
+// remote daemon alike.
+type Runner func(ctx context.Context, req Request) (*Response, error)
+
 // RecordFromRequest converts a submitted request into its log record. key is
 // the resolved registry content key (recorded for correlation; replay
 // re-resolves from the program reference).

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +73,31 @@ func TestRegistryCompilesOnce(t *testing.T) {
 	}
 	if ps := snap.PerProgram["soot"]; ps.Runs != n {
 		t.Errorf("soot runs = %d, want %d", ps.Runs, n)
+	}
+}
+
+// TestRegistryKeyFormat pins the content-hash keys byte for byte. Snapshot
+// file names and warm starts are keyed by them, so a changed hash would
+// silently orphan every snapshot on disk.
+func TestRegistryKeyFormat(t *testing.T) {
+	r := NewRegistry()
+	src, err := r.Source(KindMiniJava, tinySource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := r.Workload("soot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		// sha256("minijava\x00" + source)[:16] and sha256("workload\x00soot")[:16].
+		{src.Key, "96e7d67f8131883b385acd1f0d6c2092"},
+		{src.Name, "minijava:96e7d67f"},
+		{wl.Key, "a909e821bf14719554d5e47facd7d416"},
+	} {
+		if c.got != c.want {
+			t.Errorf("key = %q, want %q", c.got, c.want)
+		}
 	}
 }
 
@@ -272,37 +296,6 @@ func TestQuarantineDisabled(t *testing.T) {
 	}
 	if snap := s.Stats(); snap.QuarantinedPrograms != 0 {
 		t.Errorf("quarantinedPrograms = %d, want 0", snap.QuarantinedPrograms)
-	}
-}
-
-func TestLoadGenRetriesBackpressure(t *testing.T) {
-	// A runner that rejects the first few calls forces the backoff path;
-	// with retries enabled none of the requests may fail.
-	var calls atomic.Int64
-	s := newTestService(t, Config{Workers: 2})
-	run := Runner(func(ctx context.Context, req Request) (*Response, error) {
-		if calls.Add(1) <= 3 {
-			return nil, ErrQueueFull
-		}
-		return s.Do(ctx, req)
-	})
-	var retries atomic.Int64
-	res, err := replay.Play(context.Background(), workloadLog(6, core.ModePlain, "soot"),
-		replay.PlayOptions{MaxInFlight: 2},
-		func(ctx context.Context, rec replay.Record) error {
-			b := Backoff{Base: time.Microsecond, Max: 10 * time.Microsecond, Seed: 1}
-			_, r, err := b.Retry(ctx, run, RequestFromRecord(rec))
-			retries.Add(int64(r))
-			return err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failures despite retry: %+v", res)
-	}
-	if retries.Load() == 0 {
-		t.Error("no retries recorded")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //
 // A program's learned state lives in its shard sets (epoch.go); the store
 // holds none of it. The durable path follows the coalescing-commit
-// discipline (ROADMAP item 3): runs accumulate a per-program learning delta,
+// discipline: runs accumulate a per-program learning delta,
 // and the background writer commits a program's snapshot when the
 // accumulated delta crosses the net threshold or the interval elapses, never
 // per run — keeping disk I/O off the request path and amortizing bursts into

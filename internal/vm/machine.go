@@ -95,6 +95,10 @@ type Machine struct {
 	block   *cfg.Block // block or trace segment last entered, for recoverTrap
 	steps   int64
 	decoded map[*classfile.Method]*decodedMethod // per-instruction engine cache
+
+	// ownNatives is set once RegisterNative has copied natives away from
+	// the shared builtinNatives.
+	ownNatives bool
 }
 
 type frame struct {
@@ -146,7 +150,7 @@ func New(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts Options) (*Machine,
 		maxFrames:        opts.MaxFrames,
 		interrupt:        opts.Interrupt,
 		probe:            opts.Probe,
-		natives:          builtinNatives(),
+		natives:          builtinNatives,
 	}
 	if is, ok := opts.Traces.(trace.IndexedSource); ok {
 		m.traceIx = is.Index()

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"maps"
 	"math"
 )
 
@@ -11,101 +12,105 @@ import (
 type NativeFunc func(m *Machine, args []Value) (Value, error)
 
 // RegisterNative binds a name usable in Method.Native. Registering after
-// machine construction affects subsequent calls.
+// machine construction affects subsequent calls. The first call gives the
+// machine its own copy of the table, so the shared builtinNatives is never
+// written.
 func (m *Machine) RegisterNative(name string, fn NativeFunc) {
+	if !m.ownNatives {
+		m.natives = maps.Clone(m.natives)
+		m.ownNatives = true
+	}
 	m.natives[name] = fn
 }
 
 // builtinNatives is the standard library available to every program: console
 // output, string/byte-array bridging, and the math routines that are native
-// in a real JVM (java.lang.Math).
-func builtinNatives() map[string]NativeFunc {
-	return map[string]NativeFunc{
-		// Console output.
-		"print_int": func(m *Machine, args []Value) (Value, error) {
-			fmt.Fprintf(m.out, "%d", args[0].Int())
-			return Value{}, nil
-		},
-		"println_int": func(m *Machine, args []Value) (Value, error) {
-			fmt.Fprintf(m.out, "%d\n", args[0].Int())
-			return Value{}, nil
-		},
-		"print_float": func(m *Machine, args []Value) (Value, error) {
-			fmt.Fprintf(m.out, "%g", args[0].Float())
-			return Value{}, nil
-		},
-		"println_float": func(m *Machine, args []Value) (Value, error) {
-			fmt.Fprintf(m.out, "%g\n", args[0].Float())
-			return Value{}, nil
-		},
-		"print_str": func(m *Machine, args []Value) (Value, error) {
-			s, err := wantString(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			fmt.Fprint(m.out, s)
-			return Value{}, nil
-		},
-		"println_str": func(m *Machine, args []Value) (Value, error) {
-			s, err := wantString(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			fmt.Fprintln(m.out, s)
-			return Value{}, nil
-		},
-		"println": func(m *Machine, args []Value) (Value, error) {
-			fmt.Fprintln(m.out)
-			return Value{}, nil
-		},
+// in a real JVM (java.lang.Math). Every machine starts out sharing it.
+var builtinNatives = map[string]NativeFunc{
+	// Console output.
+	"print_int": func(m *Machine, args []Value) (Value, error) {
+		fmt.Fprintf(m.out, "%d", args[0].Int())
+		return Value{}, nil
+	},
+	"println_int": func(m *Machine, args []Value) (Value, error) {
+		fmt.Fprintf(m.out, "%d\n", args[0].Int())
+		return Value{}, nil
+	},
+	"print_float": func(m *Machine, args []Value) (Value, error) {
+		fmt.Fprintf(m.out, "%g", args[0].Float())
+		return Value{}, nil
+	},
+	"println_float": func(m *Machine, args []Value) (Value, error) {
+		fmt.Fprintf(m.out, "%g\n", args[0].Float())
+		return Value{}, nil
+	},
+	"print_str": func(m *Machine, args []Value) (Value, error) {
+		s, err := wantString(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		fmt.Fprint(m.out, s)
+		return Value{}, nil
+	},
+	"println_str": func(m *Machine, args []Value) (Value, error) {
+		s, err := wantString(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		fmt.Fprintln(m.out, s)
+		return Value{}, nil
+	},
+	"println": func(m *Machine, args []Value) (Value, error) {
+		fmt.Fprintln(m.out)
+		return Value{}, nil
+	},
 
-		// String/byte-array bridging.
-		"str_len": func(m *Machine, args []Value) (Value, error) {
-			s, err := wantString(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			return IntVal(int64(len(s))), nil
-		},
-		"str_at": func(m *Machine, args []Value) (Value, error) {
-			s, err := wantString(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			i := args[1].Int()
-			if i < 0 || i >= int64(len(s)) {
-				return Value{}, &Trap{Kind: TrapIndexOOB, Detail: fmt.Sprintf("str_at(%d) on string of length %d", i, len(s))}
-			}
-			return IntVal(int64(s[i])), nil
-		},
-		"str_bytes": func(m *Machine, args []Value) (Value, error) {
-			s, err := wantString(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			o := NewByteArray(len(s))
-			copy(o.Bytes, s)
-			return RefVal(o), nil
-		},
-		"bytes_str": func(m *Machine, args []Value) (Value, error) {
-			b, err := wantBytes(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			return RefVal(NewString(string(b))), nil
-		},
+	// String/byte-array bridging.
+	"str_len": func(m *Machine, args []Value) (Value, error) {
+		s, err := wantString(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		return IntVal(int64(len(s))), nil
+	},
+	"str_at": func(m *Machine, args []Value) (Value, error) {
+		s, err := wantString(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		i := args[1].Int()
+		if i < 0 || i >= int64(len(s)) {
+			return Value{}, &Trap{Kind: TrapIndexOOB, Detail: fmt.Sprintf("str_at(%d) on string of length %d", i, len(s))}
+		}
+		return IntVal(int64(s[i])), nil
+	},
+	"str_bytes": func(m *Machine, args []Value) (Value, error) {
+		s, err := wantString(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		o := NewByteArray(len(s))
+		copy(o.Bytes, s)
+		return RefVal(o), nil
+	},
+	"bytes_str": func(m *Machine, args []Value) (Value, error) {
+		b, err := wantBytes(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		return RefVal(NewString(string(b))), nil
+	},
 
-		// Math (native in a real JVM too).
-		"math_sqrt":  mathUnary(math.Sqrt),
-		"math_sin":   mathUnary(math.Sin),
-		"math_cos":   mathUnary(math.Cos),
-		"math_log":   mathUnary(math.Log),
-		"math_exp":   mathUnary(math.Exp),
-		"math_floor": mathUnary(math.Floor),
-		"math_pow": func(m *Machine, args []Value) (Value, error) {
-			return FloatVal(math.Pow(args[0].Float(), args[1].Float())), nil
-		},
-	}
+	// Math (native in a real JVM too).
+	"math_sqrt":  mathUnary(math.Sqrt),
+	"math_sin":   mathUnary(math.Sin),
+	"math_cos":   mathUnary(math.Cos),
+	"math_log":   mathUnary(math.Log),
+	"math_exp":   mathUnary(math.Exp),
+	"math_floor": mathUnary(math.Floor),
+	"math_pow": func(m *Machine, args []Value) (Value, error) {
+		return FloatVal(math.Pow(args[0].Float(), args[1].Float())), nil
+	},
 }
 
 func mathUnary(f func(float64) float64) NativeFunc {

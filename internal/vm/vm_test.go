@@ -425,6 +425,43 @@ func TestRegisterNativeOverride(t *testing.T) {
 	}
 }
 
+// TestRegisterNativeStaysOnItsMachine: machines share the built-in natives
+// table, so a registration on one must not reach another.
+func TestRegisterNativeStaysOnItsMachine(t *testing.T) {
+	const src = `
+.class Main
+.native static magic ( ) int custom_magic
+.method static main ( ) void
+    invokestatic Main.magic pop
+    return
+.end
+.end
+.entry Main main
+`
+	prog, err := jasm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg, err := cfg.BuildProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(prog, pcfg, vm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RegisterNative("custom_magic", func(_ *vm.Machine, _ []vm.Value) (vm.Value, error) {
+		return vm.IntVal(1), nil
+	})
+	if err := m.Run(); err != nil {
+		t.Fatalf("registering machine: %v", err)
+	}
+	_, _, err = run(t, src, vm.Options{})
+	if tr, ok := vm.AsTrap(err); !ok || tr.Kind != vm.TrapNoNative {
+		t.Fatalf("another machine: err %v, want a %v trap", err, vm.TrapNoNative)
+	}
+}
+
 func TestDispatchCountsMatchModel(t *testing.T) {
 	// A straight-line main with one call: count blocks precisely.
 	src := prelude + `

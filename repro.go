@@ -423,10 +423,6 @@ type ServiceConfig = serve.Config
 // BreakerConfig tunes the per-program churn circuit breaker.
 type BreakerConfig = serve.BreakerConfig
 
-// Backoff retries service submissions on backpressure with jittered
-// exponential delays.
-type Backoff = serve.Backoff
-
 // ServiceRequest is one execution order submitted to a Service.
 type ServiceRequest = serve.Request
 
