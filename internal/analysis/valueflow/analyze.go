@@ -48,6 +48,50 @@ type iproc struct {
 	queue    []int
 	inQ      []bool
 	vtargets map[int][]*classfile.Method
+	// codes caches each method's decoded instructions for the whole
+	// Compute; ma is the one method analysis every worklist visit and
+	// capture reuses, so its scratch and arena memory is allocated once.
+	codes []*mcode
+	ma    manalysis
+}
+
+// mcode is one method's code decoded once per Compute: its instructions and
+// a dense pc → instruction map (index+1; 0 marks a pc that starts no
+// instruction).
+type mcode struct {
+	ins []bytecode.Instr
+	at  []int32
+}
+
+func (c *mcode) index(pc uint32) (int, bool) {
+	if int(pc) >= len(c.at) || c.at[pc] == 0 {
+		return 0, false
+	}
+	return int(c.at[pc]) - 1, true
+}
+
+// code returns a method's decoded code, or nil when it is undecodable or
+// empty.
+func (ip *iproc) code(id int) *mcode {
+	c := ip.codes[id]
+	if c == nil {
+		c = &mcode{}
+		code := ip.prog.Methods[id].Code
+		if ins, err := bytecode.Decode(code); err == nil {
+			c.ins = ins
+			c.at = make([]int32, len(code))
+			for i := range ins {
+				if int(ins[i].PC) < len(code) {
+					c.at[ins[i].PC] = int32(i) + 1
+				}
+			}
+		}
+		ip.codes[id] = c
+	}
+	if len(c.ins) == 0 {
+		return nil
+	}
+	return c
 }
 
 // Compute analyzes a linked program and returns its fact table. Any input
@@ -72,6 +116,7 @@ func Compute(p *cfg.ProgramCFG) (f *Facts) {
 		sums:     make([]*msum, len(p.Program.Methods)),
 		inQ:      make([]bool, len(p.Program.Methods)),
 		vtargets: make(map[int][]*classfile.Method),
+		codes:    make([]*mcode, len(p.Program.Methods)),
 	}
 	for i := range ip.sums {
 		ip.sums[i] = &msum{}
@@ -122,7 +167,7 @@ func (ip *iproc) run() bool {
 		if m.Native != "" || m.Abstract || len(m.Code) == 0 || ip.sums[id].degraded {
 			continue
 		}
-		ma := newMethodAnalysis(ip, m, false, nil)
+		ma := ip.methodAnalysis(m, false, nil)
 		if ma == nil {
 			// Undecodable or CFG-less code in a linked program is structural
 			// damage; no per-method recovery is sound.
@@ -157,12 +202,12 @@ func (ip *iproc) degradeMethod(id int) {
 			ip.enqueue(c)
 		}
 	}
-	m := ip.prog.Methods[id]
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil {
+	c := ip.code(id)
+	if c == nil {
 		return // already conservative: no claims, unknown return
 	}
-	for _, in := range ins {
+	for i := range c.ins {
+		in := &c.ins[i]
 		if bytecode.InfoOf(in.Op).Flow != bytecode.FlowCall {
 			continue
 		}
@@ -229,7 +274,7 @@ func (ip *iproc) capture() *Facts {
 			}
 			continue
 		}
-		ma := newMethodAnalysis(ip, ip.prog.Methods[id], true, f)
+		ma := ip.methodAnalysis(ip.prog.Methods[id], true, f)
 		if ma == nil || !ma.run() {
 			return topFactsFor(ip.p)
 		}
@@ -244,9 +289,13 @@ func (ip *iproc) capture() *Facts {
 // (the receiver's static type is unknown). ok is false when a same-slot
 // method disagrees on signature — dispatch there would desynchronize the
 // caller's stack, so the whole analysis degrades.
-func (ip *iproc) calleesOf(ref *classfile.MethodRef) ([]*classfile.Method, bool) {
+//
+// The single static/special target is returned in one, the caller's
+// scratch, so the common call costs no allocation.
+func (ip *iproc) calleesOf(ref *classfile.MethodRef, one *[1]*classfile.Method) ([]*classfile.Method, bool) {
 	if ref.Kind != classfile.RefVirtual {
-		return []*classfile.Method{ref.Method}, true
+		one[0] = ref.Method
+		return one[:], true
 	}
 	if ts, ok := ip.vtargets[ref.VSlot]; ok {
 		return ts, ts != nil
@@ -300,13 +349,20 @@ func (ip *iproc) flowArgs(sum *msum, args []absVal) bool {
 
 // manalysis is the instruction-granularity fixpoint over one method,
 // mirroring the verifier's worklist skeleton with the richer lattice.
+//
+// Memory: step works on the scratch state cur (and stepCond's taken edge on
+// alt), whose backing arrays are reused from step to step. A state is only
+// stored by flowTo's first sighting of an instruction, which copies it into
+// the pointer-free vals/lvals arenas, so the GC never scans the stored
+// states. The struct lives on iproc and is reset per method visit; the
+// arenas are recycled at each reset.
 type manalysis struct {
 	ip      *iproc
 	ev      evaluator
 	m       *classfile.Method
 	mc      *cfg.MethodCFG
 	ins     []bytecode.Instr
-	idxOf   map[uint32]int
+	code    *mcode
 	states  []absState
 	seen    []bool
 	visits  []uint32
@@ -314,34 +370,47 @@ type manalysis struct {
 	work    []int
 	capture bool
 	facts   *Facts
+
+	cur, alt absState
+	exc      [1]absVal // a handler entry's stack: the thrown reference
+	args     []absVal
+	vals     arena[absVal]
+	lvals    arena[lval]
 }
 
-func newMethodAnalysis(ip *iproc, m *classfile.Method, capture bool, facts *Facts) *manalysis {
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil || len(ins) == 0 {
+// methodAnalysis resets ip's method analysis for m, or returns nil when m
+// has no decodable code or no CFG.
+func (ip *iproc) methodAnalysis(m *classfile.Method, capture bool, facts *Facts) *manalysis {
+	c := ip.code(m.ID)
+	mc := ip.p.Methods[m.ID]
+	if c == nil || mc == nil {
 		return nil
 	}
-	ma := &manalysis{
-		ip:      ip,
-		ev:      evaluator{prog: ip.prog},
-		m:       m,
-		mc:      ip.p.Methods[m.ID],
-		ins:     ins,
-		idxOf:   make(map[uint32]int, len(ins)),
-		states:  make([]absState, len(ins)),
-		seen:    make([]bool, len(ins)),
-		visits:  make([]uint32, len(ins)),
-		queued:  make([]bool, len(ins)),
-		capture: capture,
-		facts:   facts,
-	}
-	if ma.mc == nil {
-		return nil
-	}
-	for i, in := range ins {
-		ma.idxOf[in.PC] = i
-	}
+	n := len(c.ins)
+	ma := &ip.ma
+	ma.ip = ip
+	ma.ev = evaluator{prog: ip.prog}
+	ma.m, ma.mc, ma.code, ma.ins = m, mc, c, c.ins
+	ma.capture, ma.facts = capture, facts
+	ma.states = resize(ma.states, n)
+	ma.seen = resize(ma.seen, n)
+	ma.visits = resize(ma.visits, n)
+	ma.queued = resize(ma.queued, n)
+	ma.work = ma.work[:0]
+	ma.vals.reset()
+	ma.lvals.reset()
 	return ma
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (ma *manalysis) run() bool {
@@ -350,7 +419,9 @@ func (ma *manalysis) run() bool {
 	if ma.m.MaxLocals < na || len(sum.args) != na || ma.m.MaxLocals > 1<<16 {
 		return false
 	}
-	entry := absState{locals: make([]lval, ma.m.MaxLocals)}
+	entry := &ma.cur
+	entry.stack = entry.stack[:0]
+	entry.locals = resize(entry.locals, ma.m.MaxLocals)
 	for i := 0; i < na; i++ {
 		entry.locals[i] = lval{v: sum.args[i], init: true}
 	}
@@ -380,14 +451,18 @@ func (ma *manalysis) enqueueInstr(j int) {
 // flowTo merges a state into an instruction's entry, queueing it when the
 // merge changed anything. Integer bounds still moving after widenAfter
 // revisits are widened to ±∞, bounding the fixpoint.
-func (ma *manalysis) flowTo(j int, st absState) {
+//
+// flowTo never mutates st or anything st's slices point at: it copies st
+// into the arenas on first sight and only reads it when merging. Callers
+// rely on that to pass scratch states and aliased locals.
+func (ma *manalysis) flowTo(j int, st *absState) {
 	if j < 0 || j >= len(ma.ins) {
 		ma.ev.fail()
 		return
 	}
 	if !ma.seen[j] {
 		ma.seen[j] = true
-		ma.states[j] = st.clone()
+		ma.states[j] = absState{stack: ma.vals.copyOf(st.stack), locals: ma.lvals.copyOf(st.locals)}
 		ma.enqueueInstr(j)
 		return
 	}
@@ -418,8 +493,8 @@ func (ma *manalysis) flowTo(j int, st absState) {
 	}
 }
 
-func (ma *manalysis) branchTo(pc uint32, st absState) {
-	j, ok := ma.idxOf[pc]
+func (ma *manalysis) branchTo(pc uint32, st *absState) {
+	j, ok := ma.code.index(pc)
 	if !ok {
 		ma.ev.fail()
 		return
@@ -429,7 +504,8 @@ func (ma *manalysis) branchTo(pc uint32, st absState) {
 
 func (ma *manalysis) step(idx int) {
 	in := ma.ins[idx]
-	st := ma.states[idx].clone()
+	st := &ma.cur
+	st.copyFrom(&ma.states[idx])
 	// Exception edges: only Throw transfers to a handler (traps abort the
 	// run), but the throw may be arbitrarily deep in callees, so every
 	// covered instruction — not just Throw — flows its entry locals to
@@ -440,20 +516,17 @@ func (ma *manalysis) step(idx int) {
 		if !h.Covers(in.PC) {
 			continue
 		}
-		hj, ok := ma.idxOf[h.HandlerPC]
+		hj, ok := ma.code.index(h.HandlerPC)
 		if !ok {
 			ma.ev.fail()
 			return
 		}
-		hst := absState{
-			stack:  []absVal{nonNullRef()},
-			locals: append([]lval(nil), st.locals...),
-		}
-		ma.flowTo(hj, hst)
+		ma.exc[0] = nonNullRef()
+		ma.flowTo(hj, &absState{stack: ma.exc[:], locals: st.locals})
 	}
 	switch bytecode.InfoOf(in.Op).Flow {
 	case bytecode.FlowNext:
-		ma.ev.exec(&st, in)
+		ma.ev.exec(st, in)
 		if !ma.ev.bail {
 			ma.flowTo(idx+1, st)
 		}
@@ -468,7 +541,7 @@ func (ma *manalysis) step(idx int) {
 	case bytecode.FlowReturn:
 		ma.stepReturn(in, st)
 	case bytecode.FlowThrow:
-		ma.ev.pop(&st) // handler edges already flowed above
+		ma.ev.pop(st) // handler edges already flowed above
 	case bytecode.FlowHalt:
 		// Terminates the machine; no successors.
 	default:
@@ -479,13 +552,13 @@ func (ma *manalysis) step(idx int) {
 // stepCond follows only the decided edge when the outcome is known
 // (sparse conditional propagation), and otherwise conditions each edge's
 // state on its branch direction, skipping edges proven infeasible.
-func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st absState) {
+func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st *absState) {
 	var a, b absVal
 	if bytecode.CondArity(in.Op) == 2 {
-		b = ma.ev.pop(&st)
-		a = ma.ev.pop(&st)
+		b = ma.ev.pop(st)
+		a = ma.ev.pop(st)
 	} else {
-		a = ma.ev.pop(&st)
+		a = ma.ev.pop(st)
 	}
 	if ma.ev.bail {
 		return
@@ -498,17 +571,18 @@ func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st absState) {
 		}
 		return
 	}
-	tst := st.clone()
-	if refineBranch(&tst, in.Op, a, b, true) {
+	tst := &ma.alt
+	tst.copyFrom(st)
+	if refineBranch(tst, in.Op, a, b, true) {
 		ma.branchTo(uint32(in.A), tst)
 	}
-	if refineBranch(&st, in.Op, a, b, false) {
+	if refineBranch(st, in.Op, a, b, false) {
 		ma.flowTo(idx+1, st)
 	}
 }
 
-func (ma *manalysis) stepSwitch(in bytecode.Instr, st absState) {
-	key := ma.ev.pop(&st)
+func (ma *manalysis) stepSwitch(in bytecode.Instr, st *absState) {
+	key := ma.ev.pop(st)
 	if ma.ev.bail {
 		return
 	}
@@ -547,7 +621,7 @@ func switchTargetPC(in bytecode.Instr, key int64) uint32 {
 	return in.Dflt
 }
 
-func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
+func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
 	if in.A < 0 || int(in.A) >= len(ma.ip.prog.MethodRefs) {
 		ma.ev.fail()
 		return
@@ -558,9 +632,10 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 		return
 	}
 	na := ref.Method.NArgs()
-	args := make([]absVal, na)
+	args := resize(ma.args, na)
+	ma.args = args
 	for i := na - 1; i >= 0; i-- {
-		args[i] = ma.ev.pop(&st)
+		args[i] = ma.ev.pop(st)
 	}
 	if ma.ev.bail {
 		return
@@ -571,7 +646,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 			return // always traps on the null receiver; no successors
 		}
 		// Continuing past the call implies the receiver was non-null.
-		ma.ev.provenNonNull(&st, args[0])
+		ma.ev.provenNonNull(st, args[0])
 	}
 	for i := range args {
 		args[i].src = noSrc
@@ -579,7 +654,8 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 	if instance && len(args) > 0 && args[0].kind == bytecode.KRef {
 		args[0].nl = nlNonNull // the callee's receiver cannot be null
 	}
-	targets, ok := ma.ip.calleesOf(ref)
+	var one [1]*classfile.Method
+	targets, ok := ma.ip.calleesOf(ref, &one)
 	if !ok {
 		ma.ev.fail()
 		return
@@ -626,7 +702,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 		if !retSet {
 			retv = typeVal(ref.Method.Ret)
 		}
-		ma.ev.push(&st, retv)
+		ma.ev.push(st, retv)
 		if ma.ev.bail {
 			return
 		}
@@ -634,11 +710,11 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 	ma.flowTo(idx+1, st)
 }
 
-func (ma *manalysis) stepReturn(in bytecode.Instr, st absState) {
+func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {
 	var v absVal
 	hasVal := in.Op != bytecode.ReturnVoid
 	if hasVal {
-		v = ma.ev.pop(&st)
+		v = ma.ev.pop(st)
 		if ma.ev.bail {
 			return
 		}
@@ -674,7 +750,7 @@ func (ma *manalysis) stepReturn(in bytecode.Instr, st absState) {
 // facts and decided terminators.
 func (ma *manalysis) captureFacts() {
 	for _, b := range ma.mc.Blocks {
-		sidx, ok := ma.idxOf[b.StartPC()]
+		sidx, ok := ma.code.index(b.StartPC())
 		if !ok || int(b.ID) >= len(ma.facts.blocks) {
 			continue
 		}
@@ -714,7 +790,7 @@ func (ma *manalysis) captureFacts() {
 
 func (ma *manalysis) captureDecided(b *cfg.Block, bf *BlockFacts) {
 	term := b.Terminator()
-	tidx, ok := ma.idxOf[term.PC]
+	tidx, ok := ma.code.index(term.PC)
 	if !ok || !ma.seen[tidx] {
 		return
 	}

@@ -31,6 +31,11 @@ func FuzzValueFlowNeverPanics(f *testing.F) {
 	f.Add(enc.Bytes(), uint16(4), uint8(0), uint8(0), uint8(0), uint8(1))
 	f.Add([]byte{byte(bytecode.ReturnVoid)}, uint16(3), uint8(0), uint8(1), uint8(0), uint8(0))
 	f.Add([]byte{0xff, 0x01, 0x02}, uint16(3), uint8(0), uint8(2), uint8(1), uint8(3))
+	// An exception handler covering an undecided conditional: one step
+	// flows the handler edge over the working state's locals and refines a
+	// copy of that state for the taken edge.
+	code, hstart, hend, hpc := handlerOverCond(f)
+	f.Add(code, uint16(3), hstart, hend, hpc, uint8(0))
 
 	f.Fuzz(func(t *testing.T, code []byte, locals uint16, hstart, hend, hpc, ret uint8) {
 		b := classfile.NewBuilder()
@@ -135,4 +140,38 @@ func FuzzValueFlowNeverPanics(f *testing.F) {
 			t.Fatalf("proofs length %d for %d blocks", len(proofs), len(seq))
 		}
 	})
+}
+
+// handlerOverCond assembles "g = Main.g; if (g == 0) ...; return" with a
+// handler (astore 2; return) whose range covers the load and the branch.
+func handlerOverCond(f *testing.F) (code []byte, hstart, hend, hpc uint8) {
+	f.Helper()
+	prog := func(join int32) []bytecode.Instr {
+		return []bytecode.Instr{
+			{Op: bytecode.GetStatic, A: 1},
+			{Op: bytecode.IStore, A: 1},
+			{Op: bytecode.ILoad, A: 1}, // handler range starts here
+			{Op: bytecode.IfEq, A: join},
+			{Op: bytecode.IConst, A: 1}, // handler range ends here
+			{Op: bytecode.IStore, A: 1},
+			{Op: bytecode.ReturnVoid},   // join
+			{Op: bytecode.AStore, A: 2}, // handler
+			{Op: bytecode.ReturnVoid},
+		}
+	}
+	emit := func(ins []bytecode.Instr) ([]byte, []uint32) {
+		enc := bytecode.NewEncoder()
+		pcs := make([]uint32, len(ins))
+		for i, in := range ins {
+			pc, err := enc.Emit(in)
+			if err != nil {
+				f.Fatal(err)
+			}
+			pcs[i] = pc
+		}
+		return enc.Bytes(), pcs
+	}
+	_, pcs := emit(prog(0))
+	code, pcs = emit(prog(int32(pcs[6])))
+	return code, uint8(pcs[2]), uint8(pcs[4]), uint8(pcs[7])
 }

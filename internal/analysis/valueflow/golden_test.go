@@ -181,3 +181,31 @@ func BenchmarkCompute(b *testing.B) {
 		}
 	}
 }
+
+// TestComputeAllocs pins Compute's garbage on one cold-band program. The
+// fixpoint that cloned a whole abstract state per step allocated 58 092
+// objects on it; scratch states, arena-backed entry states and code
+// decoded once per Compute must keep it at a tenth of that or less.
+func TestComputeAllocs(t *testing.T) {
+	const (
+		program     = "progen-31"
+		clonedAlloc = 58092
+	)
+	var p *cfg.ProgramCFG
+	for _, c := range coldBand(t) {
+		if c.name == program {
+			p = c.p
+		}
+	}
+	if p == nil {
+		t.Fatalf("%s is not in the cold band", program)
+	}
+	if valueflow.Compute(p).Top() {
+		t.Fatalf("%s degraded to top facts", program)
+	}
+	n := testing.AllocsPerRun(5, func() { valueflow.Compute(p) })
+	t.Logf("%s: %.0f allocs per Compute (cloning fixpoint: %d)", program, n, clonedAlloc)
+	if n > clonedAlloc/10 {
+		t.Fatalf("Compute allocates %.0f objects on %s, want at most %d", n, program, clonedAlloc/10)
+	}
+}

@@ -35,14 +35,18 @@ const (
 // a conditional refine the *local* it tested, and is invalidated when the
 // slot is overwritten. The struct is comparable, which flowTo relies on for
 // change detection.
+//
+// The fields are ordered widest first so the struct packs into 32 bytes
+// (lval into 40); neither holds a pointer, so arenas of them are never
+// scanned by the GC.
 type absVal struct {
-	kind bytecode.ValKind
 	lo   int64 // integer interval, valid when kind == KInt
 	hi   int64
 	fb   uint64 // float constant bits, valid when kind == KFloat && fc
+	src  int32
+	kind bytecode.ValKind
 	fc   bool
 	nl   nullness // valid when kind == KRef
-	src  int32
 }
 
 func topAny() absVal { return absVal{kind: bytecode.KAny, src: noSrc} }
@@ -140,13 +144,46 @@ type absState struct {
 	locals []lval
 }
 
-func (st *absState) clone() absState {
-	out := absState{
-		stack:  append([]absVal(nil), st.stack...),
-		locals: append([]lval(nil), st.locals...),
+// copyFrom overwrites st with src, reusing st's backing arrays.
+func (st *absState) copyFrom(src *absState) {
+	st.stack = append(st.stack[:0], src.stack...)
+	st.locals = append(st.locals[:0], src.locals...)
+}
+
+// arena hands out slices carved from large chunks. T holds no pointers, so
+// the GC never scans a chunk. reset recycles every chunk; slices handed out
+// before it must be dead by then.
+type arena[T any] struct {
+	chunks [][]T
+	cur    int // chunk being carved
+	off    int // first free element of chunks[cur]
+}
+
+// copyOf returns a copy of src in arena memory. Its capacity equals its
+// length, so an append to it can never write into a neighbour.
+func (a *arena[T]) copyOf(src []T) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
 	}
+	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
+		a.cur++
+		a.off = 0
+	}
+	if a.cur == len(a.chunks) {
+		size := 256
+		if k := len(a.chunks); k > 0 {
+			size = 2 * len(a.chunks[k-1])
+		}
+		a.chunks = append(a.chunks, make([]T, max(size, n)))
+	}
+	out := a.chunks[a.cur][a.off : a.off+n : a.off+n]
+	a.off += n
+	copy(out, src)
 	return out
 }
+
+func (a *arena[T]) reset() { a.cur, a.off = 0, 0 }
 
 // cmpKind is the canonical comparison relation behind the conditional
 // branch opcodes (both the zero-test and two-operand families).
