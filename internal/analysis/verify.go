@@ -25,14 +25,13 @@ const maxVerifyLocals = 1 << 16
 // would refuse them. Verification of a method stops at its first rejecting
 // finding; unreachable-code warnings are only computed for clean methods.
 func Verify(prog *classfile.Program) *Report {
-	rep := &Report{}
-	res := newResolver(prog)
+	v := &mverify{rep: &Report{}, res: newResolver(prog)}
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
-			verifyMethod(rep, res, c, m)
+			v.verifyMethod(c, m)
 		}
 	}
-	return rep
+	return v.rep
 }
 
 // resolver resolves symbolic class/method/field names without requiring a
@@ -91,14 +90,53 @@ type absState struct {
 	locals []lslot
 }
 
-func (s absState) clone() absState {
-	return absState{
-		stack:  append([]bytecode.ValKind(nil), s.stack...),
-		locals: append([]lslot(nil), s.locals...),
-	}
+// copyFrom overwrites st with src, reusing st's backing arrays.
+func (st *absState) copyFrom(src *absState) {
+	st.stack = append(st.stack[:0], src.stack...)
+	st.locals = append(st.locals[:0], src.locals...)
 }
 
-// mverify verifies one method.
+// arena hands out slices carved from large chunks. T holds no pointers, so
+// the GC never scans a chunk. reset recycles every chunk; slices handed out
+// before it must be dead by then.
+type arena[T any] struct {
+	chunks [][]T
+	cur    int // chunk being carved
+	off    int // first free element of chunks[cur]
+}
+
+// copyOf returns a copy of src in arena memory. Its capacity equals its
+// length, so an append to it can never write into a neighbour.
+func (a *arena[T]) copyOf(src []T) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
+		a.cur++
+		a.off = 0
+	}
+	if a.cur == len(a.chunks) {
+		size := 1024
+		if k := len(a.chunks); k > 0 {
+			size = 2 * len(a.chunks[k-1])
+		}
+		a.chunks = append(a.chunks, make([]T, max(size, n)))
+	}
+	out := a.chunks[a.cur][a.off : a.off+n : a.off+n]
+	a.off += n
+	copy(out, src)
+	return out
+}
+
+func (a *arena[T]) reset() { a.cur, a.off = 0, 0 }
+
+// mverify verifies one method at a time; Verify reuses one mverify for
+// every method so its scratch and arena memory is allocated once.
+//
+// step works on the scratch state cur. A state is stored only by flowTo's
+// first sighting of an instruction, which copies it into the pointer-free
+// kinds/slots arenas; flowTo never mutates its argument.
 type mverify struct {
 	rep  *Report
 	res  *resolver
@@ -112,6 +150,11 @@ type mverify struct {
 	seen    []bool
 	work    []int
 	stopped bool
+
+	cur   absState
+	exc   [1]bytecode.ValKind // a handler entry's stack: the thrown reference
+	kinds arena[bytecode.ValKind]
+	slots arena[lslot]
 }
 
 func (v *mverify) fail(pc uint32, rule, format string, args ...any) {
@@ -156,8 +199,8 @@ func qname(c *classfile.Class, m *classfile.Method) string {
 	return c.Name + "." + m.Name
 }
 
-func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.Method) {
-	v := &mverify{rep: rep, res: res, name: qname(c, m), m: m}
+func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
+	v.name, v.m, v.stopped = qname(c, m), m, false
 	if m.Abstract || m.Native != "" {
 		return // no bytecode to verify; structural rules are the linker's
 	}
@@ -176,7 +219,7 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 	// Decode instruction by instruction (not bytecode.Decode, which folds
 	// target validation into decoding) so target errors surface under their
 	// own rule below.
-	var ins []bytecode.Instr
+	ins := v.ins[:0]
 	for pc := uint32(0); int(pc) < len(m.Code); {
 		in, err := bytecode.DecodeAt(m.Code, pc)
 		if err != nil {
@@ -186,12 +229,15 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 		ins = append(ins, in)
 		pc = in.Next()
 	}
+	v.ins = ins
 	if len(ins) == 0 {
 		v.fail(0, RuleTruncatedCode, "method decodes to no instructions")
 		return
 	}
-	v.ins = ins
-	v.idxOf = make(map[uint32]int, len(ins))
+	if v.idxOf == nil {
+		v.idxOf = make(map[uint32]int, len(ins))
+	}
+	clear(v.idxOf)
 	for i, in := range ins {
 		v.idxOf[in.PC] = i
 	}
@@ -241,7 +287,9 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 
 	// Entry state: receiver and parameters initialized, everything else
 	// uninitialized.
-	entry := absState{locals: make([]lslot, m.MaxLocals)}
+	entry := &v.cur
+	entry.stack = entry.stack[:0]
+	entry.locals = resize(entry.locals, m.MaxLocals)
 	slot := 0
 	if !m.Static {
 		entry.locals[slot] = lslot{kind: bytecode.KRef, init: true}
@@ -252,11 +300,12 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 		slot++
 	}
 
-	v.states = make([]absState, len(ins))
-	v.seen = make([]bool, len(ins))
-	v.states[0] = entry
-	v.seen[0] = true
-	v.work = append(v.work, 0)
+	v.states = resize(v.states, len(ins))
+	v.seen = resize(v.seen, len(ins))
+	v.work = v.work[:0]
+	v.kinds.reset()
+	v.slots.reset()
+	v.flowTo(0, entry)
 
 	for len(v.work) > 0 && !v.stopped {
 		i := v.work[len(v.work)-1]
@@ -288,6 +337,17 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 	}
 }
 
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // push grows the abstract stack, enforcing the depth ceiling.
 func (v *mverify) push(st *absState, pc uint32, k bytecode.ValKind) {
 	if len(st.stack) >= MaxVerifyStack {
@@ -314,6 +374,17 @@ func (v *mverify) pop(st *absState, pc uint32, need bytecode.ValKind, what strin
 		}
 	}
 	return k
+}
+
+// popAs is pop for an operand whose diagnostic name needs formatting: name
+// is called only when the pop is a finding, so a clean pop allocates
+// nothing.
+func (v *mverify) popAs(st *absState, pc uint32, need bytecode.ValKind, name func() string) bytecode.ValKind {
+	what := ""
+	if n := len(st.stack); n == 0 || (need != bytecode.KAny && st.stack[n-1] != need) {
+		what = name()
+	}
+	return v.pop(st, pc, need, what)
 }
 
 // readLocal checks an initialized, kind-compatible read of a local slot.
@@ -349,13 +420,15 @@ func (v *mverify) writeLocal(st *absState, in bytecode.Instr, k bytecode.ValKind
 }
 
 // flowTo merges the state st into the entry of instruction j, queueing it
-// when anything changed.
-func (v *mverify) flowTo(j int, st absState) {
+// when anything changed. It never mutates st or anything st's slices point
+// at: it copies st into the arenas on first sight and only reads it when
+// merging, so callers may pass the scratch state and aliased locals.
+func (v *mverify) flowTo(j int, st *absState) {
 	if v.stopped {
 		return
 	}
 	if !v.seen[j] {
-		v.states[j] = st.clone()
+		v.states[j] = absState{stack: v.kinds.copyOf(st.stack), locals: v.slots.copyOf(st.locals)}
 		v.seen[j] = true
 		v.work = append(v.work, j)
 		return
@@ -394,16 +467,15 @@ func (v *mverify) flowTo(j int, st absState) {
 // the result to every successor, including exception-handler entries.
 func (v *mverify) step(i int) {
 	in := v.ins[i]
-	st := v.states[i].clone()
+	st := &v.cur
+	st.copyFrom(&v.states[i])
 
 	// Any instruction inside a protected range can transfer to the handler:
 	// entry state there is the single thrown reference over current locals.
 	for _, h := range v.m.Handlers {
 		if h.Covers(in.PC) {
-			v.flowTo(v.idxOf[h.HandlerPC], absState{
-				stack:  []bytecode.ValKind{bytecode.KRef},
-				locals: st.locals,
-			})
+			v.exc[0] = bytecode.KRef
+			v.flowTo(v.idxOf[h.HandlerPC], &absState{stack: v.exc[:], locals: st.locals})
 			if v.stopped {
 				return
 			}
@@ -412,32 +484,32 @@ func (v *mverify) step(i int) {
 
 	switch in.Op {
 	case bytecode.ILoad:
-		v.readLocal(&st, in, bytecode.KInt)
-		v.push(&st, in.PC, bytecode.KInt)
+		v.readLocal(st, in, bytecode.KInt)
+		v.push(st, in.PC, bytecode.KInt)
 	case bytecode.FLoad:
-		v.readLocal(&st, in, bytecode.KFloat)
-		v.push(&st, in.PC, bytecode.KFloat)
+		v.readLocal(st, in, bytecode.KFloat)
+		v.push(st, in.PC, bytecode.KFloat)
 	case bytecode.ALoad:
-		v.readLocal(&st, in, bytecode.KRef)
-		v.push(&st, in.PC, bytecode.KRef)
+		v.readLocal(st, in, bytecode.KRef)
+		v.push(st, in.PC, bytecode.KRef)
 	case bytecode.IStore:
-		v.pop(&st, in.PC, bytecode.KInt, "istore")
-		v.writeLocal(&st, in, bytecode.KInt)
+		v.pop(st, in.PC, bytecode.KInt, "istore")
+		v.writeLocal(st, in, bytecode.KInt)
 	case bytecode.FStore:
-		v.pop(&st, in.PC, bytecode.KFloat, "fstore")
-		v.writeLocal(&st, in, bytecode.KFloat)
+		v.pop(st, in.PC, bytecode.KFloat, "fstore")
+		v.writeLocal(st, in, bytecode.KFloat)
 	case bytecode.AStore:
-		v.pop(&st, in.PC, bytecode.KRef, "astore")
-		v.writeLocal(&st, in, bytecode.KRef)
+		v.pop(st, in.PC, bytecode.KRef, "astore")
+		v.writeLocal(st, in, bytecode.KRef)
 	case bytecode.IInc:
-		v.readLocal(&st, in, bytecode.KInt)
+		v.readLocal(st, in, bytecode.KInt)
 
 	case bytecode.SConst:
 		if int(uint16(in.A)) >= len(v.res.prog.Strings) {
 			v.fail(in.PC, RuleBadRefIndex, "sconst index %d out of range (%d strings)", uint16(in.A), len(v.res.prog.Strings))
 			return
 		}
-		v.push(&st, in.PC, bytecode.KRef)
+		v.push(st, in.PC, bytecode.KRef)
 
 	case bytecode.New, bytecode.InstanceOf, bytecode.CheckCast:
 		if int(uint16(in.A)) >= len(v.res.prog.Classes) {
@@ -446,33 +518,33 @@ func (v *mverify) step(i int) {
 		}
 		pops, pushes, _ := bytecode.StackKinds(in.Op)
 		for _, k := range pops {
-			v.pop(&st, in.PC, k, in.Op.String())
+			v.pop(st, in.PC, k, in.Op.String())
 		}
 		for _, k := range pushes {
-			v.push(&st, in.PC, k)
+			v.push(st, in.PC, k)
 		}
 
 	case bytecode.Dup:
-		k := v.pop(&st, in.PC, bytecode.KAny, "dup")
-		v.push(&st, in.PC, k)
-		v.push(&st, in.PC, k)
+		k := v.pop(st, in.PC, bytecode.KAny, "dup")
+		v.push(st, in.PC, k)
+		v.push(st, in.PC, k)
 	case bytecode.DupX1:
-		a := v.pop(&st, in.PC, bytecode.KAny, "dup_x1")
-		b := v.pop(&st, in.PC, bytecode.KAny, "dup_x1")
-		v.push(&st, in.PC, a)
-		v.push(&st, in.PC, b)
-		v.push(&st, in.PC, a)
+		a := v.pop(st, in.PC, bytecode.KAny, "dup_x1")
+		b := v.pop(st, in.PC, bytecode.KAny, "dup_x1")
+		v.push(st, in.PC, a)
+		v.push(st, in.PC, b)
+		v.push(st, in.PC, a)
 	case bytecode.Swap:
-		a := v.pop(&st, in.PC, bytecode.KAny, "swap")
-		b := v.pop(&st, in.PC, bytecode.KAny, "swap")
-		v.push(&st, in.PC, a)
-		v.push(&st, in.PC, b)
+		a := v.pop(st, in.PC, bytecode.KAny, "swap")
+		b := v.pop(st, in.PC, bytecode.KAny, "swap")
+		v.push(st, in.PC, a)
+		v.push(st, in.PC, b)
 
 	case bytecode.InvokeStatic, bytecode.InvokeVirtual, bytecode.InvokeSpecial:
-		v.stepInvoke(&st, in)
+		v.stepInvoke(st, in)
 
 	case bytecode.GetField, bytecode.PutField, bytecode.GetStatic, bytecode.PutStatic:
-		v.stepField(&st, in)
+		v.stepField(st, in)
 
 	case bytecode.ReturnVoid:
 		if v.m.Ret != classfile.TVoid {
@@ -480,16 +552,18 @@ func (v *mverify) step(i int) {
 			return
 		}
 	case bytecode.IReturn, bytecode.FReturn, bytecode.AReturn:
-		want := map[bytecode.Op]classfile.Type{
-			bytecode.IReturn: classfile.TInt,
-			bytecode.FReturn: classfile.TFloat,
-			bytecode.AReturn: classfile.TRef,
-		}[in.Op]
+		want := classfile.TRef
+		switch in.Op {
+		case bytecode.IReturn:
+			want = classfile.TInt
+		case bytecode.FReturn:
+			want = classfile.TFloat
+		}
 		if v.m.Ret != want {
 			v.fail(in.PC, RuleKindMismatch, "%s in method returning %s", in.Op, v.m.Ret)
 			return
 		}
-		v.pop(&st, in.PC, typeKind(want), in.Op.String())
+		v.pop(st, in.PC, typeKind(want), in.Op.String())
 
 	default:
 		pops, pushes, ok := bytecode.StackKinds(in.Op)
@@ -498,10 +572,10 @@ func (v *mverify) step(i int) {
 			return
 		}
 		for _, k := range pops {
-			v.pop(&st, in.PC, k, in.Op.String())
+			v.pop(st, in.PC, k, in.Op.String())
 		}
 		for _, k := range pushes {
-			v.push(&st, in.PC, k)
+			v.push(st, in.PC, k)
 		}
 	}
 	if v.stopped {
@@ -544,11 +618,13 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 		return
 	}
 	ref := &prog.MethodRefs[idx]
-	want := map[bytecode.Op]classfile.RefKind{
-		bytecode.InvokeStatic:  classfile.RefStatic,
-		bytecode.InvokeVirtual: classfile.RefVirtual,
-		bytecode.InvokeSpecial: classfile.RefSpecial,
-	}[in.Op]
+	want := classfile.RefSpecial
+	switch in.Op {
+	case bytecode.InvokeStatic:
+		want = classfile.RefStatic
+	case bytecode.InvokeVirtual:
+		want = classfile.RefVirtual
+	}
 	if ref.Kind != want {
 		v.fail(in.PC, RuleBadRefIndex, "%s uses %s method ref %q", in.Op, ref.Kind, ref.Name)
 		return
@@ -571,14 +647,17 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 	}
 	// Arguments are popped last-parameter first, then the receiver.
 	for pi := len(target.Params) - 1; pi >= 0; pi-- {
-		v.pop(st, in.PC, typeKind(target.Params[pi]),
-			fmt.Sprintf("%s %s.%s argument %d", in.Op, ref.ClassName, ref.Name, pi))
+		v.popAs(st, in.PC, typeKind(target.Params[pi]), func() string {
+			return fmt.Sprintf("%s %s.%s argument %d", in.Op, ref.ClassName, ref.Name, pi)
+		})
 		if v.stopped {
 			return
 		}
 	}
 	if ref.Kind != classfile.RefStatic {
-		v.pop(st, in.PC, bytecode.KRef, fmt.Sprintf("%s %s.%s receiver", in.Op, ref.ClassName, ref.Name))
+		v.popAs(st, in.PC, bytecode.KRef, func() string {
+			return fmt.Sprintf("%s %s.%s receiver", in.Op, ref.ClassName, ref.Name)
+		})
 	}
 	if v.stopped {
 		return
@@ -610,21 +689,22 @@ func (v *mverify) stepField(st *absState, in bytecode.Instr) {
 		return
 	}
 	fk := typeKind(f.Type)
-	what := fmt.Sprintf("%s %s.%s", in.Op, ref.ClassName, ref.Name)
+	object := func() string { return fmt.Sprintf("%s %s.%s object", in.Op, ref.ClassName, ref.Name) }
+	value := func() string { return fmt.Sprintf("%s %s.%s value", in.Op, ref.ClassName, ref.Name) }
 	switch in.Op {
 	case bytecode.GetField:
-		v.pop(st, in.PC, bytecode.KRef, what+" object")
+		v.popAs(st, in.PC, bytecode.KRef, object)
 		if !v.stopped {
 			v.push(st, in.PC, fk)
 		}
 	case bytecode.PutField:
-		v.pop(st, in.PC, fk, what+" value")
+		v.popAs(st, in.PC, fk, value)
 		if !v.stopped {
-			v.pop(st, in.PC, bytecode.KRef, what+" object")
+			v.popAs(st, in.PC, bytecode.KRef, object)
 		}
 	case bytecode.GetStatic:
 		v.push(st, in.PC, fk)
 	case bytecode.PutStatic:
-		v.pop(st, in.PC, fk, what+" value")
+		v.popAs(st, in.PC, fk, value)
 	}
 }
