@@ -1,6 +1,7 @@
 package valueflow
 
 import (
+	"repro/internal/analysis/arena"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 	"repro/internal/classfile"
@@ -374,8 +375,8 @@ type manalysis struct {
 	cur, alt absState
 	exc      [1]absVal // a handler entry's stack: the thrown reference
 	args     []absVal
-	vals     arena[absVal]
-	lvals    arena[lval]
+	vals     arena.Arena[absVal]
+	lvals    arena.Arena[lval]
 }
 
 // methodAnalysis resets ip's method analysis for m, or returns nil when m
@@ -392,25 +393,14 @@ func (ip *iproc) methodAnalysis(m *classfile.Method, capture bool, facts *Facts)
 	ma.ev = evaluator{prog: ip.prog}
 	ma.m, ma.mc, ma.code, ma.ins = m, mc, c, c.ins
 	ma.capture, ma.facts = capture, facts
-	ma.states = resize(ma.states, n)
-	ma.seen = resize(ma.seen, n)
-	ma.visits = resize(ma.visits, n)
-	ma.queued = resize(ma.queued, n)
+	ma.states = arena.Zeroed(ma.states, n)
+	ma.seen = arena.Zeroed(ma.seen, n)
+	ma.visits = arena.Zeroed(ma.visits, n)
+	ma.queued = arena.Zeroed(ma.queued, n)
 	ma.work = ma.work[:0]
-	ma.vals.reset()
-	ma.lvals.reset()
+	ma.vals.Reset()
+	ma.lvals.Reset()
 	return ma
-}
-
-// resize returns s with length n and every element zero, reusing its
-// backing array when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 func (ma *manalysis) run() bool {
@@ -421,7 +411,7 @@ func (ma *manalysis) run() bool {
 	}
 	entry := &ma.cur
 	entry.stack = entry.stack[:0]
-	entry.locals = resize(entry.locals, ma.m.MaxLocals)
+	entry.locals = arena.Zeroed(entry.locals, ma.m.MaxLocals)
 	for i := 0; i < na; i++ {
 		entry.locals[i] = lval{v: sum.args[i], init: true}
 	}
@@ -462,7 +452,7 @@ func (ma *manalysis) flowTo(j int, st *absState) {
 	}
 	if !ma.seen[j] {
 		ma.seen[j] = true
-		ma.states[j] = absState{stack: ma.vals.copyOf(st.stack), locals: ma.lvals.copyOf(st.locals)}
+		ma.states[j] = absState{stack: ma.vals.Copy(st.stack), locals: ma.lvals.Copy(st.locals)}
 		ma.enqueueInstr(j)
 		return
 	}
@@ -632,7 +622,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
 		return
 	}
 	na := ref.Method.NArgs()
-	args := resize(ma.args, na)
+	args := arena.Zeroed(ma.args, na)
 	ma.args = args
 	for i := na - 1; i >= 0; i-- {
 		args[i] = ma.ev.pop(st)

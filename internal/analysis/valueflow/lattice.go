@@ -150,41 +150,6 @@ func (st *absState) copyFrom(src *absState) {
 	st.locals = append(st.locals[:0], src.locals...)
 }
 
-// arena hands out slices carved from large chunks. T holds no pointers, so
-// the GC never scans a chunk. reset recycles every chunk; slices handed out
-// before it must be dead by then.
-type arena[T any] struct {
-	chunks [][]T
-	cur    int // chunk being carved
-	off    int // first free element of chunks[cur]
-}
-
-// copyOf returns a copy of src in arena memory. Its capacity equals its
-// length, so an append to it can never write into a neighbour.
-func (a *arena[T]) copyOf(src []T) []T {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
-		a.cur++
-		a.off = 0
-	}
-	if a.cur == len(a.chunks) {
-		size := 256
-		if k := len(a.chunks); k > 0 {
-			size = 2 * len(a.chunks[k-1])
-		}
-		a.chunks = append(a.chunks, make([]T, max(size, n)))
-	}
-	out := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
-	copy(out, src)
-	return out
-}
-
-func (a *arena[T]) reset() { a.cur, a.off = 0, 0 }
-
 // cmpKind is the canonical comparison relation behind the conditional
 // branch opcodes (both the zero-test and two-operand families).
 type cmpKind uint8

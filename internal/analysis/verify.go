@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/analysis/arena"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 )
@@ -96,41 +97,6 @@ func (st *absState) copyFrom(src *absState) {
 	st.locals = append(st.locals[:0], src.locals...)
 }
 
-// arena hands out slices carved from large chunks. T holds no pointers, so
-// the GC never scans a chunk. reset recycles every chunk; slices handed out
-// before it must be dead by then.
-type arena[T any] struct {
-	chunks [][]T
-	cur    int // chunk being carved
-	off    int // first free element of chunks[cur]
-}
-
-// copyOf returns a copy of src in arena memory. Its capacity equals its
-// length, so an append to it can never write into a neighbour.
-func (a *arena[T]) copyOf(src []T) []T {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
-		a.cur++
-		a.off = 0
-	}
-	if a.cur == len(a.chunks) {
-		size := 1024
-		if k := len(a.chunks); k > 0 {
-			size = 2 * len(a.chunks[k-1])
-		}
-		a.chunks = append(a.chunks, make([]T, max(size, n)))
-	}
-	out := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
-	copy(out, src)
-	return out
-}
-
-func (a *arena[T]) reset() { a.cur, a.off = 0, 0 }
-
 // mverify verifies one method at a time; Verify reuses one mverify for
 // every method so its scratch and arena memory is allocated once.
 //
@@ -153,8 +119,8 @@ type mverify struct {
 
 	cur   absState
 	exc   [1]bytecode.ValKind // a handler entry's stack: the thrown reference
-	kinds arena[bytecode.ValKind]
-	slots arena[lslot]
+	kinds arena.Arena[bytecode.ValKind]
+	slots arena.Arena[lslot]
 }
 
 func (v *mverify) fail(pc uint32, rule, format string, args ...any) {
@@ -289,7 +255,7 @@ func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
 	// uninitialized.
 	entry := &v.cur
 	entry.stack = entry.stack[:0]
-	entry.locals = resize(entry.locals, m.MaxLocals)
+	entry.locals = arena.Zeroed(entry.locals, m.MaxLocals)
 	slot := 0
 	if !m.Static {
 		entry.locals[slot] = lslot{kind: bytecode.KRef, init: true}
@@ -300,11 +266,11 @@ func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
 		slot++
 	}
 
-	v.states = resize(v.states, len(ins))
-	v.seen = resize(v.seen, len(ins))
+	v.states = arena.Zeroed(v.states, len(ins))
+	v.seen = arena.Zeroed(v.seen, len(ins))
 	v.work = v.work[:0]
-	v.kinds.reset()
-	v.slots.reset()
+	v.kinds.Reset()
+	v.slots.Reset()
 	v.flowTo(0, entry)
 
 	for len(v.work) > 0 && !v.stopped {
@@ -335,17 +301,6 @@ func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
 			v.warn(in.PC, RuleUnreachableBlock, "block at pc %d is unreachable", in.PC)
 		}
 	}
-}
-
-// resize returns s with length n and every element zero, reusing its
-// backing array when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // push grows the abstract stack, enforcing the depth ceiling.
@@ -428,7 +383,7 @@ func (v *mverify) flowTo(j int, st *absState) {
 		return
 	}
 	if !v.seen[j] {
-		v.states[j] = absState{stack: v.kinds.copyOf(st.stack), locals: v.slots.copyOf(st.locals)}
+		v.states[j] = absState{stack: v.kinds.Copy(st.stack), locals: v.slots.Copy(st.locals)}
 		v.seen[j] = true
 		v.work = append(v.work, j)
 		return
