@@ -82,9 +82,7 @@ func (ip *iproc) code(id int) *mcode {
 			c.ins = ins
 			c.at = make([]int32, len(code))
 			for i := range ins {
-				if int(ins[i].PC) < len(code) {
-					c.at[ins[i].PC] = int32(i) + 1
-				}
+				c.at[ins[i].PC] = int32(i) + 1
 			}
 		}
 		ip.codes[id] = c
@@ -362,7 +360,6 @@ type manalysis struct {
 	ev      evaluator
 	m       *classfile.Method
 	mc      *cfg.MethodCFG
-	ins     []bytecode.Instr
 	code    *mcode
 	states  []absState
 	seen    []bool
@@ -391,7 +388,7 @@ func (ip *iproc) methodAnalysis(m *classfile.Method, capture bool, facts *Facts)
 	ma := &ip.ma
 	ma.ip = ip
 	ma.ev = evaluator{prog: ip.prog}
-	ma.m, ma.mc, ma.code, ma.ins = m, mc, c, c.ins
+	ma.m, ma.mc, ma.code = m, mc, c
 	ma.capture, ma.facts = capture, facts
 	ma.states = arena.Zeroed(ma.states, n)
 	ma.seen = arena.Zeroed(ma.seen, n)
@@ -446,7 +443,7 @@ func (ma *manalysis) enqueueInstr(j int) {
 // into the arenas on first sight and only reads it when merging. Callers
 // rely on that to pass scratch states and aliased locals.
 func (ma *manalysis) flowTo(j int, st *absState) {
-	if j < 0 || j >= len(ma.ins) {
+	if j < 0 || j >= len(ma.code.ins) {
 		ma.ev.fail()
 		return
 	}
@@ -493,7 +490,7 @@ func (ma *manalysis) branchTo(pc uint32, st *absState) {
 }
 
 func (ma *manalysis) step(idx int) {
-	in := ma.ins[idx]
+	in := ma.code.ins[idx]
 	st := &ma.cur
 	st.copyFrom(&ma.states[idx])
 	// Exception edges: only Throw transfers to a handler (traps abort the
