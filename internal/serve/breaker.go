@@ -133,12 +133,10 @@ func (b *breaker) plan(now time.Time, profiled bool) (demote, probe bool) {
 
 // observe feeds one finished run back. churnPerK < 0 means the run produced
 // no usable churn measurement (it failed or was demoted); such runs never
-// close the breaker. It reports whether this observation tripped the breaker
-// open — the caller uses a trip as an epoch boundary for the program's
-// profiler shards.
-func (b *breaker) observe(now time.Time, churnPerK float64, demoted, probe bool) (tripped bool) {
+// close the breaker.
+func (b *breaker) observe(now time.Time, churnPerK float64, demoted, probe bool) {
 	if demoted {
-		return false
+		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -147,7 +145,7 @@ func (b *breaker) observe(now time.Time, churnPerK float64, demoted, probe bool)
 		if churnPerK >= 0 && churnPerK <= b.cfg.ChurnPerK {
 			b.setState(BreakerClosed)
 			b.churnyRuns = 0
-			return false
+			return
 		}
 		// Still churny (or inconclusive): back to open for another
 		// cool-down. Only a measured churny probe counts as a trip.
@@ -155,12 +153,11 @@ func (b *breaker) observe(now time.Time, churnPerK float64, demoted, probe bool)
 		b.openedAt = now
 		if churnPerK >= 0 {
 			b.trips++
-			return true
 		}
-		return false
+		return
 	}
 	if b.state != BreakerClosed || churnPerK < 0 {
-		return false // stale observation from a run planned before the trip
+		return // stale observation from a run planned before the trip
 	}
 	if churnPerK > b.cfg.ChurnPerK {
 		b.churnyRuns++
@@ -169,12 +166,10 @@ func (b *breaker) observe(now time.Time, churnPerK float64, demoted, probe bool)
 			b.openedAt = now
 			b.churnyRuns = 0
 			b.trips++
-			return true
 		}
-		return false
+		return
 	}
 	b.churnyRuns = 0
-	return false
 }
 
 // snapshotInto accumulates this breaker's counters and state into the

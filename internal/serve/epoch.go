@@ -16,21 +16,20 @@ import (
 
 // This file is the serving layer's side of multicore scale-out, and the one
 // in-memory home of every program's learned state: per-worker BCG shards
-// with epoch merge (Doppel-style phase reconciliation).
+// with merge on read.
 //
 // A program has one shard set per profiler parameters it runs under. In a
 // set every worker owns a private core.Profiler (a shard): runs take exactly
 // one uncontended lock, the dispatch hot path touches only worker-local
-// arenas, and nothing is exported per run. At phase boundaries — every
-// Config.EpochRuns profiled runs of the set, on a breaker trip, when the
-// snapshot writer wants to commit, or at drain — the coordinator merges the
-// shards' decayed counters into a fresh profiler, re-derives node
-// states/signals/start-delays from the combined history (so the merged trace
-// cache promotes only globally hot traces), and publishes the result as the
-// set's merged view: it seeds new shards, answers GET /v1/snapshot, and is
-// what the snapshot writer serializes — never an individual shard. The
-// program's first set is the persisted one; sets under other parameters live
-// in memory only.
+// arenas, and nothing is exported per run. A release only marks the set
+// dirty. The merge happens when something reads the merged view: a fresh
+// shard about to seed from it, the snapshot writer or GET /v1/snapshot, and
+// drain. The coordinator then merges the shards' decayed counters into a
+// fresh profiler, re-derives node states/signals/start-delays from the
+// combined history (so the merged trace cache promotes only globally hot
+// traces), and publishes the result as the set's merged view — never an
+// individual shard. The program's first set is the persisted one; sets under
+// other parameters live in memory only.
 
 // workerShard is one worker's private profiler in one shard set. The mutex is
 // held for the duration of a run (workers never share a shard, so it is
@@ -73,16 +72,17 @@ type shardSet struct {
 	// gen counts PUT installs: each replaces merged outright, so shards built
 	// at an older generation rebuild from it and merges of their state are
 	// dropped.
-	gen            int64
-	runsSinceMerge int64 // releases since one last claimed an epoch
+	gen int64
+	// dirty marks runs released since the last merge began: merged may lag
+	// the shards, so a fresh shard merges before it seeds.
+	dirty atomic.Bool
 }
 
 // epochCoordinator owns every program's shard sets and performs the merges.
 type epochCoordinator struct {
-	workers   int
-	epochRuns int64
-	conf      core.Config // trace-cache budgets for shard and merged profilers
-	ring      *obs.Ring
+	workers int
+	conf    core.Config // trace-cache budgets for shard and merged profilers
+	ring    *obs.Ring
 	// snaps is the persistence store (nil when persistence is off): new sets
 	// probe it for a warm seed, and releases note their learning in it.
 	snaps *snapStore
@@ -96,13 +96,12 @@ type epochCoordinator struct {
 	liveShards   atomic.Int64
 }
 
-func newEpochCoordinator(workers int, epochRuns int64, conf core.Config, ring *obs.Ring) *epochCoordinator {
+func newEpochCoordinator(workers int, conf core.Config, ring *obs.Ring) *epochCoordinator {
 	return &epochCoordinator{
-		workers:   workers,
-		epochRuns: epochRuns,
-		conf:      conf,
-		ring:      ring,
-		sets:      make(map[string][]*shardSet),
+		workers: workers,
+		conf:    conf,
+		ring:    ring,
+		sets:    make(map[string][]*shardSet),
 	}
 }
 
@@ -174,15 +173,22 @@ func (ec *epochCoordinator) setFor(comp *Compiled, params profile.Params) *shard
 // profiler returns the locked shard's profiler. An empty shard (first run,
 // or discarded after a panic) or one built before a PUT gets a fresh
 // profiler, returned with the set's merged view to seed it from (nil: cold
-// start).
+// start). The fresh shard is the merged view's reader, so a dirty set merges
+// first; the shard being rebuilt is locked and takes no part.
 func (ec *epochCoordinator) profiler(sh *workerShard, set *shardSet) (*core.Profiler, *snapshot.Snapshot, error) {
 	set.mu.Lock()
-	merged, gen := set.merged, set.gen
+	gen := set.gen
 	set.mu.Unlock()
 	if sh.prof != nil && sh.gen == gen {
 		return sh.prof, nil, nil
 	}
 	ec.discard(sh)
+	if set.dirty.Load() {
+		ec.merge(set, false)
+	}
+	set.mu.Lock()
+	merged, gen := set.merged, set.gen
+	set.mu.Unlock()
 	prof, err := core.NewProfiler(set.params, ec.conf, set.hints, set.numBlocks)
 	if err != nil {
 		return nil, nil, err
@@ -208,16 +214,10 @@ func (ec *epochCoordinator) discard(sh *workerShard) {
 }
 
 // release unlocks a shard after a run, notes the run's learning delta toward
-// the snapshot writer's threshold, and, when the set's epoch quota is
-// reached, performs the merge. The delta is noted only once the shard is
-// unlocked, so the commit it may trigger can absorb this run. The merging
-// request pays the (amortized 1 in EpochRuns) phase-boundary cost; the
-// dispatch hot path never does. The quota check itself runs after every
-// profiled request, so it must not allocate (the merge it occasionally
-// triggers is the sanctioned cold path). The quota is reset here, under the
-// lock that read it, and nowhere else: releases landing while the merge runs
-// count toward the next epoch instead of each seeing the same full quota and
-// merging again.
+// the snapshot writer's threshold, and marks the set dirty for the merged
+// view's next reader. The delta is noted only once the shard is unlocked, so
+// the commit it may trigger can absorb this run. It runs after every
+// profiled request, so it takes no lock and must not allocate.
 //
 //tracevm:hotpath
 func (ec *epochCoordinator) release(sh *workerShard, set *shardSet, delta int64) {
@@ -225,27 +225,27 @@ func (ec *epochCoordinator) release(sh *workerShard, set *shardSet, delta int64)
 	if delta > 0 && set.persist && ec.snaps != nil {
 		ec.snaps.noteDirty(set.key, delta)
 	}
-	set.mu.Lock()
-	set.runsSinceMerge++
-	due := set.runsSinceMerge >= ec.epochRuns
-	if due {
-		set.runsSinceMerge = 0
-	}
-	set.mu.Unlock()
-	if due {
-		ec.merge(set, false)
-	}
+	set.dirty.Store(true)
 }
 
 // merge absorbs every shard's current history into a fresh profiler,
 // re-derives states (signalling the merged cache, which promotes globally
 // hot traces), and publishes the export as the set's merged view. With wait
-// false, shards locked by an in-flight run are skipped — their learning
-// lands next epoch — so a merge never stalls behind a long run; drain-time
+// false, shards locked by an in-flight run are skipped — their release marks
+// the set dirty again — so a merge never stalls behind a long run; drain-time
 // merges pass wait true, when every worker has already exited. Shards built
 // before the set's latest PUT are skipped too, and a merge that a PUT
-// overtook publishes nothing. Returns nil when nothing was published.
-func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
+// overtook publishes nothing. Returns nil when nothing was published, and
+// leaves the set dirty then.
+func (ec *epochCoordinator) merge(set *shardSet, wait bool) (snap *snapshot.Snapshot) {
+	// Cleared before the shards are read, so a release landing during the
+	// merge marks the set dirty again for the next reader.
+	set.dirty.Store(false)
+	defer func() {
+		if snap == nil {
+			set.dirty.Store(true)
+		}
+	}()
 	merged, err := core.NewProfiler(set.params, ec.conf, set.hints, set.numBlocks)
 	if err != nil {
 		return nil
@@ -280,7 +280,7 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	// epoch's state still current.
 	crash.Here(crash.PointEpochMerge)
 	merged.DeriveStates()
-	snap := merged.ExportSnapshot(set.key, set.name)
+	snap = merged.ExportSnapshot(set.key, set.name)
 	set.mu.Lock()
 	if set.gen != gen {
 		set.mu.Unlock()
@@ -298,25 +298,12 @@ func (ec *epochCoordinator) merge(set *shardSet, wait bool) *snapshot.Snapshot {
 	return snap
 }
 
-// mergeProgram forces an epoch boundary for every set of one program — the
-// breaker-trip hook: when churn trips the breaker mid-epoch the program
-// demotes to plain dispatch, so without this merge the shards' tracing-phase
-// learning would sit stranded (unmerged, uncommittable) for as long as the
-// breaker stays open.
-func (ec *epochCoordinator) mergeProgram(key string) {
-	ec.mu.Lock()
-	sets := ec.sets[key]
-	ec.mu.Unlock()
-	for _, set := range sets {
-		ec.merge(set, false)
-	}
-}
-
-// exportForCommit gives the snapshot writer and GET /v1/snapshot the
-// freshest merged view of a program's first set — a commit is itself a
-// phase boundary. Nil when the program has no set or its set holds no
-// merged state yet. wait semantics as in merge: the final drain commit waits
-// for (quiescent) shards, periodic commits skip busy ones.
+// exportForCommit gives the snapshot writer and GET /v1/snapshot a fresh
+// merge of a program's first set. Nil when the program has no set or the
+// merge absorbed no shard: an older merged view is never handed out, so the
+// writer keeps the program's delta for its next cycle instead of committing
+// stale state. wait semantics as in merge: the final drain commit waits for
+// (quiescent) shards, periodic commits skip busy ones.
 func (ec *epochCoordinator) exportForCommit(key string, wait bool) *snapshot.Snapshot {
 	ec.mu.Lock()
 	sets := ec.sets[key]
@@ -324,13 +311,7 @@ func (ec *epochCoordinator) exportForCommit(key string, wait bool) *snapshot.Sna
 	if len(sets) == 0 {
 		return nil
 	}
-	set := sets[0]
-	if snap := ec.merge(set, wait); snap != nil {
-		return snap
-	}
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	return set.merged
+	return ec.merge(sets[0], wait)
 }
 
 // install makes an uploaded snapshot the merged view of the program's set

@@ -23,8 +23,9 @@ const epochLoopOutput = "1999000\n"
 // TestEpochShardsDisjointPrograms runs several distinct programs concurrently
 // through a sharded service: every worker learns each program in its private
 // shard, outputs stay correct, and the coordinator tracks one shard set per
-// program. Run under -race this proves shard learning never crosses a
-// goroutine boundary outside the coordinator's locks.
+// program, whose merged export holds learned state. Run under -race this
+// proves shard learning never crosses a goroutine boundary outside the
+// coordinator's locks.
 func TestEpochShardsDisjointPrograms(t *testing.T) {
 	const programs = 4
 	const perProgram = 6
@@ -34,7 +35,7 @@ func TestEpochShardsDisjointPrograms(t *testing.T) {
 	}
 	want := func(p int) string { return fmt.Sprintf("%d\n", 499500+p) }
 
-	s := newTestService(t, Config{Workers: 4, QueueDepth: programs * perProgram, EpochRuns: 2})
+	s := newTestService(t, Config{Workers: 4, QueueDepth: programs * perProgram})
 	var wg sync.WaitGroup
 	for p := 0; p < programs; p++ {
 		for i := 0; i < perProgram; i++ {
@@ -62,8 +63,18 @@ func TestEpochShardsDisjointPrograms(t *testing.T) {
 		t.Errorf("LiveShards = %d, want >= %d (each program learned on at least one shard)",
 			snap.LiveShards, programs)
 	}
-	if snap.EpochMerges == 0 {
-		t.Error("no epoch merges despite every program exceeding its quota")
+	for p := 0; p < programs; p++ {
+		comp, err := s.Registry().Source(KindMiniJava, src(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp := s.epochs.exportForCommit(comp.Key, true); exp == nil || len(exp.Nodes) == 0 {
+			t.Errorf("program %d: merged export holds no learned state", p)
+		}
+	}
+	snap = s.Stats()
+	if snap.EpochMerges < programs {
+		t.Errorf("EpochMerges = %d after one export per program, want >= %d", snap.EpochMerges, programs)
 	}
 	if snap.ShardsMerged < snap.EpochMerges {
 		t.Errorf("ShardsMerged = %d < EpochMerges = %d; merges absorbed nothing",
@@ -76,7 +87,7 @@ func TestEpochShardsDisjointPrograms(t *testing.T) {
 // merged export the snapshot writer would commit: globally derived state with
 // nodes and promoted traces, surviving the wire codec.
 func TestEpochShardsOverlappingProgram(t *testing.T) {
-	s := newTestService(t, Config{Workers: 4, QueueDepth: 32, EpochRuns: 4})
+	s := newTestService(t, Config{Workers: 4, QueueDepth: 32})
 	const n = 24
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -99,9 +110,6 @@ func TestEpochShardsOverlappingProgram(t *testing.T) {
 	if snap.ShardPrograms != 1 {
 		t.Errorf("ShardPrograms = %d, want 1", snap.ShardPrograms)
 	}
-	if snap.EpochMerges == 0 {
-		t.Fatalf("no epoch merges after %d runs with quota 4", n)
-	}
 
 	comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
 	if err != nil {
@@ -109,7 +117,7 @@ func TestEpochShardsOverlappingProgram(t *testing.T) {
 	}
 	exported := s.epochs.exportForCommit(comp.Key, true)
 	if exported == nil {
-		t.Fatal("exportForCommit returned nothing for a merged program")
+		t.Fatal("exportForCommit returned nothing for a learned program")
 	}
 	if exported.ProgramKey != comp.Key {
 		t.Errorf("export key = %q, want %q", exported.ProgramKey, comp.Key)
@@ -136,7 +144,7 @@ func TestEpochShardsOverlappingProgram(t *testing.T) {
 // predicted successor — exactly what the trace cache consumes.)
 func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 	learned := func(workers int) *snapshot.Snapshot {
-		s := newTestService(t, Config{Workers: workers, QueueDepth: 32, EpochRuns: 4})
+		s := newTestService(t, Config{Workers: workers, QueueDepth: 32})
 		const n = 16
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -201,7 +209,7 @@ func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 // the program's default set keeps its parameters — parameters never mix
 // within a set.
 func TestEpochParamsKeyedSets(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, QueueDepth: 8, EpochRuns: 2})
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 8})
 	base := Request{Source: epochLoopSource, Mode: core.ModeTrace}
 	if _, err := s.Do(context.Background(), base); err != nil {
 		t.Fatal(err)
@@ -243,11 +251,12 @@ func TestEpochParamsKeyedSets(t *testing.T) {
 // the shard's graph half-updated. vm.Machine.Run reports that panic as a
 // TrapBadProgram, and serve must still treat it as a fault: the shard is
 // discarded (never merged, so never committed), the panic counts toward
-// quarantine, and the worker's next run rebuilds the shard.
+// quarantine, and the worker's next run rebuilds the shard, which the next
+// export merges.
 func TestHookPanicDiscardsShard(t *testing.T) {
 	var armed atomic.Bool
 	armed.Store(true)
-	s := newTestService(t, Config{Workers: 1, EpochRuns: 1, Injector: InjectorFuncs{
+	s := newTestService(t, Config{Workers: 1, Injector: InjectorFuncs{
 		Wrap: func(h vm.DispatchHook) vm.DispatchHook {
 			if !armed.Swap(false) {
 				return h
@@ -278,57 +287,60 @@ func TestHookPanicDiscardsShard(t *testing.T) {
 	if resp.Output != epochLoopOutput {
 		t.Errorf("run after the hook panic: output %q, want %q", resp.Output, epochLoopOutput)
 	}
-	if snap := s.Stats(); snap.LiveShards != 1 || snap.EpochMerges != 1 {
-		t.Errorf("after a clean run: liveShards=%d merges=%d, want 1/1 (shard rebuilt and merged)",
+	if snap := s.Stats(); snap.LiveShards != 1 || snap.EpochMerges != 0 {
+		t.Errorf("after a clean run: liveShards=%d merges=%d, want 1/0 (shard rebuilt, nothing read it)",
 			snap.LiveShards, snap.EpochMerges)
+	}
+	if s.epochs.exportForCommit(resp.Key, false) == nil {
+		t.Fatal("export after a clean run merged nothing")
+	}
+	if snap := s.Stats(); snap.EpochMerges != 1 || snap.ShardsMerged != 1 {
+		t.Errorf("after an export: merges=%d shardsMerged=%d, want 1/1 (the rebuilt shard merged)",
+			snap.EpochMerges, snap.ShardsMerged)
 	}
 }
 
-// TestEpochReleaseClaimsEachEpochOnce: with every worker releasing its shard
-// concurrently, each full quota of runs must trigger exactly one merge. The
-// release that sees the quota reached has to claim it under the same lock —
-// were the counter reset only when the merge publishes, every release landing
-// during that merge would see the quota still full and merge again.
-func TestEpochReleaseClaimsEachEpochOnce(t *testing.T) {
-	const workers, perWorker, epochRuns = 4, 100, 5
-	s := newTestService(t, Config{Workers: workers, EpochRuns: epochRuns})
+// TestFreshShardSeedsFromReleasedRuns: a release never merges; the merged
+// view's reader does. Worker 0's run marks the set dirty without a merge, a
+// second run on its live shard reads nothing and still merges nothing, and
+// worker 1's fresh shard pulls exactly one merge and warm-starts from
+// worker 0's learning.
+func TestFreshShardSeedsFromReleasedRuns(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2})
 	comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec, params := s.epochs, profile.DefaultParams()
-
-	// Give every worker's shard learned state, so no merge comes up empty
-	// (a merge that absorbs nothing is not counted).
-	for w := 0; w < workers; w++ {
+	run := func(w int) *core.Session {
+		t.Helper()
 		sh, set := ec.acquire(comp, params, w)
-		prof, _, err := ec.profiler(sh, set)
+		prof, seed, err := ec.profiler(sh, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := core.NewSession(comp.Prog, comp.CFG, core.SessionOptions{Mode: core.ModeTrace, Profiler: prof})
+		sess, err := core.NewSession(comp.Prog, comp.CFG, core.SessionOptions{Mode: core.ModeTrace, Profiler: prof, Snapshot: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}
-		sh.mu.Unlock()
+		ec.release(sh, set, learnedDelta(sess.Counters))
+		return sess
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				sh, set := ec.acquire(comp, params, w)
-				ec.release(sh, set, 0)
-			}
-		}(w)
+	for i := 0; i < 2; i++ {
+		run(0)
+		if got := ec.merges.Load(); got != 0 {
+			t.Fatalf("worker 0 run %d: %d merges, want 0 (nothing read the merged view)", i, got)
+		}
 	}
-	wg.Wait()
-	if got, want := ec.merges.Load(), int64(workers*perWorker/epochRuns); got != want {
-		t.Errorf("EpochMerges = %d after %d runs with quota %d, want %d", got, workers*perWorker, epochRuns, want)
+	warm := run(1)
+	if got := ec.merges.Load(); got != 1 {
+		t.Errorf("worker 1's fresh shard pulled %d merges, want 1", got)
+	}
+	if warm.Counters.NodesSeededFromSnapshot == 0 {
+		t.Error("worker 1's fresh shard did not seed from worker 0's released runs")
 	}
 }

@@ -87,14 +87,6 @@ type Config struct {
 	// replay.Record — the record/replay tap. Refused requests (backpressure)
 	// are recorded too: the log is a transcript of offered traffic.
 	Recorder *replay.Recorder
-	// EpochRuns is the epoch length of sharded profiling. Every worker owns a
-	// private BCG profiler per program and profiler parameters (a shard)
-	// whose learned state persists across that worker's requests, and the
-	// epoch coordinator merges a set of shards into a globally derived view
-	// every EpochRuns profiled runs through it — plus on breaker trips,
-	// snapshot-writer commits, and drain. Zero or negative means the default
-	// of 32.
-	EpochRuns int64
 }
 
 func (c *Config) fillDefaults() {
@@ -109,9 +101,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.EpochRuns <= 0 {
-		c.EpochRuns = 32
 	}
 	c.Breaker.fillDefaults()
 }
@@ -236,7 +225,7 @@ func New(cfg Config) *Service {
 	if cfg.EventTrace > 0 {
 		s.ring = obs.NewRing(cfg.EventTrace)
 	}
-	s.epochs = newEpochCoordinator(cfg.Workers, cfg.EpochRuns, cfg.TraceCache, s.ring)
+	s.epochs = newEpochCoordinator(cfg.Workers, cfg.TraceCache, s.ring)
 	if cfg.SnapshotDir != "" {
 		s.snaps = newSnapStore(cfg.SnapshotDir, cfg.SnapshotInterval, cfg.SnapshotNet, s.ring, s.epochs)
 	}
@@ -527,12 +516,7 @@ func (s *Service) worker(id int) {
 			if err == nil {
 				churn = churnPerK(&resp.Counters)
 			}
-			if brk.observe(s.cfg.Clock(), churn, demote, probe) {
-				// The program demotes to plain dispatch while the breaker is
-				// open; merge now so the shards' learning up to the trip is
-				// published (and committable) rather than stranded.
-				s.epochs.mergeProgram(j.comp.Key)
-			}
+			brk.observe(s.cfg.Clock(), churn, demote, probe)
 		}
 		lat := time.Since(j.enqueued)
 		switch {
@@ -586,7 +570,7 @@ func faulted(err error) bool {
 func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (resp *Response, err error) {
 	// sh, once non-nil, is this run's locked shard. The deferred handler is
 	// the single release point: a clean (or failed-but-orderly) run releases
-	// it with its learning delta, counting toward the set's epoch; a faulted
+	// it with its learning delta, marking the set dirty; a faulted
 	// run (see faulted) discards the profiler first, since the dispatch hook
 	// may have died mid-update and left the graph unusable — the worker's next
 	// run rebuilds the shard from the merged view. A panic inside

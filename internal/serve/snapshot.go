@@ -249,8 +249,9 @@ func (st *snapStore) flushLoop() {
 // interval ticks and the final drain — everything dirty at all. Each
 // program's state is pulled fresh (an epoch merge of its first set) at this
 // moment; wait is forwarded to the merge and is true only on the drain
-// commit. A program that yields nothing committable (no merged state yet,
-// failed write) is re-marked dirty so the next cycle retries it.
+// commit. A program that yields nothing committable (the merge absorbed no
+// shard, or the write failed) is re-marked dirty so the next cycle retries
+// it.
 func (st *snapStore) flush(thresholdOnly, wait bool) {
 	type pending struct {
 		key   string
@@ -292,9 +293,10 @@ func (st *snapStore) close() {
 func (s *Service) SnapshotEnabled() bool { return s.snaps != nil }
 
 // SnapshotBytes returns the encoded learned state of a registry key: a fresh
-// merge of the program's first shard set, or — for a program not run since
-// start — its committed snapshot on disk. The second result is false when
-// persistence is disabled or nothing valid exists for the key.
+// merge of the program's first shard set, or — when that merge absorbs no
+// shard (every one busy, or the program not run since start or since its
+// last PUT) — its committed snapshot on disk. The second result is false
+// when persistence is disabled or nothing valid exists for the key.
 func (s *Service) SnapshotBytes(key string) ([]byte, bool) {
 	if s.snaps == nil {
 		return nil, false

@@ -221,12 +221,12 @@ func TestInstallOnLiveProgram(t *testing.T) {
 	}
 }
 
-// TestInstallDuringTraffic: PUTs racing profiled runs, per-run epoch merges
-// and the writer's commits keep every run correct, and once traffic stops
-// the last upload is what GET returns and what the drain commits.
+// TestInstallDuringTraffic: PUTs racing profiled runs, GETs and the writer's
+// per-run commits (each a merge) keep every run correct, and once traffic
+// stops the last upload is what GET returns and what the drain commits.
 func TestInstallDuringTraffic(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Workers: 2, QueueDepth: 16, SnapshotDir: dir, SnapshotNet: 1, EpochRuns: 1})
+	s := New(Config{Workers: 2, QueueDepth: 16, SnapshotDir: dir, SnapshotNet: 1})
 	cold := runLoop(t, s, Request{})
 	upload := snapshot.Encode(&snapshot.Snapshot{ProgramKey: cold.Key, Program: cold.Program, Params: profile.DefaultParams()})
 
@@ -262,6 +262,46 @@ func TestInstallDuringTraffic(t *testing.T) {
 	s.Close()
 	if data, err := os.ReadFile(filepath.Join(dir, cold.Key+snapExt)); err != nil || !bytes.Equal(data, upload) {
 		t.Errorf("drain committed %d bytes (err %v), want the %d-byte upload", len(data), err, len(upload))
+	}
+}
+
+// TestCommitKeepsDeltaWhileShardsBusy: a commit whose merge absorbed no
+// shard, because every shard was busy, must not commit an older merged view
+// and drop the program's delta — the busy shard's learning would reach disk
+// only at drain or after more traffic. The writer keeps the delta for its
+// next cycle, and GET falls back to the committed file.
+func TestCommitKeepsDeltaWhileShardsBusy(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Config{
+		Workers: 1, SnapshotDir: dir,
+		SnapshotInterval: time.Hour, // the test drives every flush itself
+		SnapshotNet:      1 << 40,
+	})
+	key := runLoop(t, s, Request{}).Key
+	s.snaps.flush(false, false)
+	if got := s.snaps.pending(); got != 0 {
+		t.Fatalf("pending = %d after the first commit, want 0", got)
+	}
+	committed, err := os.ReadFile(filepath.Join(dir, key+snapExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sh := s.epochs.sets[key][0].shards[0]
+	sh.mu.Lock()
+	s.snaps.noteDirty(key, 1)
+	s.snaps.flush(false, false)
+	data, ok := s.SnapshotBytes(key)
+	sh.mu.Unlock()
+
+	if got := s.snaps.pending(); got != 1 {
+		t.Errorf("pending = %d after a commit that merged no shard, want 1 (delta kept)", got)
+	}
+	if saved := s.Stats().Global.SnapshotsSaved; saved != 1 {
+		t.Errorf("SnapshotsSaved = %d, want 1 (nothing fresh to commit)", saved)
+	}
+	if !ok || !bytes.Equal(data, committed) {
+		t.Errorf("GET while the shard is busy: %d bytes (found %v), want the %d-byte committed file", len(data), ok, len(committed))
 	}
 }
 

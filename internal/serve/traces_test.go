@@ -17,7 +17,6 @@ func TestTraceInventoryTier2(t *testing.T) {
 	s := newTestService(t, Config{
 		Workers:    4,
 		QueueDepth: 32,
-		EpochRuns:  4,
 		TraceCache: core.Config{CompileTraces: true, TierUpDispatches: 4},
 	})
 	const n = 16
