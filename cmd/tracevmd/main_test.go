@@ -92,12 +92,16 @@ func TestRunEndpointErrors(t *testing.T) {
 		// received, both as json.Unmarshal decodes the body.
 		mode      string
 		threshold float64
+		// For 422s from the verifier: the rule of the report's first finding.
+		rule string
 	}{
 		{name: "bad json", body: `{`, status: http.StatusBadRequest},
 		{name: "bad mode", body: `{"workload":"soot","mode":"warp"}`, status: http.StatusBadRequest},
 		{name: "bad kind", body: `{"source":"x","kind":"cobol"}`, status: http.StatusBadRequest},
 		{name: "no program", body: `{}`, status: http.StatusUnprocessableEntity},
 		{name: "compile error", body: `{"source":"class {"}`, status: http.StatusUnprocessableEntity},
+		{name: "stack underflow", body: `{"kind":"jasm","source":".class Main\n.method static main ( ) void\n iadd\n return\n.end\n.end\n.entry Main main\n"}`,
+			status: http.StatusUnprocessableEntity, rule: "stack-underflow"},
 		{name: "run trap", body: `{"source":"class Main { static void main() { Sys.printlnInt(1/0); } }"}`, status: http.StatusUnprocessableEntity},
 		// Only whitespace may follow the request object.
 		{name: "trailing data", body: `{"workload":"soot"} x`, status: http.StatusBadRequest},
@@ -116,6 +120,13 @@ func TestRunEndpointErrors(t *testing.T) {
 		if c.status != http.StatusOK {
 			if s, _ := m["error"].(string); s == "" {
 				t.Errorf("%s: no error message", c.name)
+			}
+			if c.rule != "" {
+				rep, _ := m["report"].(map[string]any)
+				findings, _ := rep["findings"].([]any)
+				if len(findings) == 0 || findings[0].(map[string]any)["rule"] != c.rule {
+					t.Errorf("%s: report %v, want first finding %s", c.name, m["report"], c.rule)
+				}
 			}
 			continue
 		}

@@ -47,8 +47,9 @@ func Assemble(src string) (*classfile.Program, error) {
 	return a.b.Build()
 }
 
-// AssembleUnlinked parses jasm source but skips linking; tests use it to
-// target link-time failures.
+// AssembleUnlinked parses jasm source but skips linking, so the verifier
+// can report on a program the linker would refuse, and tests can target
+// link-time failures.
 func AssembleUnlinked(src string) (*classfile.Program, error) {
 	a := &asm{b: classfile.NewBuilder()}
 	if err := a.run(src); err != nil {

@@ -192,7 +192,9 @@ func (r *Registry) Source(kind SourceKind, src string) (*Compiled, error) {
 		case KindMiniJava:
 			prog, err = minijava.Compile(src)
 		case KindJasm:
-			prog, err = jasm.Assemble(src)
+			// Unlinked, so the verifier sees a program the linker's
+			// stack-depth check would refuse and reports it by rule.
+			prog, err = jasm.AssembleUnlinked(src)
 		default:
 			return nil, nil, fmt.Errorf("serve: unknown source kind %d", kind)
 		}
@@ -207,6 +209,9 @@ func (r *Registry) Source(kind SourceKind, src string) (*Compiled, error) {
 			if rep := analysis.Verify(prog); rep.Reject() {
 				return nil, nil, fmt.Errorf("serve: program rejected by verifier: %w", rep.Err())
 			}
+		}
+		if err := prog.Link(); err != nil {
+			return nil, nil, err
 		}
 		pcfg, err := cfg.BuildProgram(prog)
 		if err != nil {

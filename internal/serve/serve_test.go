@@ -477,6 +477,31 @@ func TestDoRejectsUnverifiableSource(t *testing.T) {
 	}
 }
 
+// TestDoRejectsUnbalancedStack: the linker's stack-depth check would refuse
+// these programs too, but as a compile error without a report. Submitted
+// jasm is verified before it is linked, so the client gets the rule.
+func TestDoRejectsUnbalancedStack(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	for rule, body := range map[string]string{
+		analysis.RuleStackUnderflow: "iadd\n    return",
+		analysis.RuleStackImbalance: "iconst 1\n    return",
+	} {
+		src := ".class Main\n.method static main ( ) void\n    " + body + "\n.end\n.end\n.entry Main main\n"
+		_, err := s.Do(context.Background(), Request{Source: src, Kind: KindJasm})
+		var verr *analysis.VerifyError
+		if !errors.As(err, &verr) {
+			t.Fatalf("%s: error is not a *analysis.VerifyError: %v", rule, err)
+		}
+		if got := verr.Report.Errors()[0].Rule; got != rule {
+			t.Errorf("rule = %s, want %s", got, rule)
+		}
+	}
+	snap := s.Stats()
+	if snap.ProgramsRejected != 2 || snap.CompileErrors != 0 {
+		t.Errorf("ProgramsRejected = %d, CompileErrors = %d, want 2 and 0", snap.ProgramsRejected, snap.CompileErrors)
+	}
+}
+
 func TestNoVerifySkipsTheGate(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, NoVerify: true})
 	resp, err := s.Do(context.Background(), Request{Source: uninitSource, Kind: KindJasm})
