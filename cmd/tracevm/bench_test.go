@@ -8,20 +8,15 @@ import (
 	"repro/internal/harness"
 )
 
-// smokeSuite returns a suite scaled down far enough that a full measurement
-// pass completes in CI-test time: one repetition, tight instruction budget.
-func smokeSuite() *harness.Suite {
-	s := harness.NewSuite()
-	s.Repeats = 1
-	s.MaxSteps = 60_000
-	return s
-}
+// smokeFlags scale the suite down far enough that a full measurement pass
+// completes in CI-test time: one repetition, tight instruction budget.
+var smokeFlags = []string{"-repeats", "1", "-maxsteps", "60000"}
 
-// TestTable6Smoke exercises the original CLI path the README documents
-// (tracebench -table 6) on a scaled-down budget.
+// TestTable6Smoke exercises the CLI path the README documents
+// (tracevm bench -table 6) on a scaled-down budget.
 func TestTable6Smoke(t *testing.T) {
 	var buf strings.Builder
-	if err := run(smokeSuite(), &buf, 6, false, false, false, false, false, false); err != nil {
+	if err := benchCmd(&buf, append(smokeFlags, "-table", "6")); err != nil {
 		t.Fatalf("run(-table 6): %v", err)
 	}
 	out := buf.String()
@@ -35,12 +30,12 @@ func TestTable6Smoke(t *testing.T) {
 	}
 }
 
-// TestOptimizabilitySmoke exercises tracebench -optimizability -maxsteps …:
+// TestOptimizabilitySmoke exercises tracevm bench -optimizability -maxsteps …:
 // the table is built from trace.Compile's counters, one row per workload,
 // and no row may show more emitted ops than instructions consumed.
 func TestOptimizabilitySmoke(t *testing.T) {
 	var buf strings.Builder
-	if err := run(smokeSuite(), &buf, 0, false, false, true, false, false, false); err != nil {
+	if err := benchCmd(&buf, append(smokeFlags, "-optimizability")); err != nil {
 		t.Fatalf("run(-optimizability): %v", err)
 	}
 	out := buf.String()

@@ -24,25 +24,25 @@ var cliCases = []struct {
 	stderr bool
 	file   string // a file the command writes, pinned after its output
 }{
-	{"run trace stats", []string{"tracevm", "-workload", "compress", "-mode", "trace", "-stats", "-traces"}, true, ""},
-	{"run profile dot file", []string{"tracevm", "-mode", "profile", "-dot", "$TMP/loop.dot", "examples/tracelint/loop.mj"}, false, "$TMP/loop.dot"},
-	{"dot stdout", []string{"bcgdump", "-workload", "compress", "-min", "16"}, false, ""},
-	{"listing workload", []string{"mjc", "-S", "-workload", "compress"}, false, ""},
-	{"listing optimized", []string{"mjc", "-O", "-S", "examples/tracelint/loop.mj"}, true, ""},
-	{"build minijava module", []string{"mjc", "-o", "$TMP/loop.jtm", "examples/tracelint/loop.mj"}, false, ""},
-	{"run minijava module", []string{"tracevm", "-stats", "$TMP/loop.jtm"}, true, ""},
-	{"run jasm", []string{"tracevm", "-stats", "internal/analysis/valueflow/testdata/adversarial/widening-loop.jasm"}, true, ""},
-	{"build jasm module", []string{"jasm", "-o", "$TMP/wl.jtm", "internal/analysis/valueflow/testdata/adversarial/widening-loop.jasm"}, false, ""},
-	{"run jasm module", []string{"tracevm", "-mode", "plain", "-stats", "$TMP/wl.jtm"}, true, ""},
-	{"lint text", []string{"tracelint", "examples/tracelint/loop.mj"}, false, ""},
-	{"lint json", []string{"tracelint", "-json", "examples/tracelint/loop.mj"}, false, ""},
-	{"lint json rejected", []string{"tracelint", "-json", "internal/analysis/testdata/malformed/stack-underflow.jasm"}, false, ""},
-	{"lint module", []string{"tracelint", "$TMP/wl.jtm"}, false, ""},
-	{"snap summary", []string{"tracesnap", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
-	{"snap nodes", []string{"tracesnap", "-nodes", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
-	{"snap json", []string{"tracesnap", "-json", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
-	{"snap diff", []string{"tracesnap", "-diff", "internal/snapshot/testdata/v1.tsnap", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
-	{"bench table 1", []string{"tracebench", "-table", "1", "-maxsteps", "200000"}, false, ""},
+	{"run trace stats", []string{"tracevm", "run", "-workload", "compress", "-mode", "trace", "-stats", "-traces"}, true, ""},
+	{"run profile dot file", []string{"tracevm", "run", "-mode", "profile", "-dot", "$TMP/loop.dot", "examples/tracelint/loop.mj"}, false, "$TMP/loop.dot"},
+	{"dot stdout", []string{"tracevm", "run", "-mode", "profile", "-dot", "-", "-min", "16", "-workload", "compress"}, false, ""},
+	{"listing workload", []string{"tracevm", "build", "-S", "-workload", "compress"}, false, ""},
+	{"listing optimized", []string{"tracevm", "build", "-O", "-S", "examples/tracelint/loop.mj"}, true, ""},
+	{"build minijava module", []string{"tracevm", "build", "-o", "$TMP/loop.jtm", "examples/tracelint/loop.mj"}, false, ""},
+	{"run minijava module", []string{"tracevm", "run", "-stats", "$TMP/loop.jtm"}, true, ""},
+	{"run jasm", []string{"tracevm", "run", "-stats", "internal/analysis/valueflow/testdata/adversarial/widening-loop.jasm"}, true, ""},
+	{"build jasm module", []string{"tracevm", "build", "-o", "$TMP/wl.jtm", "internal/analysis/valueflow/testdata/adversarial/widening-loop.jasm"}, false, ""},
+	{"run jasm module", []string{"tracevm", "run", "-mode", "plain", "-stats", "$TMP/wl.jtm"}, true, ""},
+	{"lint text", []string{"tracevm", "lint", "examples/tracelint/loop.mj"}, false, ""},
+	{"lint json", []string{"tracevm", "lint", "-json", "examples/tracelint/loop.mj"}, false, ""},
+	{"lint json rejected", []string{"tracevm", "lint", "-json", "internal/analysis/testdata/malformed/stack-underflow.jasm"}, false, ""},
+	{"lint module", []string{"tracevm", "lint", "$TMP/wl.jtm"}, false, ""},
+	{"snap summary", []string{"tracevm", "snap", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
+	{"snap nodes", []string{"tracevm", "snap", "-nodes", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
+	{"snap json", []string{"tracevm", "snap", "-json", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
+	{"snap diff", []string{"tracevm", "snap", "-diff", "internal/snapshot/testdata/v1.tsnap", "internal/snapshot/testdata/v1.tsnap"}, false, ""},
+	{"bench table 1", []string{"tracevm", "bench", "-table", "1", "-maxsteps", "200000"}, false, ""},
 }
 
 // renderCLIGolden builds the binaries cliCases name and runs every case,

@@ -1,59 +1,52 @@
-// Command tracelint statically checks programs for the trace-cache VM: it
-// runs the abstract-interpretation bytecode verifier over every input and,
-// for programs that pass, prints the dataflow facts the runtime consumes —
-// the CFG hints (dominators, loop headers, single-successor blocks) and the
-// whole-program value-flow facts (constant slots, statically decided
-// branches, unreachable blocks) that feed BCG hint seeding and the trace
-// cache's guard proofs.
-//
-// Inputs are MiniJava sources (.mj), jasm assembly (.jasm, analyzed without
-// linking so malformed programs still produce a report), or serialized
-// modules (.jtm).
-//
-// Usage:
-//
-//	tracelint prog.jasm other.mj           # human-readable report + facts
-//	tracelint -facts prog.mj               # same, facts requested explicitly
-//	tracelint -json prog.jasm              # machine-readable report
-//	tracelint -no-facts prog.jtm           # verification only
-//	tracelint -strict prog.mj              # advisory warnings fail too
-//
-// Exit status is 1 if any input fails to load, is rejected, or (under
-// -strict) draws an advisory warning such as unreachable-block.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/valueflow"
 	"repro/internal/cfg"
 	"repro/internal/classfile"
-	"repro/internal/jasm"
-	"repro/internal/minijava"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit one JSON object per input file")
-	showFacts := flag.Bool("facts", true, "print the CFG and value-flow facts for accepted programs")
-	noFacts := flag.Bool("no-facts", false, "skip the CFG/dominator fact dump, verify only")
-	strict := flag.Bool("strict", false, "treat advisory warnings (e.g. unreachable-block) as failures")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: tracelint [-json] [-facts|-no-facts] [-strict] file.{mj,jasm,jtm}...")
-		os.Exit(2)
+// lintCmd statically checks programs: it runs the abstract-interpretation
+// bytecode verifier over every input and, for programs that pass, prints
+// the dataflow facts the runtime consumes — the CFG hints (dominators, loop
+// headers, single-successor blocks) and the whole-program value-flow facts
+// (constant slots, statically decided branches, unreachable blocks) that
+// feed BCG hint seeding and the trace cache's guard proofs. Jasm is
+// analyzed without linking, so malformed programs still produce a report.
+//
+//	tracevm lint prog.jasm other.mj      # human-readable report + facts
+//	tracevm lint -json prog.jasm         # machine-readable report
+//	tracevm lint -facts=false prog.jtm   # verification only
+//	tracevm lint -strict prog.mj         # advisory warnings fail too
+//
+// It fails if any input fails to load, is rejected, or (under -strict)
+// draws an advisory warning such as unreachable-block.
+func lintCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("lint", flag.ExitOnError)
+	jsonOut := fs.Bool("json", false, "emit one JSON object per input file")
+	showFacts := fs.Bool("facts", true, "print the CFG and value-flow facts for accepted programs")
+	strict := fs.Bool("strict", false, "treat advisory warnings (e.g. unreachable-block) as failures")
+	fs.Parse(args)
+	if fs.NArg() == 0 {
+		return fmt.Errorf("usage: tracevm lint [-json] [-facts=false] [-strict] file.{mj,jasm,jtm}...")
 	}
-	exit := 0
-	for _, path := range flag.Args() {
-		if !lintFile(os.Stdout, path, *jsonOut, *showFacts && !*noFacts, *strict) {
-			exit = 1
+	failed := 0
+	for _, path := range fs.Args() {
+		if !lintFile(w, path, *jsonOut, *showFacts, *strict) {
+			failed++
 		}
 	}
-	os.Exit(exit)
+	if failed > 0 {
+		return fmt.Errorf("%d of %d inputs failed", failed, fs.NArg())
+	}
+	return nil
 }
 
 // methodFacts is the per-method slice of the JSON fact dump.
@@ -75,33 +68,8 @@ type fileResult struct {
 	Report *analysis.Report `json:"report,omitempty"`
 	Facts  []methodFacts    `json:"facts,omitempty"`
 	// ValueFlow summarizes the whole-program value-flow table (omitted with
-	// -no-facts or when the analysis degraded to the claim-free top table).
+	// -facts=false or when the analysis degraded to the claim-free top table).
 	ValueFlow *valueflow.Stats `json:"valueflow,omitempty"`
-}
-
-// load parses path into a (possibly unlinked) program.
-func load(path string) (*classfile.Program, error) {
-	switch {
-	case strings.HasSuffix(path, ".jtm"):
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return classfile.Read(f)
-	case strings.HasSuffix(path, ".jasm"):
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return jasm.AssembleUnlinked(string(src))
-	default:
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return minijava.Compile(string(src))
-	}
 }
 
 // facts links the program (verification already passed, so linking errors
@@ -149,9 +117,9 @@ func facts(prog *classfile.Program) ([]methodFacts, *valueflow.Stats, error) {
 	return out, stats, nil
 }
 
-func lintFile(w *os.File, path string, jsonOut, wantFacts, strict bool) bool {
+func lintFile(w io.Writer, path string, jsonOut, wantFacts, strict bool) bool {
 	res := fileResult{File: path}
-	prog, err := load(path)
+	prog, err := load("", "", []string{path})
 	if err != nil {
 		res.Error = err.Error()
 	} else {
@@ -215,7 +183,7 @@ func lintFile(w *os.File, path string, jsonOut, wantFacts, strict bool) bool {
 	return res.OK
 }
 
-func printReport(w *os.File, path string, rep *analysis.Report) {
+func printReport(w io.Writer, path string, rep *analysis.Report) {
 	for _, f := range rep.Findings {
 		sev := "error"
 		if f.Warn {

@@ -10,33 +10,25 @@ import (
 	"testing"
 )
 
-// run lints one source written to a temp file and returns (ok, output).
-func run(t *testing.T, name, src string, jsonOut bool) (bool, string) {
-	return runStrict(t, name, src, jsonOut, false)
+// lintSource lints one source written to a temp file and returns (ok, output).
+func lintSource(t *testing.T, name, src string, jsonOut bool) (bool, string) {
+	return lintStrict(t, name, src, jsonOut, false)
 }
 
-func runStrict(t *testing.T, name, src string, jsonOut, strict bool) (bool, string) {
+func lintStrict(t *testing.T, name, src string, jsonOut, strict bool) (bool, string) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	ok := lintFile(out, path, jsonOut, true, strict)
-	data, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ok, string(data)
+	var out strings.Builder
+	ok := lintFile(&out, path, jsonOut, true, strict)
+	return ok, out.String()
 }
 
 func TestLintAcceptsAndPrintsFacts(t *testing.T) {
-	ok, out := run(t, "prog.mj", `
+	ok, out := lintSource(t, "prog.mj", `
 class Main {
     static void main() {
         int i = 0;
@@ -57,7 +49,7 @@ class Main {
 }
 
 func TestLintRejectsWithRule(t *testing.T) {
-	ok, out := run(t, "bad.jasm", `
+	ok, out := lintSource(t, "bad.jasm", `
 .class Main
 .method static main ( ) void
     pop
@@ -74,7 +66,7 @@ func TestLintRejectsWithRule(t *testing.T) {
 }
 
 func TestLintJSONShape(t *testing.T) {
-	ok, out := run(t, "bad.jasm", `
+	ok, out := lintSource(t, "bad.jasm", `
 .class Main
 .method static main ( ) void
     pop
@@ -116,14 +108,14 @@ L:  return
 .end
 .end
 `
-	ok, out := runStrict(t, "dead.jasm", src, false, false)
+	ok, out := lintStrict(t, "dead.jasm", src, false, false)
 	if !ok {
 		t.Fatalf("warn-only finding rejected without -strict:\n%s", out)
 	}
 	if !strings.Contains(out, "unreachable-block") {
 		t.Fatalf("warning not printed:\n%s", out)
 	}
-	ok, out = runStrict(t, "dead.jasm", src, false, true)
+	ok, out = lintStrict(t, "dead.jasm", src, false, true)
 	if ok {
 		t.Fatalf("-strict accepted a program with unreachable-block warnings:\n%s", out)
 	}
@@ -139,7 +131,7 @@ func TestLintStrictExitCode(t *testing.T) {
 	// End-to-end exit-status check through the built binary: 0 without
 	// -strict, 1 with it, on the same warning-only input.
 	if testing.Short() {
-		t.Skip("builds the tracelint binary")
+		t.Skip("builds the tracevm binary")
 	}
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "dead.jasm")
@@ -156,15 +148,15 @@ L:  return
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "tracelint")
+	bin := filepath.Join(dir, "tracevm")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	if out, err := exec.Command(bin, prog).CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, "lint", prog).CombinedOutput(); err != nil {
 		t.Fatalf("want exit 0 without -strict, got %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-strict", prog).CombinedOutput()
+	out, err := exec.Command(bin, "lint", "-strict", prog).CombinedOutput()
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
 		t.Fatalf("want exit 1 under -strict, got %v\n%s", err, out)
@@ -174,7 +166,7 @@ L:  return
 func TestLintValueFlowFacts(t *testing.T) {
 	// A branch on a known constant: the value-flow dump must report the
 	// decided branch, the arm it kills, and the program-level summary.
-	ok, out := run(t, "const.jasm", `
+	ok, out := lintSource(t, "const.jasm", `
 .class Main
 .method static main ( ) void
 .locals 1
@@ -204,7 +196,7 @@ DEAD:
 }
 
 func TestLintValueFlowJSON(t *testing.T) {
-	ok, out := run(t, "const.jasm", `
+	ok, out := lintSource(t, "const.jasm", `
 .class Main
 .method static main ( ) void
 .locals 1
@@ -258,7 +250,7 @@ DEAD:
 func TestLintUnlinkableJasmStillReported(t *testing.T) {
 	// References a missing method: unlinkable, but the verifier still
 	// produces a precise report because the jasm path analyzes unlinked.
-	ok, out := run(t, "unlinkable.jasm", `
+	ok, out := lintSource(t, "unlinkable.jasm", `
 .class Main
 .method static main ( ) void
     invokestatic Missing.run

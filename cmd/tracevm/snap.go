@@ -1,18 +1,3 @@
-// Command tracesnap inspects and compares profile snapshot files
-// (tracevm/snapshot/v1, written by VM.SaveSnapshot, the serving daemon's
-// snapshot store, or GET /v1/snapshot).
-//
-// Usage:
-//
-//	tracesnap prog.tsnap                summary: identity, params, state histogram
-//	tracesnap -nodes prog.tsnap        per-node listing (context, state, edges)
-//	tracesnap -json prog.tsnap         full decoded snapshot as JSON
-//	tracesnap -diff old.tsnap new.tsnap what the profile learned between two saves
-//	tracesnap -scrub dir               validate every .tsnap in a store directory;
-//	                                   exits non-zero when corruption is found
-//	tracesnap -scrub -quarantine dir   additionally move corrupt files to .corrupt
-//	                                   sidecars (the daemon's startup self-heal,
-//	                                   runnable offline)
 package main
 
 import (
@@ -29,28 +14,36 @@ import (
 	"repro/internal/snapshot"
 )
 
-func main() {
-	nodes := flag.Bool("nodes", false, "list every node with its state and edges")
-	asJSON := flag.Bool("json", false, "dump the decoded snapshot as JSON")
-	diff := flag.Bool("diff", false, "compare two snapshots (old new)")
-	scrub := flag.Bool("scrub", false, "validate every snapshot in a store directory")
-	quarantine := flag.Bool("quarantine", false, "scrub: move corrupt snapshots to .corrupt sidecars")
-	flag.Parse()
+// snapCmd inspects and compares profile snapshot files
+// (tracevm/snapshot/v1, written by VM.SaveSnapshot, the serving daemon's
+// snapshot store, or GET /v1/snapshot).
+//
+//	tracevm snap prog.tsnap                summary: identity, params, state histogram
+//	tracevm snap -nodes prog.tsnap         per-node listing (context, state, edges)
+//	tracevm snap -json prog.tsnap          full decoded snapshot as JSON
+//	tracevm snap -diff old.tsnap new.tsnap what the profile learned between two saves
+//	tracevm snap -scrub dir                validate every .tsnap in a store directory;
+//	                                       fails when corruption is found
+//	tracevm snap -scrub -quarantine dir    additionally move corrupt files to .corrupt
+//	                                       sidecars (the daemon's startup self-heal,
+//	                                       runnable offline)
+func snapCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("snap", flag.ExitOnError)
+	nodes := fs.Bool("nodes", false, "list every node with its state and edges")
+	asJSON := fs.Bool("json", false, "dump the decoded snapshot as JSON")
+	diff := fs.Bool("diff", false, "compare two snapshots (old new)")
+	scrub := fs.Bool("scrub", false, "validate every snapshot in a store directory")
+	quarantine := fs.Bool("quarantine", false, "scrub: move corrupt snapshots to .corrupt sidecars")
+	fs.Parse(args)
+	args = fs.Args()
 
-	if err := run(*nodes, *asJSON, *diff, *scrub, *quarantine, flag.Args()); err != nil {
-		fmt.Fprintf(os.Stderr, "tracesnap: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func run(nodes, asJSON, diff, scrub, quarantine bool, args []string) error {
-	if scrub {
+	if *scrub {
 		if len(args) != 1 {
 			return fmt.Errorf("-scrub expects one store directory")
 		}
-		return runScrub(os.Stdout, args[0], quarantine)
+		return runScrub(w, args[0], *quarantine)
 	}
-	if diff {
+	if *diff {
 		if len(args) != 2 {
 			return fmt.Errorf("-diff expects two snapshot files")
 		}
@@ -62,7 +55,7 @@ func run(nodes, asJSON, diff, scrub, quarantine bool, args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", args[1], err)
 		}
-		printDiff(args[0], args[1], a, b)
+		printDiff(w, args[0], args[1], a, b)
 		return nil
 	}
 	if len(args) != 1 {
@@ -73,18 +66,18 @@ func run(nodes, asJSON, diff, scrub, quarantine bool, args []string) error {
 		return fmt.Errorf("%s: %w", args[0], err)
 	}
 	switch {
-	case asJSON:
-		enc := json.NewEncoder(os.Stdout)
+	case *asJSON:
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(s)
-	case nodes:
-		printNodes(s)
+	case *nodes:
+		printNodes(w, s)
 	default:
 		info, err := os.Stat(args[0])
 		if err != nil {
 			return err
 		}
-		printSummary(args[0], info.Size(), s)
+		printSummary(w, args[0], info.Size(), s)
 	}
 	return nil
 }
@@ -118,15 +111,15 @@ func runScrub(w io.Writer, dir string, quarantine bool) error {
 	return nil
 }
 
-func printSummary(path string, size int64, s *snapshot.Snapshot) {
-	fmt.Printf("file:      %s (%d bytes)\n", path, size)
-	fmt.Printf("schema:    %s\n", snapshot.Schema)
+func printSummary(w io.Writer, path string, size int64, s *snapshot.Snapshot) {
+	fmt.Fprintf(w, "file:      %s (%d bytes)\n", path, size)
+	fmt.Fprintf(w, "schema:    %s\n", snapshot.Schema)
 	name := s.Program
 	if name == "" {
 		name = "(unnamed)"
 	}
-	fmt.Printf("program:   %s  key %s\n", name, s.ProgramKey)
-	fmt.Printf("params:    threshold %.3f  delay %d  decay %d\n",
+	fmt.Fprintf(w, "program:   %s  key %s\n", name, s.ProgramKey)
+	fmt.Fprintf(w, "params:    threshold %.3f  delay %d  decay %d\n",
 		s.Params.Threshold, s.Params.StartDelay, s.Params.DecayInterval)
 
 	var hist [int(profile.StateUnique) + 1]int
@@ -135,15 +128,15 @@ func printSummary(path string, size int64, s *snapshot.Snapshot) {
 		hist[n.State]++
 		edges += len(n.Edges)
 	}
-	fmt.Printf("nodes:     %d  (", len(s.Nodes))
+	fmt.Fprintf(w, "nodes:     %d  (", len(s.Nodes))
 	for st := profile.StateNew; st <= profile.StateUnique; st++ {
 		if st > profile.StateNew {
-			fmt.Print("  ")
+			fmt.Fprint(w, "  ")
 		}
-		fmt.Printf("%s %d", st, hist[st])
+		fmt.Fprintf(w, "%s %d", st, hist[st])
 	}
-	fmt.Printf(")\n")
-	fmt.Printf("edges:     %d\n", edges)
+	fmt.Fprintf(w, ")\n")
+	fmt.Fprintf(w, "edges:     %d\n", edges)
 
 	blocks, entries := 0, 0
 	minEC, sumEC := 1.0, 0.0
@@ -156,15 +149,15 @@ func printSummary(path string, size int64, s *snapshot.Snapshot) {
 		}
 	}
 	if len(s.Traces) > 0 {
-		fmt.Printf("traces:    %d  (%d blocks, %d entry edges, expected completion min %.3f avg %.3f)\n",
+		fmt.Fprintf(w, "traces:    %d  (%d blocks, %d entry edges, expected completion min %.3f avg %.3f)\n",
 			len(s.Traces), blocks, entries, minEC, sumEC/float64(len(s.Traces)))
 	} else {
-		fmt.Printf("traces:    0\n")
+		fmt.Fprintf(w, "traces:    0\n")
 	}
-	fmt.Printf("loop hdrs: %d\n", len(s.LoopHeaders))
+	fmt.Fprintf(w, "loop hdrs: %d\n", len(s.LoopHeaders))
 }
 
-func printNodes(s *snapshot.Snapshot) {
+func printNodes(w io.Writer, s *snapshot.Snapshot) {
 	for _, n := range s.Nodes {
 		total := 0
 		var parts []string
@@ -176,7 +169,7 @@ func printNodes(s *snapshot.Snapshot) {
 		if n.Best != cfg.NoBlock {
 			best = fmt.Sprintf("%d", n.Best)
 		}
-		fmt.Printf("N_%d,%d  %-7s delay %-4d best %-4s total %-5d  [%s]\n",
+		fmt.Fprintf(w, "N_%d,%d  %-7s delay %-4d best %-4s total %-5d  [%s]\n",
 			n.X, n.Y, n.State, n.StartDelay, best, total, strings.Join(parts, " "))
 	}
 }
@@ -196,14 +189,14 @@ func traceKey(blocks []cfg.BlockID) string {
 	return b.String()
 }
 
-func printDiff(pathA, pathB string, a, b *snapshot.Snapshot) {
-	fmt.Printf("old: %s  (%d nodes, %d traces)\n", pathA, len(a.Nodes), len(a.Traces))
-	fmt.Printf("new: %s  (%d nodes, %d traces)\n", pathB, len(b.Nodes), len(b.Traces))
+func printDiff(w io.Writer, pathA, pathB string, a, b *snapshot.Snapshot) {
+	fmt.Fprintf(w, "old: %s  (%d nodes, %d traces)\n", pathA, len(a.Nodes), len(a.Traces))
+	fmt.Fprintf(w, "new: %s  (%d nodes, %d traces)\n", pathB, len(b.Nodes), len(b.Traces))
 	if a.ProgramKey != b.ProgramKey {
-		fmt.Printf("!! different programs: %s vs %s\n", a.ProgramKey, b.ProgramKey)
+		fmt.Fprintf(w, "!! different programs: %s vs %s\n", a.ProgramKey, b.ProgramKey)
 	}
 	if a.Params != b.Params {
-		fmt.Printf("!! different params: threshold %.3f/%.3f delay %d/%d decay %d/%d\n",
+		fmt.Fprintf(w, "!! different params: threshold %.3f/%.3f delay %d/%d decay %d/%d\n",
 			a.Params.Threshold, b.Params.Threshold,
 			a.Params.StartDelay, b.Params.StartDelay,
 			a.Params.DecayInterval, b.Params.DecayInterval)
@@ -232,9 +225,9 @@ func printDiff(pathA, pathB string, a, b *snapshot.Snapshot) {
 			removed = append(removed, fmt.Sprintf("  - N_%d,%d %s", n.X, n.Y, n.State))
 		}
 	}
-	printGroup("nodes added", added)
-	printGroup("nodes removed", removed)
-	printGroup("node state changes", changed)
+	printGroup(w, "nodes added", added)
+	printGroup(w, "nodes removed", removed)
+	printGroup(w, "node state changes", changed)
 
 	at := make(map[string]float64, len(a.Traces))
 	for _, t := range a.Traces {
@@ -254,17 +247,17 @@ func printDiff(pathA, pathB string, a, b *snapshot.Snapshot) {
 			tRemoved = append(tRemoved, fmt.Sprintf("  - [%s] ec %.3f", k, t.ExpectedCompletion))
 		}
 	}
-	printGroup("traces added", tAdded)
-	printGroup("traces removed", tRemoved)
+	printGroup(w, "traces added", tAdded)
+	printGroup(w, "traces removed", tRemoved)
 }
 
-func printGroup(title string, lines []string) {
+func printGroup(w io.Writer, title string, lines []string) {
 	if len(lines) == 0 {
 		return
 	}
 	sort.Strings(lines)
-	fmt.Printf("%s (%d):\n", title, len(lines))
+	fmt.Fprintf(w, "%s (%d):\n", title, len(lines))
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
 }
