@@ -335,19 +335,24 @@ func (s *Suite) TableV() (Table, error) {
 
 // Overhead is one workload's Table VI measurement.
 type Overhead struct {
-	Workload     string
-	PlainWall    time.Duration
-	ProfileWall  time.Duration
-	Dispatches   int64
-	PerMillion   time.Duration // profiling cost per 10^6 dispatches
-	TraceDisp    int64         // trace-mode dispatch count (Table VII)
-	ExpectedOver time.Duration // projected trace-dispatch profiling cost
-	PercentOver  float64       // ExpectedOver / PlainWall
+	Workload    string
+	PlainWall   time.Duration
+	ProfileWall time.Duration
+	// PlainSpread and ProfileSpread are max − min over the repeats, the
+	// noise the minimum hides.
+	PlainSpread   time.Duration
+	ProfileSpread time.Duration
+	Dispatches    int64
+	PerMillion    time.Duration // profiling cost per 10^6 dispatches
+	TraceDisp     int64         // trace-mode dispatch count (Table VII)
+	ExpectedOver  time.Duration // projected trace-dispatch profiling cost
+	PercentOver   float64       // ExpectedOver / PlainWall
 }
 
 // MeasureOverhead produces the data behind Tables VI and VII for one
 // workload: minimum-of-N wall clock for the unprofiled and profiled
-// interpreters plus the deployment-mode trace dispatch count.
+// interpreters, their spread over the N runs, plus the deployment-mode
+// trace dispatch count.
 func (s *Suite) MeasureOverhead(name string) (Overhead, error) {
 	c, err := s.compileWorkload(name)
 	if err != nil {
@@ -380,9 +385,10 @@ func (s *Suite) MeasureOverhead(name string) (Overhead, error) {
 	// Interleave the modes within each repeat (plain, profiled, deploy,
 	// plain, ...) so machine-load drift during the measurement biases all
 	// modes equally instead of whichever phase ran last; keep the minimum
-	// per mode across repeats.
+	// and the maximum per mode across repeats.
 	modes := []core.Mode{core.ModePlain, core.ModeProfile, core.ModeTraceDeploy}
 	walls := make([]time.Duration, len(modes))
+	maxWalls := make([]time.Duration, len(modes))
 	ctrs := make([]*stats.Counters, len(modes))
 	for i := 0; i < repeats; i++ {
 		for mi, mode := range modes {
@@ -394,6 +400,7 @@ func (s *Suite) MeasureOverhead(name string) (Overhead, error) {
 				walls[mi] = w
 				ctrs[mi] = ctr
 			}
+			maxWalls[mi] = max(maxWalls[mi], w)
 		}
 	}
 	plainWall, plainCtr := walls[0], ctrs[0]
@@ -401,11 +408,13 @@ func (s *Suite) MeasureOverhead(name string) (Overhead, error) {
 	deployCtr := ctrs[2]
 
 	o := Overhead{
-		Workload:    name,
-		PlainWall:   plainWall,
-		ProfileWall: profWall,
-		Dispatches:  plainCtr.BlockDispatches,
-		TraceDisp:   deployCtr.TraceDispatches,
+		Workload:      name,
+		PlainWall:     plainWall,
+		ProfileWall:   profWall,
+		PlainSpread:   maxWalls[0] - plainWall,
+		ProfileSpread: maxWalls[1] - profWall,
+		Dispatches:    plainCtr.BlockDispatches,
+		TraceDisp:     deployCtr.TraceDispatches,
 	}
 	over := profWall - plainWall
 	if over < 0 {
@@ -433,15 +442,15 @@ func (s *Suite) TableVI() (Table, []Overhead, error) {
 		all = append(all, o)
 		rows = append(rows, []string{
 			name,
-			fmt.Sprintf("%.3fs", o.PlainWall.Seconds()),
+			fmt.Sprintf("%.3fs +%.3f", o.PlainWall.Seconds(), o.PlainSpread.Seconds()),
 			fmt.Sprintf("%.1f", float64(o.Dispatches)/1e6),
-			fmt.Sprintf("%.3fs", o.ProfileWall.Seconds()),
+			fmt.Sprintf("%.3fs +%.3f", o.ProfileWall.Seconds(), o.ProfileSpread.Seconds()),
 			fmt.Sprintf("%.4fs", o.PerMillion.Seconds()),
 		})
 	}
 	return Table{
 		Title:   "Table VI: Profiler overhead per basic block dispatch",
-		Columns: []string{"benchmark", "no profiler", "dispatches (M)", "profiler", "overhead per 1e6"},
+		Columns: []string{"benchmark", "no profiler +spread", "dispatches (M)", "profiler +spread", "overhead per 1e6"},
 		Rows:    rows,
 	}, all, nil
 }

@@ -144,6 +144,9 @@ func TestOverheadMeasurement(t *testing.T) {
 	if o.PlainWall <= 0 || o.ProfileWall <= 0 {
 		t.Error("wall clocks not measured")
 	}
+	if o.PlainSpread < 0 || o.ProfileSpread < 0 {
+		t.Errorf("negative spread: plain %v, profile %v", o.PlainSpread, o.ProfileSpread)
+	}
 	t6 := s.TableVII([]Overhead{o})
 	if len(t6.Rows) != 1 {
 		t.Error("Table VII empty")
