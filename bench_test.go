@@ -1,7 +1,7 @@
 // Per-layer micro-benchmarks: each measures one layer or cost that no paper
 // table shows — interpreter dispatch, in-trace execution at each tier, the
 // profiler hook, trace lookup and the baseline selectors. The paper's tables
-// and figures come from cmd/tracebench; service-level numbers come from the
+// and figures come from `tracevm bench`; service-level numbers come from the
 // benchmark/ module.
 //
 //	go test -run '^$' -bench . -count 5 .

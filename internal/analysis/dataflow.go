@@ -10,7 +10,7 @@ import (
 // per-block unique-successor classification (seeding BCG nodes directly in
 // the unique state, skipping the start-state delay), loop headers (bounding
 // the trace cache's backtracking), and immediate dominators (diagnostics,
-// cmd/tracelint). All slices are indexed by global cfg.BlockID.
+// `tracevm lint`). All slices are indexed by global cfg.BlockID.
 type Hints struct {
 	// UniqueSucc[id] is the single statically known dynamic successor of
 	// block id, or cfg.NoBlock when the block has none, several, or any

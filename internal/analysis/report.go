@@ -11,7 +11,7 @@
 // metadata, branch and switch targets, locals-initialized-before-use, and
 // reachability. Failures are reported as a structured Report rather than a
 // bare error so callers (the serve registry, tracevmd's HTTP surface,
-// cmd/tracelint) can surface individual findings.
+// `tracevm lint`) can surface individual findings.
 package analysis
 
 import (

@@ -8,7 +8,7 @@
 // non-null — consumed three ways: by
 // analysis.ComputeHintsWithFacts to pre-seed decided branches as
 // unique-successor BCG hints, by the trace cache (through GuardOracle) to
-// prove side-exit guards dead, and by cmd/tracelint as a report.
+// prove side-exit guards dead, and by `tracevm lint` as a report.
 //
 // Every fact is a universally quantified claim about dynamic execution
 // ("whenever block B is entered, local 3 holds 7") and is differentially

@@ -1,7 +1,7 @@
 // Package harness runs the paper's experiments: it sweeps the start-state
 // delay and completion threshold over the six workloads and renders Tables
-// I–VII plus the dispatch-granularity figure data. cmd/tracebench is a thin
-// CLI over this package, and EXPERIMENTS.md records one full set of results.
+// I–VII plus the dispatch-granularity figure data. `tracevm bench` is a
+// thin CLI over this package, and EXPERIMENTS.md records one full set of results.
 package harness
 
 import (

@@ -8,7 +8,7 @@ import (
 // Encoder renders events into caller-provided byte slices, append-style,
 // the way strconv does: no per-event allocation once the destination buffer
 // has grown to its working size. The daemon's /v1/events handler and the
-// tracevm -events dump both drain a ring through one reused encoder, so a
+// `tracevm run -events` dump both drain a ring through one reused encoder, so a
 // busy read side does not pressure the collector either.
 //
 // The zero value is ready to use.

@@ -2,7 +2,7 @@
 // method-local peephole passes plus unreachable-code elimination, iterated
 // to a fixpoint. It exists as the static counterpart to the dynamic
 // trace-level optimizer (internal/trace's Compile, whose removal counters
-// tracebench -optimizability reports): the paper's premise is that traces
+// `tracevm bench -optimizability` reports): the paper's premise is that traces
 // expose opportunities static optimization cannot see, and comparing the
 // two quantifies that.
 //
