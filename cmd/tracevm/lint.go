@@ -76,10 +76,8 @@ type fileResult struct {
 // are symbol-resolution problems, reported as such) and extracts the
 // dataflow facts per method: the CFG hints plus the value-flow table.
 func facts(prog *classfile.Program) ([]methodFacts, *valueflow.Stats, error) {
-	if !prog.Linked() {
-		if err := prog.Link(); err != nil {
-			return nil, nil, err
-		}
+	if err := prog.Link(); err != nil {
+		return nil, nil, err
 	}
 	pcfg, err := cfg.BuildProgram(prog)
 	if err != nil {
@@ -148,13 +146,10 @@ func lintFile(w io.Writer, path string, jsonOut, wantFacts, strict bool) bool {
 		return res.OK
 	}
 
-	switch {
-	case res.Error != "" && res.Report == nil:
+	if res.Error != "" {
 		fmt.Fprintf(w, "%s: error: %s\n", path, res.Error)
-	case res.Error != "":
-		fmt.Fprintf(w, "%s: error: %s\n", path, res.Error)
-		printReport(w, path, res.Report)
-	default:
+	}
+	if res.Report != nil {
 		printReport(w, path, res.Report)
 	}
 	if res.OK {
