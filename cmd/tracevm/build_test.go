@@ -128,6 +128,9 @@ func TestOptimizedCompile(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
+	if err := buildCmd(io.Discard, []string{"-S"}); err == nil {
+		t.Error("no input accepted")
+	}
 	if err := buildCmd(io.Discard, []string{"-workload", "nope-workload"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
