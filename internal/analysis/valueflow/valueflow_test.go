@@ -7,6 +7,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 	"repro/internal/classfile"
+	"repro/internal/jasm"
 )
 
 // asm encodes a straight list of instructions, returning the code and the
@@ -339,5 +340,132 @@ func TestUnlinkedDegradesToTop(t *testing.T) {
 	st := valueflow.Compute(nil).Stats()
 	if !st.Top {
 		t.Errorf("stats of top table not marked top")
+	}
+}
+
+// handlerEntryFacts assembles a jasm program, computes its facts and
+// returns the entry facts of each of main's exception handlers, in
+// exception-table order.
+func handlerEntryFacts(t *testing.T, src string) []*valueflow.BlockFacts {
+	t.Helper()
+	prog, err := jasm.Assemble(src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	p, err := cfg.BuildProgram(prog)
+	if err != nil {
+		t.Fatalf("cfg: %v", err)
+	}
+	f := valueflow.Compute(p)
+	if f.Top() {
+		t.Fatalf("analysis degraded to top facts")
+	}
+	var out []*valueflow.BlockFacts
+	for _, h := range prog.Main.Handlers {
+		bf := f.Block(blockAt(t, p, prog.Main.ID, h.HandlerPC).ID)
+		if !bf.Reachable {
+			t.Fatalf("handler at pc %d proven unreachable", h.HandlerPC)
+		}
+		out = append(out, bf)
+	}
+	return out
+}
+
+// TestHandlerEdgeSeesStoreInsideBlock covers a try range over one block
+// whose entry holds local 0 = 3 and which stores 5 into it before it can
+// throw. The handler is entered with either value, so its entry must not
+// claim local 0 is constant.
+func TestHandlerEdgeSeesStoreInsideBlock(t *testing.T) {
+	bf := handlerEntryFacts(t, `
+.entry Main main
+.class Main
+.method static main ( ) void
+    .locals 2
+    iconst 3
+    istore 0
+    goto T
+T:
+    iconst 5
+    istore 0
+    new Main
+    throw
+H:
+    astore 1
+    return
+    .catch * from T to H using H
+.end
+.end
+`)[0]
+	for _, c := range bf.IntConsts {
+		if c.Slot == 0 {
+			t.Errorf("handler entry claims local 0 = %d; the block throws with 3 and with 5", c.Val)
+		}
+	}
+}
+
+// TestHandlerEdgeKeepsConstantRestoredInsideBlock is the same block storing
+// 3 back: every covered instruction sees local 0 = 3, so the handler entry
+// must keep the claim.
+func TestHandlerEdgeKeepsConstantRestoredInsideBlock(t *testing.T) {
+	bf := handlerEntryFacts(t, `
+.entry Main main
+.class Main
+.method static main ( ) void
+    .locals 2
+    iconst 3
+    istore 0
+    goto T
+T:
+    iconst 3
+    istore 0
+    new Main
+    throw
+H:
+    astore 1
+    return
+    .catch * from T to H using H
+.end
+.end
+`)[0]
+	if !hasIntConst(bf, 0, 3) {
+		t.Errorf("handler entry consts = %+v, want local 0 = 3", bf.IntConsts)
+	}
+}
+
+// TestHandlerEdgeRangeStartsMidBlock covers two try ranges over one block:
+// the first covers all of it, the second starts at an instruction inside
+// it where the locals are the same as at the block's entry. The second
+// handler is reached only from that instruction on, and must be entered.
+func TestHandlerEdgeRangeStartsMidBlock(t *testing.T) {
+	hs := handlerEntryFacts(t, `
+.entry Main main
+.class Main
+.method static main ( ) void
+    .locals 2
+    iconst 3
+    istore 0
+    goto T
+T:
+    iconst 4
+    pop
+M:
+    nop
+    new Main
+    throw
+HA:
+    astore 1
+    return
+HB:
+    astore 1
+    return
+    .catch * from T to HA using HA
+    .catch * from M to HA using HB
+.end
+.end
+`)
+	for i, bf := range hs {
+		if !hasIntConst(bf, 0, 3) {
+			t.Errorf("handler %d entry consts = %+v, want local 0 = 3", i, bf.IntConsts)
+		}
 	}
 }

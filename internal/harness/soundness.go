@@ -180,6 +180,19 @@ func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 	if err != nil {
 		return SoundnessResult{}, err
 	}
+	res, err := checkSoundness(name, c, s.MaxSteps)
+	if err != nil {
+		return SoundnessResult{}, err
+	}
+	if res.CompiledDispatches == 0 {
+		res.Violations = append(res.Violations, "fused leg dispatched no fused program: the tier-2 check is vacuous")
+	}
+	return res, nil
+}
+
+// checkSoundness runs the two legs of the differential check on one
+// compiled program, stopping each after maxSteps instructions.
+func checkSoundness(name string, c *compiled, maxSteps int64) (SoundnessResult, error) {
 	res := SoundnessResult{Workload: name, Stats: c.facts.Stats()}
 	// A low promotion threshold compiles hot traces early in a step-bounded
 	// run, so the fused leg checks compiled execution rather than warm-up.
@@ -190,7 +203,7 @@ func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 			Mode:     core.ModeTrace,
 			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
 			Config:   conf,
-			MaxSteps: s.MaxSteps,
+			MaxSteps: maxSteps,
 			Facts:    c.facts,
 			Probe:    checker.Probe,
 		})
@@ -209,9 +222,6 @@ func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 		res.CompiledDispatches += sess.Counters.CompiledDispatches
 		res.Violations = append(res.Violations, checker.Violations()...)
 		res.Violations = append(res.Violations, CheckTraces(traces)...)
-	}
-	if res.CompiledDispatches == 0 {
-		res.Violations = append(res.Violations, "fused leg dispatched no fused program: the tier-2 check is vacuous")
 	}
 	return res, nil
 }
