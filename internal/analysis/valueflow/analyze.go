@@ -1,6 +1,8 @@
 package valueflow
 
 import (
+	"slices"
+
 	"repro/internal/analysis/arena"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
@@ -50,18 +52,22 @@ type iproc struct {
 	inQ      []bool
 	vtargets map[int][]*classfile.Method
 	// codes caches each method's decoded instructions for the whole
-	// Compute; ma is the one method analysis every worklist visit and
-	// capture reuses, so its scratch and arena memory is allocated once.
+	// Compute; ma is the one method analysis every worklist visit reuses,
+	// so its scratch and arena memory is allocated once. Each successful
+	// visit writes its method's block facts into facts.
 	codes []*mcode
 	ma    manalysis
+	facts *Facts
 }
 
-// mcode is one method's code decoded once per Compute: its instructions and
-// a dense pc → instruction map (index+1; 0 marks a pc that starts no
-// instruction).
+// mcode is one method's code decoded once per Compute: its instructions, a
+// dense pc → instruction map (index+1; 0 marks a pc that starts no
+// instruction) and a dense instruction → block map (the block's index
+// within the method's CFG; nil when the CFG does not partition the code).
 type mcode struct {
 	ins []bytecode.Instr
 	at  []int32
+	blk []int32
 }
 
 func (c *mcode) index(pc uint32) (int, bool) {
@@ -69,6 +75,37 @@ func (c *mcode) index(pc uint32) (int, bool) {
 		return 0, false
 	}
 	return int(c.at[pc]) - 1, true
+}
+
+// block returns the index of the block starting at pc; ok is false when pc
+// is not a leader.
+func (c *mcode) block(pc uint32) (int, bool) {
+	j, ok := c.index(pc)
+	if !ok || (j > 0 && c.blk[j-1] == c.blk[j]) {
+		return 0, false
+	}
+	return int(c.blk[j]), true
+}
+
+// blocks maps each instruction to its block within mc, or returns nil when
+// mc's blocks do not partition the decoded code in order.
+func (c *mcode) blocks(mc *cfg.MethodCFG) []int32 {
+	if mc == nil {
+		return nil
+	}
+	blk := make([]int32, 0, len(c.ins))
+	for bi, b := range mc.Blocks {
+		if s, ok := c.index(b.StartPC()); !ok || s != len(blk) {
+			return nil
+		}
+		for range b.Instrs {
+			blk = append(blk, int32(bi))
+		}
+	}
+	if len(blk) != len(c.ins) {
+		return nil
+	}
+	return blk
 }
 
 // code returns a method's decoded code, or nil when it is undecodable or
@@ -84,6 +121,7 @@ func (ip *iproc) code(id int) *mcode {
 			for i := range ins {
 				c.at[ins[i].PC] = int32(i) + 1
 			}
+			c.blk = c.blocks(ip.p.Methods[id])
 		}
 		ip.codes[id] = c
 	}
@@ -116,6 +154,7 @@ func Compute(p *cfg.ProgramCFG) (f *Facts) {
 		inQ:      make([]bool, len(p.Program.Methods)),
 		vtargets: make(map[int][]*classfile.Method),
 		codes:    make([]*mcode, len(p.Program.Methods)),
+		facts:    newFacts(p.NumBlocks()),
 	}
 	for i := range ip.sums {
 		ip.sums[i] = &msum{}
@@ -166,7 +205,7 @@ func (ip *iproc) run() bool {
 		if m.Native != "" || m.Abstract || len(m.Code) == 0 || ip.sums[id].degraded {
 			continue
 		}
-		ma := ip.methodAnalysis(m, false, nil)
+		ma := ip.methodAnalysis(m)
 		if ma == nil {
 			// Undecodable or CFG-less code in a linked program is structural
 			// damage; no per-method recovery is sound.
@@ -180,10 +219,10 @@ func (ip *iproc) run() bool {
 }
 
 // degradeMethod localizes an analysis failure to one method: its facts are
-// dropped (capture marks its blocks reachable with no claims), every method
-// it could possibly invoke — for virtual sites, every same-slot method of
-// any class, signature checks waived — is seeded with top arguments, and
-// its summary reports the conservative return effect. Seeding with top is
+// dropped (capture resets its blocks to reachable with no claims), every
+// method it could possibly invoke — for virtual sites, every same-slot
+// method of any class, signature checks waived — is seeded with top
+// arguments, and its summary reports the conservative return effect. Seeding with top is
 // sound because top values claim nothing: a callee reached through a
 // signature-confused dispatch may receive kind-mismatched values, but no
 // fact derived from a top entry state can be falsified by them.
@@ -253,31 +292,30 @@ func (ip *iproc) allCallees(ref *classfile.MethodRef) []*classfile.Method {
 	return ts
 }
 
-// capture re-runs every reached method once against the converged
-// summaries and records its block facts; unreached methods keep the
-// zero-value "unreachable" claim on their blocks, degraded methods get
-// reachability and nothing else.
+// capture counts the reached methods and settles the facts of those that
+// failed. Every other reached method's facts were written by its last
+// visit, which ran against the converged summaries: a method is re-queued
+// whenever its arguments widen or a callee's return changes. Unreached
+// methods keep the zero-value "unreachable" claim on their blocks; a
+// degraded method's blocks drop any earlier visit's claims and keep
+// reachability alone.
 func (ip *iproc) capture() *Facts {
-	f := newFacts(ip.p.NumBlocks())
+	f := ip.facts
 	for id, sum := range ip.sums {
 		mc := ip.p.Methods[id]
 		if mc == nil || !sum.reached {
 			continue
 		}
 		f.reached++
-		if sum.degraded {
-			for _, b := range mc.Blocks {
-				if bf := f.Block(b.ID); bf != nil {
-					bf.Reachable = true
-				}
-			}
+		if !sum.degraded {
+			f.analyzed++
 			continue
 		}
-		ma := ip.methodAnalysis(ip.prog.Methods[id], true, f)
-		if ma == nil || !ma.run() {
-			return topFactsFor(ip.p)
+		for _, b := range mc.Blocks {
+			if bf := f.Block(b.ID); bf != nil {
+				*bf = BlockFacts{Reachable: true, Decided: cfg.NoBlock}
+			}
 		}
-		f.analyzed++
 	}
 	return f
 }
@@ -346,60 +384,73 @@ func (ip *iproc) flowArgs(sum *msum, args []absVal) bool {
 	return changed
 }
 
-// manalysis is the instruction-granularity fixpoint over one method,
-// mirroring the verifier's worklist skeleton with the richer lattice.
+// manalysis is the block-granularity fixpoint over one method, mirroring
+// the verifier's worklist skeleton with the richer lattice. States are
+// stored, merged and widened only at leaders (block starts, which include
+// every branch and handler target); step walks a block's interior on a
+// scratch state, since an interior instruction's only predecessor is the
+// instruction before it. Every cycle passes through a leader, so widening
+// there bounds the fixpoint.
 //
 // Memory: step works on the scratch state cur (and stepCond's taken edge on
 // alt), whose backing arrays are reused from step to step. A state is only
-// stored by flowTo's first sighting of an instruction, which copies it into
-// the pointer-free vals/lvals arenas, so the GC never scans the stored
-// states. The struct lives on iproc and is reset per method visit; the
-// arenas are recycled at each reset.
+// stored by flowTo's first sighting of a block, which copies it into the
+// pointer-free vals/lvals arenas, so the GC never scans the stored states.
+// The struct lives on iproc and is reset per method visit; the arenas are
+// recycled at each reset.
 type manalysis struct {
-	ip      *iproc
-	ev      evaluator
-	m       *classfile.Method
-	mc      *cfg.MethodCFG
-	code    *mcode
-	states  []absState
-	seen    []bool
-	visits  []uint32
-	queued  []bool
-	work    []int
-	capture bool
-	facts   *Facts
+	ip     *iproc
+	ev     evaluator
+	m      *classfile.Method
+	mc     *cfg.MethodCFG
+	code   *mcode
+	states []absState // per block: its entry state
+	seen   []bool
+	visits []uint32
+	queued []bool
+	work   []int
+	// decided is each block's terminator outcome on its latest walk.
+	decided []cfg.BlockID
 
 	cur, alt absState
 	exc      [1]absVal // a handler entry's stack: the thrown reference
 	args     []absVal
 	vals     arena.Arena[absVal]
 	lvals    arena.Arena[lval]
+
+	// flowed marks, per exception-table entry, the handler edges the
+	// current walk has flowed with excLocals (see flowHandlers).
+	flowed    []bool
+	excLocals []lval
 }
 
 // methodAnalysis resets ip's method analysis for m, or returns nil when m
-// has no decodable code or no CFG.
-func (ip *iproc) methodAnalysis(m *classfile.Method, capture bool, facts *Facts) *manalysis {
+// has no decodable code or no CFG that matches it.
+func (ip *iproc) methodAnalysis(m *classfile.Method) *manalysis {
 	c := ip.code(m.ID)
 	mc := ip.p.Methods[m.ID]
-	if c == nil || mc == nil {
+	if c == nil || mc == nil || c.blk == nil {
 		return nil
 	}
-	n := len(c.ins)
+	n := len(mc.Blocks)
 	ma := &ip.ma
 	ma.ip = ip
 	ma.ev = evaluator{prog: ip.prog}
 	ma.m, ma.mc, ma.code = m, mc, c
-	ma.capture, ma.facts = capture, facts
 	ma.states = arena.Zeroed(ma.states, n)
 	ma.seen = arena.Zeroed(ma.seen, n)
 	ma.visits = arena.Zeroed(ma.visits, n)
 	ma.queued = arena.Zeroed(ma.queued, n)
+	ma.decided = arena.Zeroed(ma.decided, n)
+	ma.flowed = arena.Zeroed(ma.flowed, len(m.Handlers))
 	ma.work = ma.work[:0]
 	ma.vals.Reset()
 	ma.lvals.Reset()
 	return ma
 }
 
+// run computes the method's fixpoint and, when it reaches one, writes the
+// method's block facts.
 func (ma *manalysis) run() bool {
 	na := ma.m.NArgs()
 	sum := ma.ip.sums[ma.m.ID]
@@ -414,52 +465,50 @@ func (ma *manalysis) run() bool {
 	}
 	ma.flowTo(0, entry)
 	for len(ma.work) > 0 && !ma.ev.bail {
-		idx := ma.work[len(ma.work)-1]
+		bi := ma.work[len(ma.work)-1]
 		ma.work = ma.work[:len(ma.work)-1]
-		ma.queued[idx] = false
-		ma.step(idx)
+		ma.queued[bi] = false
+		ma.step(bi)
 	}
 	if ma.ev.bail {
 		return false
 	}
-	if ma.capture {
-		ma.captureFacts()
-	}
+	ma.captureFacts()
 	return true
 }
 
-func (ma *manalysis) enqueueInstr(j int) {
-	if !ma.queued[j] {
-		ma.queued[j] = true
-		ma.work = append(ma.work, j)
+func (ma *manalysis) enqueueBlock(bi int) {
+	if !ma.queued[bi] {
+		ma.queued[bi] = true
+		ma.work = append(ma.work, bi)
 	}
 }
 
-// flowTo merges a state into an instruction's entry, queueing it when the
+// flowTo merges a state into a block's entry, queueing the block when the
 // merge changed anything. Integer bounds still moving after widenAfter
 // revisits are widened to ±∞, bounding the fixpoint.
 //
 // flowTo never mutates st or anything st's slices point at: it copies st
 // into the arenas on first sight and only reads it when merging. Callers
 // rely on that to pass scratch states and aliased locals.
-func (ma *manalysis) flowTo(j int, st *absState) {
-	if j < 0 || j >= len(ma.code.ins) {
+func (ma *manalysis) flowTo(bi int, st *absState) {
+	if bi < 0 || bi >= len(ma.states) {
 		ma.ev.fail()
 		return
 	}
-	if !ma.seen[j] {
-		ma.seen[j] = true
-		ma.states[j] = absState{stack: ma.vals.Copy(st.stack), locals: ma.lvals.Copy(st.locals)}
-		ma.enqueueInstr(j)
+	if !ma.seen[bi] {
+		ma.seen[bi] = true
+		ma.states[bi] = absState{stack: ma.vals.Copy(st.stack), locals: ma.lvals.Copy(st.locals)}
+		ma.enqueueBlock(bi)
 		return
 	}
-	cur := &ma.states[j]
+	cur := &ma.states[bi]
 	if len(cur.stack) != len(st.stack) || len(cur.locals) != len(st.locals) {
 		ma.ev.fail()
 		return
 	}
-	ma.visits[j]++
-	widen := ma.visits[j] > widenAfter
+	ma.visits[bi]++
+	widen := ma.visits[bi] > widenAfter
 	changed := false
 	for i := range cur.stack {
 		nv := merge(cur.stack[i], st.stack[i], widen)
@@ -476,55 +525,52 @@ func (ma *manalysis) flowTo(j int, st *absState) {
 		}
 	}
 	if changed {
-		ma.enqueueInstr(j)
+		ma.enqueueBlock(bi)
 	}
 }
 
 func (ma *manalysis) branchTo(pc uint32, st *absState) {
-	j, ok := ma.code.index(pc)
+	bi, ok := ma.code.block(pc)
 	if !ok {
 		ma.ev.fail()
 		return
 	}
-	ma.flowTo(j, st)
+	ma.flowTo(bi, st)
 }
 
-func (ma *manalysis) step(idx int) {
-	in := ma.code.ins[idx]
+// step walks block bi from its entry state to its terminator on the
+// scratch state cur, then flows cur to the block's successors.
+func (ma *manalysis) step(bi int) {
+	b := ma.mc.Blocks[bi]
+	first, _ := ma.code.index(b.StartPC())
+	last := first + len(b.Instrs) - 1
 	st := &ma.cur
-	st.copyFrom(&ma.states[idx])
-	// Exception edges: only Throw transfers to a handler (traps abort the
-	// run), but the throw may be arbitrarily deep in callees, so every
-	// covered instruction — not just Throw — flows its entry locals to
-	// its handlers with the exception as the sole stack operand. This
-	// over-approximation mirrors the verifier and can only weaken facts.
-	for hi := range ma.m.Handlers {
-		h := &ma.m.Handlers[hi]
-		if !h.Covers(in.PC) {
-			continue
-		}
-		hj, ok := ma.code.index(h.HandlerPC)
-		if !ok {
-			ma.ev.fail()
-			return
-		}
-		ma.exc[0] = nonNullRef()
-		ma.flowTo(hj, &absState{stack: ma.exc[:], locals: st.locals})
+	st.copyFrom(&ma.states[bi])
+	clear(ma.flowed)
+	ma.decided[bi] = cfg.NoBlock
+	for k := first; k < last && !ma.ev.bail; k++ {
+		ma.flowHandlers(ma.code.ins[k].PC, st)
+		ma.ev.exec(st, ma.code.ins[k])
+	}
+	in := ma.code.ins[last]
+	ma.flowHandlers(in.PC, st)
+	if ma.ev.bail {
+		return
 	}
 	switch bytecode.InfoOf(in.Op).Flow {
-	case bytecode.FlowNext:
+	case bytecode.FlowNext: // a block split by a following leader
 		ma.ev.exec(st, in)
 		if !ma.ev.bail {
-			ma.flowTo(idx+1, st)
+			ma.flowTo(bi+1, st)
 		}
 	case bytecode.FlowGoto:
 		ma.branchTo(uint32(in.A), st)
 	case bytecode.FlowCond:
-		ma.stepCond(idx, in, st)
+		ma.stepCond(bi, in, st)
 	case bytecode.FlowSwitch:
-		ma.stepSwitch(in, st)
+		ma.stepSwitch(bi, in, st)
 	case bytecode.FlowCall:
-		ma.stepCall(idx, in, st)
+		ma.stepCall(bi, in, st)
 	case bytecode.FlowReturn:
 		ma.stepReturn(in, st)
 	case bytecode.FlowThrow:
@@ -536,10 +582,53 @@ func (ma *manalysis) step(idx int) {
 	}
 }
 
+// flowHandlers flows the exception edges of the instruction at pc: st's
+// locals go to every handler covering it, with the thrown reference as the
+// sole stack operand. Only Throw transfers to a handler (traps abort the
+// run), but the throw may be arbitrarily deep in callees, so every covered
+// instruction — not just Throw — is a throw point. This over-approximation
+// mirrors the verifier and can only weaken facts.
+//
+// Within one walk an edge flows once per distinct locals state. Once flowTo
+// has merged locals L into a handler's entry, the entry is ⊒ L and merge is
+// idempotent, so flowing L again changes nothing: a repeat only counts the
+// visit, which keeps widening timing identical. A first sighting copies
+// rather than merges, and merging normalises uninitialised slots, so the
+// edge after a first sighting still merges once. New locals re-arm every
+// edge; the marks are per handler because a try range may start mid-block.
+func (ma *manalysis) flowHandlers(pc uint32, st *absState) {
+	armed := false
+	for hi := range ma.m.Handlers {
+		h := &ma.m.Handlers[hi]
+		if !h.Covers(pc) {
+			continue
+		}
+		hb, ok := ma.code.block(h.HandlerPC)
+		if !ok {
+			ma.ev.fail()
+			return
+		}
+		if !armed {
+			armed = true
+			if !slices.Equal(ma.excLocals, st.locals) {
+				ma.excLocals = append(ma.excLocals[:0], st.locals...)
+				clear(ma.flowed)
+			}
+		}
+		if ma.flowed[hi] {
+			ma.visits[hb]++
+			continue
+		}
+		ma.flowed[hi] = ma.seen[hb]
+		ma.exc[0] = nonNullRef()
+		ma.flowTo(hb, &absState{stack: ma.exc[:], locals: st.locals})
+	}
+}
+
 // stepCond follows only the decided edge when the outcome is known
 // (sparse conditional propagation), and otherwise conditions each edge's
 // state on its branch direction, skipping edges proven infeasible.
-func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st *absState) {
+func (ma *manalysis) stepCond(bi int, in bytecode.Instr, st *absState) {
 	var a, b absVal
 	if bytecode.CondArity(in.Op) == 2 {
 		b = ma.ev.pop(st)
@@ -552,9 +641,11 @@ func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st *absState) {
 	}
 	if taken, decided := condOutcome(in.Op, a, b); decided {
 		if taken {
+			ma.decided[bi] = ma.mc.Blocks[bi].Taken
 			ma.branchTo(uint32(in.A), st)
 		} else {
-			ma.flowTo(idx+1, st)
+			ma.decided[bi] = ma.mc.Blocks[bi].FallThrough
+			ma.flowTo(bi+1, st)
 		}
 		return
 	}
@@ -564,23 +655,27 @@ func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st *absState) {
 		ma.branchTo(uint32(in.A), tst)
 	}
 	if refineBranch(st, in.Op, a, b, false) {
-		ma.flowTo(idx+1, st)
+		ma.flowTo(bi+1, st)
 	}
 }
 
-func (ma *manalysis) stepSwitch(in bytecode.Instr, st *absState) {
+func (ma *manalysis) stepSwitch(bi int, in bytecode.Instr, st *absState) {
 	key := ma.ev.pop(st)
 	if ma.ev.bail {
 		return
 	}
+	b := ma.mc.Blocks[bi]
 	if n, ok := key.isIntConst(); ok {
-		ma.branchTo(switchTargetPC(in, n), st)
+		// A decoded switch always resolves; a NoBlock would fail in flowTo.
+		ma.decided[bi], _ = b.SwitchSucc(&in, n)
+		ma.flowTo(int(ma.decided[bi]-ma.mc.Entry.ID), st)
 		return
 	}
 	if in.Op == bytecode.TableSwitch && key.kind == bytecode.KInt && len(in.Targets) > 0 {
 		lo := int64(in.A)
 		hi := lo + int64(len(in.Targets)) - 1
 		if key.hi < lo || key.lo > hi {
+			ma.decided[bi] = b.SwitchDefault
 			ma.branchTo(in.Dflt, st)
 			return
 		}
@@ -591,24 +686,7 @@ func (ma *manalysis) stepSwitch(in bytecode.Instr, st *absState) {
 	ma.branchTo(in.Dflt, st)
 }
 
-// switchTargetPC mirrors the VM's switch dispatch for a constant key.
-func switchTargetPC(in bytecode.Instr, key int64) uint32 {
-	if in.Op == bytecode.TableSwitch {
-		idx := key - int64(in.A)
-		if idx >= 0 && idx < int64(len(in.Targets)) {
-			return in.Targets[idx]
-		}
-		return in.Dflt
-	}
-	for i, k := range in.Keys {
-		if int64(k) == key && i < len(in.Targets) {
-			return in.Targets[i]
-		}
-	}
-	return in.Dflt
-}
-
-func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
+func (ma *manalysis) stepCall(bi int, in bytecode.Instr, st *absState) {
 	if in.A < 0 || int(in.A) >= len(ma.ip.prog.MethodRefs) {
 		ma.ev.fail()
 		return
@@ -667,12 +745,10 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
 			continue
 		}
 		sum := ma.ip.sums[t.ID]
-		if !ma.capture {
-			if ma.ip.flowArgs(sum, args) {
-				ma.ip.enqueue(t.ID)
-			}
-			sum.addCaller(ma.m.ID)
+		if ma.ip.flowArgs(sum, args) {
+			ma.ip.enqueue(t.ID)
 		}
+		sum.addCaller(ma.m.ID)
 		if sum.retSeen {
 			returns = true
 			if sum.retOK {
@@ -694,7 +770,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
 			return
 		}
 	}
-	ma.flowTo(idx+1, st)
+	ma.flowTo(bi+1, st)
 }
 
 func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {
@@ -706,9 +782,6 @@ func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {
 			return
 		}
 		v.src = noSrc
-	}
-	if ma.capture {
-		return
 	}
 	sum := ma.ip.sums[ma.m.ID]
 	changed := !sum.retSeen
@@ -733,20 +806,27 @@ func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {
 	}
 }
 
-// captureFacts projects the converged instruction states onto block-entry
-// facts and decided terminators.
+// captureFacts overwrites the method's block facts with this visit's
+// block-entry states and terminator outcomes, reusing the fact slices.
 func (ma *manalysis) captureFacts() {
-	for _, b := range ma.mc.Blocks {
-		sidx, ok := ma.code.index(b.StartPC())
-		if !ok || int(b.ID) >= len(ma.facts.blocks) {
+	for bi, b := range ma.mc.Blocks {
+		bf := ma.ip.facts.Block(b.ID)
+		if bf == nil {
 			continue
 		}
-		bf := &ma.facts.blocks[b.ID]
-		if !ma.seen[sidx] {
+		*bf = BlockFacts{
+			Reachable:   ma.seen[bi],
+			Decided:     cfg.NoBlock,
+			IntConsts:   bf.IntConsts[:0],
+			FloatConsts: bf.FloatConsts[:0],
+			NonNull:     bf.NonNull[:0],
+			StackConsts: bf.StackConsts[:0],
+		}
+		if !ma.seen[bi] {
 			continue // keeps the zero-value "unreachable" claim
 		}
-		bf.Reachable = true
-		st := &ma.states[sidx]
+		bf.Decided = ma.decided[bi]
+		st := &ma.states[bi]
 		for slot, l := range st.locals {
 			if !l.init {
 				continue
@@ -769,52 +849,6 @@ func (ma *manalysis) captureFacts() {
 		for i, v := range st.stack {
 			if n, isC := v.isIntConst(); isC {
 				bf.StackConsts = append(bf.StackConsts, StackConst{Idx: int32(i), Val: n})
-			}
-		}
-		ma.captureDecided(b, bf)
-	}
-}
-
-func (ma *manalysis) captureDecided(b *cfg.Block, bf *BlockFacts) {
-	term := b.Terminator()
-	tidx, ok := ma.code.index(term.PC)
-	if !ok || !ma.seen[tidx] {
-		return
-	}
-	tst := &ma.states[tidx]
-	switch b.Kind {
-	case bytecode.FlowCond:
-		arity := bytecode.CondArity(term.Op)
-		if len(tst.stack) < arity {
-			return
-		}
-		var a, b2 absVal
-		if arity == 2 {
-			a, b2 = tst.stack[len(tst.stack)-2], tst.stack[len(tst.stack)-1]
-		} else {
-			a = tst.stack[len(tst.stack)-1]
-		}
-		if taken, decided := condOutcome(term.Op, a, b2); decided {
-			if taken {
-				bf.Decided = b.Taken
-			} else {
-				bf.Decided = b.FallThrough
-			}
-		}
-	case bytecode.FlowSwitch:
-		if len(tst.stack) < 1 {
-			return
-		}
-		key := tst.stack[len(tst.stack)-1]
-		if n, isC := key.isIntConst(); isC {
-			if id, ok := b.SwitchSucc(term, n); ok {
-				bf.Decided = id
-			}
-		} else if term.Op == bytecode.TableSwitch && key.kind == bytecode.KInt && len(b.SwitchTargets) > 0 {
-			lo := int64(term.A)
-			hi := lo + int64(len(b.SwitchTargets)) - 1
-			if key.hi < lo || key.lo > hi {
-				bf.Decided = b.SwitchDefault
 			}
 		}
 	}

@@ -36,6 +36,12 @@ func FuzzValueFlowNeverPanics(f *testing.F) {
 	// copy of that state for the taken edge.
 	code, hstart, hend, hpc := handlerOverCond(f)
 	f.Add(code, uint16(3), hstart, hend, hpc, uint8(0))
+	// Handler edges from inside a block: a range that starts mid-block,
+	// and one-instruction blocks inside a range.
+	code, hstart, hend, hpc = rangeFromMidBlock(f)
+	f.Add(code, uint16(3), hstart, hend, hpc, uint8(0))
+	code, hstart, hend, hpc = oneInstrBlocksInTry(f)
+	f.Add(code, uint16(3), hstart, hend, hpc, uint8(0))
 
 	f.Fuzz(func(t *testing.T, code []byte, locals uint16, hstart, hend, hpc, ret uint8) {
 		b := classfile.NewBuilder()
@@ -142,36 +148,89 @@ func FuzzValueFlowNeverPanics(f *testing.F) {
 	})
 }
 
+// seedCode assembles a seed program, resolving each branch target through
+// pc, which maps an instruction index to its pc. The first pass learns the
+// pcs with every target at 0.
+func seedCode(f *testing.F, prog func(pc func(int) int32) []bytecode.Instr) ([]byte, []uint32) {
+	f.Helper()
+	var code []byte
+	var pcs []uint32
+	pc := func(i int) int32 {
+		if pcs == nil {
+			return 0
+		}
+		return int32(pcs[i])
+	}
+	for pass := 0; pass < 2; pass++ {
+		enc := bytecode.NewEncoder()
+		var next []uint32
+		for _, in := range prog(pc) {
+			at, err := enc.Emit(in)
+			if err != nil {
+				f.Fatal(err)
+			}
+			next = append(next, at)
+		}
+		code, pcs = enc.Bytes(), next
+	}
+	return code, pcs
+}
+
 // handlerOverCond assembles "g = Main.g; if (g == 0) ...; return" with a
 // handler (astore 2; return) whose range covers the load and the branch.
 func handlerOverCond(f *testing.F) (code []byte, hstart, hend, hpc uint8) {
 	f.Helper()
-	prog := func(join int32) []bytecode.Instr {
+	code, pcs := seedCode(f, func(pc func(int) int32) []bytecode.Instr {
 		return []bytecode.Instr{
 			{Op: bytecode.GetStatic, A: 1},
 			{Op: bytecode.IStore, A: 1},
 			{Op: bytecode.ILoad, A: 1}, // handler range starts here
-			{Op: bytecode.IfEq, A: join},
+			{Op: bytecode.IfEq, A: pc(6)},
 			{Op: bytecode.IConst, A: 1}, // handler range ends here
 			{Op: bytecode.IStore, A: 1},
 			{Op: bytecode.ReturnVoid},   // join
 			{Op: bytecode.AStore, A: 2}, // handler
 			{Op: bytecode.ReturnVoid},
 		}
-	}
-	emit := func(ins []bytecode.Instr) ([]byte, []uint32) {
-		enc := bytecode.NewEncoder()
-		pcs := make([]uint32, len(ins))
-		for i, in := range ins {
-			pc, err := enc.Emit(in)
-			if err != nil {
-				f.Fatal(err)
-			}
-			pcs[i] = pc
-		}
-		return enc.Bytes(), pcs
-	}
-	_, pcs := emit(prog(0))
-	code, pcs = emit(prog(int32(pcs[6])))
+	})
 	return code, uint8(pcs[2]), uint8(pcs[4]), uint8(pcs[7])
+}
+
+// rangeFromMidBlock assembles one straight block that stores 3 and then 5
+// into local 1, with a try range that starts at the second store's
+// constant, so the handler's first flow comes from inside the block.
+func rangeFromMidBlock(f *testing.F) (code []byte, hstart, hend, hpc uint8) {
+	f.Helper()
+	code, pcs := seedCode(f, func(func(int) int32) []bytecode.Instr {
+		return []bytecode.Instr{
+			{Op: bytecode.IConst, A: 3},
+			{Op: bytecode.IStore, A: 1},
+			{Op: bytecode.IConst, A: 5}, // handler range starts here
+			{Op: bytecode.IStore, A: 1},
+			{Op: bytecode.GetStatic, A: 1},
+			{Op: bytecode.Pop},
+			{Op: bytecode.ReturnVoid},
+			{Op: bytecode.AStore, A: 2}, // handler; range ends here
+			{Op: bytecode.ReturnVoid},
+		}
+	})
+	return code, uint8(pcs[2]), uint8(pcs[7]), uint8(pcs[7])
+}
+
+// oneInstrBlocksInTry assembles a conditional whose arms are a lone goto
+// and a lone nop, every block covered by one try range.
+func oneInstrBlocksInTry(f *testing.F) (code []byte, hstart, hend, hpc uint8) {
+	f.Helper()
+	code, pcs := seedCode(f, func(pc func(int) int32) []bytecode.Instr {
+		return []bytecode.Instr{
+			{Op: bytecode.GetStatic, A: 1},
+			{Op: bytecode.IfEq, A: pc(3)},
+			{Op: bytecode.Goto, A: pc(4)}, // a one-instruction block
+			{Op: bytecode.Nop},            // another, split by the next leader
+			{Op: bytecode.ReturnVoid},
+			{Op: bytecode.AStore, A: 2}, // handler; range ends here
+			{Op: bytecode.ReturnVoid},
+		}
+	})
+	return code, uint8(pcs[0]), uint8(pcs[5]), uint8(pcs[5])
 }

@@ -121,11 +121,15 @@ func factsLine(name string, f *valueflow.Facts) string {
 
 // TestComputeGolden pins every fact Compute produces on the golden corpus
 // against testdata/facts.golden. The file was generated by this test from
-// the fixpoint that cloned a whole abstract state per step, before it moved
-// to scratch states and arena-backed entry states; those are pure memory
-// changes, so the facts must stay byte-identical. Compute recovers from a
-// panic by returning top facts, so an aliasing bug between a scratch state
-// and a stored one shows up here as a changed line, not as a crash.
+// the instruction-granularity fixpoint that cloned a whole abstract state
+// per step and re-ran every reached method once more to capture its facts.
+// The file has stayed byte-identical through two reworks since: scratch
+// states with arena-backed entry states, then the block walk, which stores
+// and widens states only at leaders, flows each handler edge once per
+// locals state and keeps each method's last visit's facts. Compute
+// recovers from a panic by returning top facts, so an aliasing bug between
+// a scratch state and a stored one shows up here as a changed line, not as
+// a crash.
 //
 // To regenerate the file on purpose (a change meant to alter facts),
 // delete it and run `go test -run TestComputeGolden

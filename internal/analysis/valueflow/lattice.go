@@ -10,10 +10,11 @@ import (
 // MaxVerifyStack so both analyses give up on the same degenerate programs.
 const maxAbsStack = 4096
 
-// widenAfter is the number of times an instruction's state may be re-merged
-// before integer bounds that are still moving get widened to ±∞. It bounds
-// fixpoint iteration on counting loops without costing precision on the
-// first few unrollings.
+// widenAfter is the number of times a leader's entry state (a block start
+// or handler entry) may be re-merged before integer bounds that are still
+// moving get widened to ±∞. Every cycle passes through a leader, so this
+// bounds fixpoint iteration on counting loops without costing precision on
+// the first few unrollings.
 const widenAfter = 16
 
 // noSrc marks an abstract value with no local-variable provenance.
@@ -86,8 +87,8 @@ func (v absVal) isFloatConst() (uint64, bool) {
 // merge joins two abstract values. Joining distinct kinds yields the
 // unconstrained top; within a kind the interval hull / constant equality /
 // nullness equality is kept. widen additionally pushes integer bounds that
-// are still moving to ±∞ (applied once an instruction has been revisited
-// more than widenAfter times).
+// are still moving to ±∞ (applied once a leader has been revisited more
+// than widenAfter times).
 func merge(a, b absVal, widen bool) absVal {
 	if a.kind != b.kind {
 		return topAny()
