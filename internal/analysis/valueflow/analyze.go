@@ -597,7 +597,7 @@ func (ma *manalysis) step(bi int) {
 // edge after a first sighting still merges once. New locals re-arm every
 // edge; the marks are per handler because a try range may start mid-block.
 func (ma *manalysis) flowHandlers(pc uint32, st *absState) {
-	armed := false
+	compared := false // st.locals checked against excLocals at this pc
 	for hi := range ma.m.Handlers {
 		h := &ma.m.Handlers[hi]
 		if !h.Covers(pc) {
@@ -608,8 +608,8 @@ func (ma *manalysis) flowHandlers(pc uint32, st *absState) {
 			ma.ev.fail()
 			return
 		}
-		if !armed {
-			armed = true
+		if !compared {
+			compared = true
 			if !slices.Equal(ma.excLocals, st.locals) {
 				ma.excLocals = append(ma.excLocals[:0], st.locals...)
 				clear(ma.flowed)
