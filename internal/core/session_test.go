@@ -210,7 +210,12 @@ func TestInterruptStopsEveryEngine(t *testing.T) {
 func TestInterruptMidRun(t *testing.T) {
 	var stop atomic.Bool
 	s, _ := buildSession(t, loopProgram, core.SessionOptions{Mode: core.ModeTrace, Interrupt: &stop})
+	// The goroutine must be gone before the test returns: a later test that
+	// counts process-wide allocations would see its sleep's.
+	done := make(chan struct{})
+	defer func() { <-done }()
 	go func() {
+		defer close(done)
 		time.Sleep(time.Millisecond)
 		stop.Store(true)
 	}()
