@@ -51,84 +51,11 @@ type iproc struct {
 	queue    []int
 	inQ      []bool
 	vtargets map[int][]*classfile.Method
-	// codes caches each method's decoded instructions for the whole
-	// Compute; ma is the one method analysis every worklist visit reuses,
-	// so its scratch and arena memory is allocated once. Each successful
-	// visit writes its method's block facts into facts.
-	codes []*mcode
+	// ma is the one method analysis every worklist visit reuses, so its
+	// scratch and arena memory is allocated once. Each successful visit
+	// writes its method's block facts into facts.
 	ma    manalysis
 	facts *Facts
-}
-
-// mcode is one method's code decoded once per Compute: its instructions, a
-// dense pc → instruction map (index+1; 0 marks a pc that starts no
-// instruction) and a dense instruction → block map (the block's index
-// within the method's CFG; nil when the CFG does not partition the code).
-type mcode struct {
-	ins []bytecode.Instr
-	at  []int32
-	blk []int32
-}
-
-func (c *mcode) index(pc uint32) (int, bool) {
-	if int(pc) >= len(c.at) || c.at[pc] == 0 {
-		return 0, false
-	}
-	return int(c.at[pc]) - 1, true
-}
-
-// block returns the index of the block starting at pc; ok is false when pc
-// is not a leader.
-func (c *mcode) block(pc uint32) (int, bool) {
-	j, ok := c.index(pc)
-	if !ok || (j > 0 && c.blk[j-1] == c.blk[j]) {
-		return 0, false
-	}
-	return int(c.blk[j]), true
-}
-
-// blocks maps each instruction to its block within mc, or returns nil when
-// mc's blocks do not partition the decoded code in order.
-func (c *mcode) blocks(mc *cfg.MethodCFG) []int32 {
-	if mc == nil {
-		return nil
-	}
-	blk := make([]int32, 0, len(c.ins))
-	for bi, b := range mc.Blocks {
-		if s, ok := c.index(b.StartPC()); !ok || s != len(blk) {
-			return nil
-		}
-		for range b.Instrs {
-			blk = append(blk, int32(bi))
-		}
-	}
-	if len(blk) != len(c.ins) {
-		return nil
-	}
-	return blk
-}
-
-// code returns a method's decoded code, or nil when it is undecodable or
-// empty.
-func (ip *iproc) code(id int) *mcode {
-	c := ip.codes[id]
-	if c == nil {
-		c = &mcode{}
-		code := ip.prog.Methods[id].Code
-		if ins, err := bytecode.Decode(code); err == nil {
-			c.ins = ins
-			c.at = make([]int32, len(code))
-			for i := range ins {
-				c.at[ins[i].PC] = int32(i) + 1
-			}
-			c.blk = c.blocks(ip.p.Methods[id])
-		}
-		ip.codes[id] = c
-	}
-	if len(c.ins) == 0 {
-		return nil
-	}
-	return c
 }
 
 // Compute analyzes a linked program and returns its fact table. Any input
@@ -153,7 +80,6 @@ func Compute(p *cfg.ProgramCFG) (f *Facts) {
 		sums:     make([]*msum, len(p.Program.Methods)),
 		inQ:      make([]bool, len(p.Program.Methods)),
 		vtargets: make(map[int][]*classfile.Method),
-		codes:    make([]*mcode, len(p.Program.Methods)),
 		facts:    newFacts(p.NumBlocks()),
 	}
 	for i := range ip.sums {
@@ -202,13 +128,13 @@ func (ip *iproc) run() bool {
 		ip.queue = ip.queue[:len(ip.queue)-1]
 		ip.inQ[id] = false
 		m := ip.prog.Methods[id]
-		if m.Native != "" || m.Abstract || len(m.Code) == 0 || ip.sums[id].degraded {
+		if m.Native != "" || m.Abstract || ip.sums[id].degraded {
 			continue
 		}
 		ma := ip.methodAnalysis(m)
 		if ma == nil {
-			// Undecodable or CFG-less code in a linked program is structural
-			// damage; no per-method recovery is sound.
+			// A CFG-less method or a handler starting no block in a linked
+			// program is structural damage; no per-method recovery is sound.
 			return false
 		}
 		if !ma.run() {
@@ -240,15 +166,15 @@ func (ip *iproc) degradeMethod(id int) {
 			ip.enqueue(c)
 		}
 	}
-	c := ip.code(id)
-	if c == nil {
+	mc := ip.p.Methods[id]
+	if mc == nil {
 		return // already conservative: no claims, unknown return
 	}
-	for i := range c.ins {
-		in := &c.ins[i]
-		if bytecode.InfoOf(in.Op).Flow != bytecode.FlowCall {
+	for _, b := range mc.Blocks { // calls always end a block
+		if b.Kind != bytecode.FlowCall {
 			continue
 		}
+		in := b.Terminator()
 		if in.A < 0 || int(in.A) >= len(ip.prog.MethodRefs) {
 			continue
 		}
@@ -399,16 +325,17 @@ func (ip *iproc) flowArgs(sum *msum, args []absVal) bool {
 // The struct lives on iproc and is reset per method visit; the arenas are
 // recycled at each reset.
 type manalysis struct {
-	ip     *iproc
-	ev     evaluator
-	m      *classfile.Method
-	mc     *cfg.MethodCFG
-	code   *mcode
-	states []absState // per block: its entry state
-	seen   []bool
-	visits []uint32
-	queued []bool
-	work   []int
+	ip *iproc
+	ev evaluator
+	m  *classfile.Method
+	mc *cfg.MethodCFG
+	// handlers is each exception-table entry's handler block index.
+	handlers []int
+	states   []absState // per block: its entry state
+	seen     []bool
+	visits   []uint32
+	queued   []bool
+	work     []int
 	// decided is each block's terminator outcome on its latest walk.
 	decided []cfg.BlockID
 
@@ -425,18 +352,25 @@ type manalysis struct {
 }
 
 // methodAnalysis resets ip's method analysis for m, or returns nil when m
-// has no decodable code or no CFG that matches it.
+// has no CFG or a handler pc of m starts no block.
 func (ip *iproc) methodAnalysis(m *classfile.Method) *manalysis {
-	c := ip.code(m.ID)
 	mc := ip.p.Methods[m.ID]
-	if c == nil || mc == nil || c.blk == nil {
+	if mc == nil {
 		return nil
 	}
-	n := len(mc.Blocks)
 	ma := &ip.ma
+	ma.handlers = ma.handlers[:0]
+	for _, h := range m.Handlers {
+		hb := mc.BlockAtPC(h.HandlerPC)
+		if hb == nil {
+			return nil
+		}
+		ma.handlers = append(ma.handlers, hb.Index)
+	}
+	n := len(mc.Blocks)
 	ma.ip = ip
 	ma.ev = evaluator{prog: ip.prog}
-	ma.m, ma.mc, ma.code = m, mc, c
+	ma.m, ma.mc = m, mc
 	ma.states = arena.Zeroed(ma.states, n)
 	ma.seen = arena.Zeroed(ma.seen, n)
 	ma.visits = arena.Zeroed(ma.visits, n)
@@ -529,42 +463,38 @@ func (ma *manalysis) flowTo(bi int, st *absState) {
 	}
 }
 
-func (ma *manalysis) branchTo(pc uint32, st *absState) {
-	bi, ok := ma.code.block(pc)
-	if !ok {
-		ma.ev.fail()
-		return
-	}
-	ma.flowTo(bi, st)
+// flowToID flows st to a successor of the method's own, by its global
+// BlockID; NoBlock fails in flowTo.
+func (ma *manalysis) flowToID(id cfg.BlockID, st *absState) {
+	ma.flowTo(int(id-ma.mc.Entry.ID), st)
 }
 
 // step walks block bi from its entry state to its terminator on the
 // scratch state cur, then flows cur to the block's successors.
 func (ma *manalysis) step(bi int) {
 	b := ma.mc.Blocks[bi]
-	first, _ := ma.code.index(b.StartPC())
-	last := first + len(b.Instrs) - 1
+	last := len(b.Instrs) - 1
 	st := &ma.cur
 	st.copyFrom(&ma.states[bi])
 	clear(ma.flowed)
 	ma.decided[bi] = cfg.NoBlock
-	for k := first; k < last && !ma.ev.bail; k++ {
-		ma.flowHandlers(ma.code.ins[k].PC, st)
-		ma.ev.exec(st, ma.code.ins[k])
+	for k := 0; k < last && !ma.ev.bail; k++ {
+		ma.flowHandlers(b.Instrs[k].PC, st)
+		ma.ev.exec(st, b.Instrs[k])
 	}
-	in := ma.code.ins[last]
+	in := b.Instrs[last]
 	ma.flowHandlers(in.PC, st)
 	if ma.ev.bail {
 		return
 	}
-	switch bytecode.InfoOf(in.Op).Flow {
+	switch b.Kind {
 	case bytecode.FlowNext: // a block split by a following leader
 		ma.ev.exec(st, in)
 		if !ma.ev.bail {
-			ma.flowTo(bi+1, st)
+			ma.flowToID(b.FallThrough, st)
 		}
 	case bytecode.FlowGoto:
-		ma.branchTo(uint32(in.A), st)
+		ma.flowToID(b.Taken, st)
 	case bytecode.FlowCond:
 		ma.stepCond(bi, in, st)
 	case bytecode.FlowSwitch:
@@ -603,11 +533,7 @@ func (ma *manalysis) flowHandlers(pc uint32, st *absState) {
 		if !h.Covers(pc) {
 			continue
 		}
-		hb, ok := ma.code.block(h.HandlerPC)
-		if !ok {
-			ma.ev.fail()
-			return
-		}
+		hb := ma.handlers[hi]
 		if !compared {
 			compared = true
 			if !slices.Equal(ma.excLocals, st.locals) {
@@ -639,23 +565,22 @@ func (ma *manalysis) stepCond(bi int, in bytecode.Instr, st *absState) {
 	if ma.ev.bail {
 		return
 	}
+	blk := ma.mc.Blocks[bi]
 	if taken, decided := condOutcome(in.Op, a, b); decided {
+		ma.decided[bi] = blk.FallThrough
 		if taken {
-			ma.decided[bi] = ma.mc.Blocks[bi].Taken
-			ma.branchTo(uint32(in.A), st)
-		} else {
-			ma.decided[bi] = ma.mc.Blocks[bi].FallThrough
-			ma.flowTo(bi+1, st)
+			ma.decided[bi] = blk.Taken
 		}
+		ma.flowToID(ma.decided[bi], st)
 		return
 	}
 	tst := &ma.alt
 	tst.copyFrom(st)
 	if refineBranch(tst, in.Op, a, b, true) {
-		ma.branchTo(uint32(in.A), tst)
+		ma.flowToID(blk.Taken, tst)
 	}
 	if refineBranch(st, in.Op, a, b, false) {
-		ma.flowTo(bi+1, st)
+		ma.flowToID(blk.FallThrough, st)
 	}
 }
 
@@ -668,7 +593,7 @@ func (ma *manalysis) stepSwitch(bi int, in bytecode.Instr, st *absState) {
 	if n, ok := key.isIntConst(); ok {
 		// A decoded switch always resolves; a NoBlock would fail in flowTo.
 		ma.decided[bi], _ = b.SwitchSucc(&in, n)
-		ma.flowTo(int(ma.decided[bi]-ma.mc.Entry.ID), st)
+		ma.flowToID(ma.decided[bi], st)
 		return
 	}
 	if in.Op == bytecode.TableSwitch && key.kind == bytecode.KInt && len(in.Targets) > 0 {
@@ -676,14 +601,14 @@ func (ma *manalysis) stepSwitch(bi int, in bytecode.Instr, st *absState) {
 		hi := lo + int64(len(in.Targets)) - 1
 		if key.hi < lo || key.lo > hi {
 			ma.decided[bi] = b.SwitchDefault
-			ma.branchTo(in.Dflt, st)
+			ma.flowToID(b.SwitchDefault, st)
 			return
 		}
 	}
-	for _, t := range in.Targets {
-		ma.branchTo(t, st)
+	for _, t := range b.SwitchTargets {
+		ma.flowToID(t, st)
 	}
-	ma.branchTo(in.Dflt, st)
+	ma.flowToID(b.SwitchDefault, st)
 }
 
 func (ma *manalysis) stepCall(bi int, in bytecode.Instr, st *absState) {
@@ -770,7 +695,7 @@ func (ma *manalysis) stepCall(bi int, in bytecode.Instr, st *absState) {
 			return
 		}
 	}
-	ma.flowTo(bi+1, st)
+	ma.flowToID(ma.mc.Blocks[bi].FallThrough, st)
 }
 
 func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {

@@ -45,34 +45,35 @@ var (
 // once per test binary.
 func coldBand(tb testing.TB) []namedCFG {
 	tb.Helper()
-	coldBandOnce.Do(func() {
-		for seed := int64(coldBandSeedBase); len(coldBandList) < coldBandPrograms; seed++ {
-			src := progen.Generate(seed, progen.Config{})
-			if len(src) < coldBandSrcLo || len(src) > coldBandSrcHi {
-				continue
-			}
-			prog, err := minijava.Compile(src)
-			if err != nil {
-				coldBandErr = fmt.Errorf("progen seed %d: %v", seed, err)
-				return
-			}
-			p, err := cfg.BuildProgram(prog)
-			if err != nil {
-				coldBandErr = fmt.Errorf("progen seed %d: %v", seed, err)
-				return
-			}
-			coldBandList = append(coldBandList, namedCFG{fmt.Sprintf("progen-%d", seed), p})
-		}
-	})
+	coldBandOnce.Do(func() { coldBandList, coldBandErr = compileColdBand() })
 	if coldBandErr != nil {
 		tb.Fatal(coldBandErr)
 	}
 	return coldBandList
 }
 
-// goldenCorpus is every program the golden file covers: the six built-in
-// workloads, the adversarial corpus and the cold band.
-func goldenCorpus(t *testing.T) []namedCFG {
+func compileColdBand() ([]namedCFG, error) {
+	var out []namedCFG
+	for seed := int64(coldBandSeedBase); len(out) < coldBandPrograms; seed++ {
+		src := progen.Generate(seed, progen.Config{})
+		if len(src) < coldBandSrcLo || len(src) > coldBandSrcHi {
+			continue
+		}
+		prog, err := minijava.Compile(src)
+		if err != nil {
+			return nil, fmt.Errorf("progen seed %d: %v", seed, err)
+		}
+		p, err := cfg.BuildProgram(prog)
+		if err != nil {
+			return nil, fmt.Errorf("progen seed %d: %v", seed, err)
+		}
+		out = append(out, namedCFG{fmt.Sprintf("progen-%d", seed), p})
+	}
+	return out, nil
+}
+
+// builtins compiles the six built-in workloads.
+func builtins(t *testing.T) []namedCFG {
 	t.Helper()
 	var out []namedCFG
 	for _, w := range workload.All() {
@@ -82,6 +83,14 @@ func goldenCorpus(t *testing.T) []namedCFG {
 		}
 		out = append(out, namedCFG{"workload-" + w.Name, p})
 	}
+	return out
+}
+
+// goldenCorpus is every program the golden file covers: the six built-in
+// workloads, the adversarial corpus and the cold band.
+func goldenCorpus(t *testing.T) []namedCFG {
+	t.Helper()
+	out := builtins(t)
 	paths, err := filepath.Glob(filepath.Join("testdata", "adversarial", "*.jasm"))
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +179,32 @@ func TestComputeGolden(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Fatalf("%d of %d programs changed facts", bad, len(got))
+	}
+}
+
+// TestComputeIgnoresMethodCode pins that Compute reads a method's code only
+// through its CFG, the instructions the interpreter runs: with every
+// Method.Code cleared after the CFGs are built, the built-ins and the cold
+// band keep every fact. The programs are compiled afresh, since the test
+// destroys their code.
+func TestComputeIgnoresMethodCode(t *testing.T) {
+	band, err := compileColdBand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range append(builtins(t), band...) {
+		want := factsLine(c.name, valueflow.Compute(c.p))
+		for _, m := range c.p.Program.Methods {
+			m.Code = nil
+		}
+		f := valueflow.Compute(c.p)
+		if f.Top() {
+			t.Errorf("%s: top facts without Method.Code", c.name)
+			continue
+		}
+		if got := factsLine(c.name, f); got != want {
+			t.Errorf("facts changed without Method.Code:\n got  %s\n want %s", got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis/arena"
 	"repro/internal/bytecode"
+	"repro/internal/cfg"
 	"repro/internal/classfile"
 )
 
@@ -283,19 +284,8 @@ func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
 	}
 
 	// Unreachable-block warnings: any never-visited leader starts a dead
-	// block. Leaders match the cfg package's definition.
-	leaders := map[uint32]bool{ins[0].PC: true}
-	for _, in := range ins {
-		for _, t := range in.BranchTargets() {
-			leaders[t] = true
-		}
-		if in.Op.IsTerminator() {
-			leaders[in.Next()] = true
-		}
-	}
-	for _, h := range m.Handlers {
-		leaders[h.HandlerPC] = true
-	}
+	// block.
+	leaders := cfg.Leaders(m, ins)
 	for i, in := range ins {
 		if !v.seen[i] && leaders[in.PC] {
 			v.warn(in.PC, RuleUnreachableBlock, "block at pc %d is unreachable", in.PC)

@@ -11,7 +11,9 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -110,17 +112,26 @@ func (b *Block) String() string {
 	return fmt.Sprintf("%s#%d", b.Method.QName(), b.Index)
 }
 
-// MethodCFG is the control-flow graph of one method.
+// MethodCFG is the control-flow graph of one method. Instrs is the
+// method's one decode; each block's Instrs is a full slice expression over
+// it, so the blocks tile it in order.
 type MethodCFG struct {
 	Method *classfile.Method
+	Instrs []bytecode.Instr
 	Blocks []*Block
 	Entry  *Block
-
-	byPC map[uint32]*Block
 }
 
 // BlockAtPC returns the block starting at the given byte offset, or nil.
-func (m *MethodCFG) BlockAtPC(pc uint32) *Block { return m.byPC[pc] }
+func (m *MethodCFG) BlockAtPC(pc uint32) *Block {
+	i, ok := slices.BinarySearchFunc(m.Blocks, pc, func(b *Block, pc uint32) int {
+		return cmp.Compare(b.StartPC(), pc)
+	})
+	if !ok {
+		return nil
+	}
+	return m.Blocks[i]
+}
 
 // HandlerEntries returns the blocks that begin the method's exception
 // handlers, deduplicated, in exception-table order. These are the targets of
@@ -128,18 +139,7 @@ func (m *MethodCFG) BlockAtPC(pc uint32) *Block { return m.byPC[pc] }
 func (m *MethodCFG) HandlerEntries() []*Block {
 	var out []*Block
 	for _, h := range m.Method.Handlers {
-		b := m.byPC[h.HandlerPC]
-		if b == nil {
-			continue
-		}
-		dup := false
-		for _, x := range out {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if b := m.BlockAtPC(h.HandlerPC); b != nil && !slices.Contains(out, b) {
 			out = append(out, b)
 		}
 	}
@@ -198,47 +198,56 @@ func BuildProgram(prog *classfile.Program) (*ProgramCFG, error) {
 	return pcfg, nil
 }
 
-func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil {
-		return nil, fmt.Errorf("cfg: method %s: %w", m.QName(), err)
-	}
-
-	// Find leaders: the entry, every branch/switch target, every exception
-	// handler, and every instruction following a terminator.
-	leaders := map[uint32]bool{0: true}
-	for _, in := range ins {
-		for _, t := range in.BranchTargets() {
-			leaders[t] = true
+// Leaders marks, by pc, the instructions of m's decoded code ins that start
+// a basic block: the entry, every branch and switch target, every exception
+// handler, and every instruction following a terminator. The slice has
+// len(m.Code)+1 entries, so the pc after the last instruction is in range.
+// A handler pc outside the code (code changed after linking) is skipped.
+func Leaders(m *classfile.Method, ins []bytecode.Instr) []bool {
+	lead := make([]bool, len(m.Code)+1)
+	lead[0] = true
+	for i := range ins {
+		for _, t := range ins[i].BranchTargets() {
+			lead[t] = true
 		}
-		if in.Op.IsTerminator() {
-			leaders[in.Next()] = true
+		if ins[i].Op.IsTerminator() {
+			lead[ins[i].Next()] = true
 		}
 	}
 	for _, h := range m.Handlers {
-		leaders[h.HandlerPC] = true
+		if int(h.HandlerPC) < len(m.Code) {
+			lead[h.HandlerPC] = true
+		}
 	}
+	return lead
+}
+
+func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
+	dec, err := bytecode.Decode(m.Code)
+	if err != nil {
+		return nil, fmt.Errorf("cfg: method %s: %w", m.QName(), err)
+	}
+	// One exact allocation, not Decode's growing buffer: the CFG keeps it.
+	ins := slices.Clone(dec)
+	lead := Leaders(m, ins)
 
 	// Partition instructions into blocks.
-	var mc = &MethodCFG{Method: m, byPC: make(map[uint32]*Block)}
-	var cur *Block
-	for _, in := range ins {
-		if leaders[in.PC] || cur == nil {
-			cur = &Block{
-				ID:            firstID + BlockID(len(mc.Blocks)),
-				Method:        m,
-				Index:         len(mc.Blocks),
-				FallThrough:   NoBlock,
-				Taken:         NoBlock,
-				SwitchDefault: NoBlock,
-			}
-			mc.Blocks = append(mc.Blocks, cur)
-			mc.byPC[in.PC] = cur
+	mc := &MethodCFG{Method: m, Instrs: ins}
+	for s := 0; s < len(ins); {
+		e := s + 1
+		for e < len(ins) && !lead[ins[e].PC] {
+			e++
 		}
-		cur.Instrs = append(cur.Instrs, in)
-	}
-	if len(mc.Blocks) == 0 {
-		return nil, fmt.Errorf("cfg: method %s has no instructions", m.QName())
+		mc.Blocks = append(mc.Blocks, &Block{
+			ID:            firstID + BlockID(len(mc.Blocks)),
+			Method:        m,
+			Index:         len(mc.Blocks),
+			Instrs:        ins[s:e:e],
+			FallThrough:   NoBlock,
+			Taken:         NoBlock,
+			SwitchDefault: NoBlock,
+		})
+		s = e
 	}
 	mc.Entry = mc.Blocks[0]
 
@@ -247,7 +256,7 @@ func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
 		term := b.Terminator()
 		b.Kind = bytecode.InfoOf(term.Op).Flow
 		next := func(pc uint32) (BlockID, error) {
-			t := mc.byPC[pc]
+			t := mc.BlockAtPC(pc)
 			if t == nil {
 				return NoBlock, fmt.Errorf("cfg: method %s: no block at pc %d", m.QName(), pc)
 			}

@@ -1,14 +1,17 @@
 package cfg_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
+	"repro/internal/classfile"
 	"repro/internal/jasm"
 	"repro/internal/minijava"
+	"repro/internal/progen"
 )
 
 func build(t *testing.T, jasmSrc string) *cfg.ProgramCFG {
@@ -206,7 +209,10 @@ var mjPrograms = []string{
 // TestPropertyBlocksPartitionMethods: for each compiled method, the blocks
 // tile the instruction sequence exactly, every non-final instruction of a
 // block is a non-terminator, and every static successor edge lands on a
-// block leader in the same method.
+// block leader in the same method. The tiling is the method's one flat
+// array: each block's Instrs is mc.Instrs at its offset with no spare
+// capacity, BlockAtPC finds exactly the block starts, and Leaders marks
+// exactly them.
 func TestPropertyBlocksPartitionMethods(t *testing.T) {
 	for i, src := range mjPrograms {
 		prog, err := minijava.Compile(src)
@@ -227,6 +233,13 @@ func TestPropertyBlocksPartitionMethods(t *testing.T) {
 			}
 			var rebuilt []bytecode.Instr
 			for _, b := range mc.Blocks {
+				off := len(rebuilt)
+				if off+len(b.Instrs) > len(mc.Instrs) || &b.Instrs[0] != &mc.Instrs[off] || cap(b.Instrs) != len(b.Instrs) {
+					t.Errorf("%s: Instrs is not mc.Instrs[%d:%d:%d]", b, off, off+len(b.Instrs), off+len(b.Instrs))
+				}
+				if len(b.Instrs) > 1 && mc.BlockAtPC(b.Instrs[1].PC) != nil {
+					t.Errorf("%s: BlockAtPC finds a block at mid-block pc %d", b, b.Instrs[1].PC)
+				}
 				for j, in := range b.Instrs {
 					rebuilt = append(rebuilt, in)
 					if j < len(b.Instrs)-1 && in.Op.IsTerminator() {
@@ -247,13 +260,23 @@ func TestPropertyBlocksPartitionMethods(t *testing.T) {
 					}
 				}
 			}
-			if len(rebuilt) != len(ins) {
-				t.Errorf("%s: blocks contain %d instrs, method has %d", mc.Method.QName(), len(rebuilt), len(ins))
+			if len(rebuilt) != len(ins) || len(mc.Instrs) != len(ins) {
+				t.Errorf("%s: blocks contain %d instrs, mc.Instrs %d, method has %d", mc.Method.QName(), len(rebuilt), len(mc.Instrs), len(ins))
 				continue
 			}
 			for j := range ins {
-				if !rebuilt[j].Equal(ins[j]) || rebuilt[j].PC != ins[j].PC {
+				if !rebuilt[j].Equal(ins[j]) || rebuilt[j].PC != ins[j].PC || !mc.Instrs[j].Equal(ins[j]) {
 					t.Errorf("%s: instruction %d differs in block partition", mc.Method.QName(), j)
+				}
+			}
+			end := uint32(len(mc.Method.Code))
+			if mc.BlockAtPC(end) != nil || mc.BlockAtPC(end+1) != nil {
+				t.Errorf("%s: BlockAtPC finds a block at or past the code's end", mc.Method.QName())
+			}
+			leaders := cfg.Leaders(mc.Method, mc.Instrs)
+			for pc := uint32(0); pc < end; pc++ {
+				if leaders[pc] != (mc.BlockAtPC(pc) != nil) {
+					t.Errorf("%s: Leaders[%d] = %t, but a block starts there: %t", mc.Method.QName(), pc, leaders[pc], !leaders[pc])
 				}
 			}
 		}
@@ -351,6 +374,44 @@ handler:
 // interpreter's dispatch on table and lookup switches, and refuses — never
 // guesses or indexes out of range — on a non-switch or a target table
 // shorter than the key list.
+// TestCodeShortenedBelowHandler: code cut after link to end before a
+// handler's pc still builds; the handler simply starts no block.
+func TestCodeShortenedBelowHandler(t *testing.T) {
+	prog, err := jasm.Assemble(`
+.class Main
+.method static main ( ) void
+a:
+    return
+b:
+    iconst 7
+    pop
+handler:
+    pop
+    return
+.catch * from a to b using handler
+.end
+.end
+.entry Main main
+`)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	m := prog.Main
+	h := m.Handlers[0]
+	m.Code = m.Code[:h.EndPC]
+	if int(h.HandlerPC) <= len(m.Code) {
+		t.Fatalf("handler pc %d is not past the shortened code (%d bytes)", h.HandlerPC, len(m.Code))
+	}
+	pcfg, err := cfg.BuildProgram(prog)
+	if err != nil {
+		t.Fatalf("cfg: %v", err)
+	}
+	mc := pcfg.Methods[m.ID]
+	if mc.BlockAtPC(h.HandlerPC) != nil || len(mc.HandlerEntries()) != 0 {
+		t.Errorf("a block starts at the cut-off handler pc %d:\n%s", h.HandlerPC, mc.Dump())
+	}
+}
+
 func TestSwitchSucc(t *testing.T) {
 	pcfg := build(t, `
 .class Main
@@ -535,4 +596,46 @@ done:
 	if got := mc.HandlerEntries(); len(got) != 1 {
 		t.Fatalf("HandlerEntries = %v, want exactly 1 deduplicated entry", got)
 	}
+}
+
+// BenchmarkBuildProgram builds the CFGs of the cold band, the source-size
+// band of the cold-tenants benchmark workload: the first 200 progen
+// programs from seed 1 with 6–8.5 KB of source. One op is one pass. It also
+// reports the heap one program's CFG retains, measured after a collection.
+func BenchmarkBuildProgram(b *testing.B) {
+	var progs []*classfile.Program
+	for seed := int64(1); len(progs) < 200; seed++ {
+		src := progen.Generate(seed, progen.Config{})
+		if len(src) < 6000 || len(src) > 8500 {
+			continue
+		}
+		prog, err := minijava.Compile(src)
+		if err != nil {
+			b.Fatalf("progen seed %d: %v", seed, err)
+		}
+		progs = append(progs, prog)
+	}
+	built := make([]*cfg.ProgramCFG, len(progs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, prog := range progs {
+			p, err := cfg.BuildProgram(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			built[j] = p
+		}
+	}
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	held := int64(ms.HeapAlloc)
+	clear(built)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	held -= int64(ms.HeapAlloc)
+	runtime.KeepAlive(progs) // the programs stay live; only the CFGs count
+	b.ReportMetric(float64(held)/1024/float64(len(progs)), "retained-KB/program")
 }

@@ -367,15 +367,19 @@ func (p *Program) Link() error {
 		}
 	}
 
-	// Dense method table and per-method structural validation.
+	// Dense method table and per-method structural validation, which
+	// decodes each method's code once for the stack verifier below.
 	p.Methods = p.Methods[:0]
+	var codes [][]bytecode.Instr
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
 			m.ID = len(p.Methods)
 			p.Methods = append(p.Methods, m)
-			if err := p.validateMethod(m); err != nil {
+			ins, err := p.validateMethod(m)
+			if err != nil {
 				return err
 			}
+			codes = append(codes, ins)
 		}
 	}
 
@@ -393,15 +397,11 @@ func (p *Program) Link() error {
 
 	// Stack-depth verification needs resolved method refs (call arity), so
 	// it runs after reference resolution.
-	for _, m := range p.Methods {
-		if len(m.Code) == 0 {
+	for i, m := range p.Methods {
+		if len(codes[i]) == 0 {
 			continue
 		}
-		ins, err := bytecode.Decode(m.Code)
-		if err != nil {
-			return err // unreachable: validateMethod decoded it already
-		}
-		depth, err := p.verifyStack(m, ins)
+		depth, err := p.verifyStack(m, codes[i])
 		if err != nil {
 			return err
 		}
@@ -461,44 +461,46 @@ func topoClasses(classes []*Class) ([]*Class, error) {
 	return order, nil
 }
 
-func (p *Program) validateMethod(m *Method) error {
+// validateMethod checks m's structure and returns its decoded code (nil for
+// an abstract or native method).
+func (p *Program) validateMethod(m *Method) ([]bytecode.Instr, error) {
 	if m.Abstract {
 		if len(m.Code) != 0 || m.Native != "" {
-			return fmt.Errorf("classfile: link: abstract method %s has a body", m.QName())
+			return nil, fmt.Errorf("classfile: link: abstract method %s has a body", m.QName())
 		}
-		return nil
+		return nil, nil
 	}
 	if m.Native != "" {
 		if len(m.Code) != 0 {
-			return fmt.Errorf("classfile: link: native method %s also has bytecode", m.QName())
+			return nil, fmt.Errorf("classfile: link: native method %s also has bytecode", m.QName())
 		}
-		return nil
+		return nil, nil
 	}
 	if len(m.Code) == 0 {
-		return fmt.Errorf("classfile: link: method %s has no body", m.QName())
+		return nil, fmt.Errorf("classfile: link: method %s has no body", m.QName())
 	}
 	if m.MaxLocals < m.NArgs() {
-		return fmt.Errorf("classfile: link: method %s declares %d locals but takes %d arguments", m.QName(), m.MaxLocals, m.NArgs())
+		return nil, fmt.Errorf("classfile: link: method %s declares %d locals but takes %d arguments", m.QName(), m.MaxLocals, m.NArgs())
 	}
 	ins, err := bytecode.Decode(m.Code)
 	if err != nil {
-		return fmt.Errorf("classfile: link: method %s: %w", m.QName(), err)
+		return nil, fmt.Errorf("classfile: link: method %s: %w", m.QName(), err)
 	}
 	if len(ins) == 0 {
-		return fmt.Errorf("classfile: link: method %s has empty code", m.QName())
+		return nil, fmt.Errorf("classfile: link: method %s has empty code", m.QName())
 	}
 	last := ins[len(ins)-1]
 	switch bytecode.InfoOf(last.Op).Flow {
 	case bytecode.FlowGoto, bytecode.FlowReturn, bytecode.FlowSwitch, bytecode.FlowHalt, bytecode.FlowThrow:
 	default:
-		return fmt.Errorf("classfile: link: method %s can fall off the end of its code (last op %s)", m.QName(), last.Op)
+		return nil, fmt.Errorf("classfile: link: method %s can fall off the end of its code (last op %s)", m.QName(), last.Op)
 	}
 	for _, in := range ins {
 		if err := p.validateInstr(m, in); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return p.validateHandlers(m, ins)
+	return ins, p.validateHandlers(m, ins)
 }
 
 // validateHandlers checks and resolves the method's exception table.

@@ -20,10 +20,7 @@ func (p *Program) Reverify(m *Method) error {
 	if !p.linked {
 		return fmt.Errorf("classfile: reverify: program is not linked")
 	}
-	if err := p.validateMethod(m); err != nil {
-		return err
-	}
-	ins, err := bytecode.Decode(m.Code)
+	ins, err := p.validateMethod(m)
 	if err != nil {
 		return err
 	}
