@@ -59,9 +59,9 @@ type iproc struct {
 }
 
 // Compute analyzes a linked program and returns its fact table. Any input
-// the analysis cannot soundly handle — unlinked programs, undecodable
-// bytecode, signature-confused virtual dispatch, a fixpoint that exhausts
-// its budget — degrades to the claim-free top table rather than guessing.
+// the analysis cannot soundly handle — unlinked programs, a bytecode
+// method without a CFG, signature-confused virtual dispatch, a fixpoint
+// that exhausts its budget — degrades to the claim-free top table rather than guessing.
 func Compute(p *cfg.ProgramCFG) (f *Facts) {
 	if p == nil || p.Program == nil || !p.Program.Linked() || p.Program.Main == nil {
 		return topFactsFor(p)

@@ -13,7 +13,7 @@
 // Every fact is a universally quantified claim about dynamic execution
 // ("whenever block B is entered, local 3 holds 7") and is differentially
 // checked against the VM by the soundness harness in internal/harness.
-// When the analysis cannot establish a fixpoint (unlinked input, decode
+// When the analysis cannot establish a fixpoint (unlinked input, CFG
 // damage, signature-confused virtual dispatch, budget exhaustion) it
 // degrades to the top table, which claims nothing.
 package valueflow
