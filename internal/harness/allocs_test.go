@@ -29,10 +29,36 @@ var profiledRunAllocs = map[string]float64{
 // warmed hook's own zero-allocation fast path is pinned separately by
 // profile.TestDispatchFastPathZeroAllocs.
 func TestProfiledRunAllocsPerDispatch(t *testing.T) {
+	checkRunAllocsPerDispatch(t, core.ModeProfile, profiledRunAllocs)
+}
+
+// plainRunAllocs is heap allocations per block dispatch over one plain,
+// 5 000 000-step run of each workload, as measured when this test was
+// written: the programs' own allocations plus frame churn.
+var plainRunAllocs = map[string]float64{
+	"compress":  0.00007,
+	"javac":     0.02546,
+	"raytrace":  0.02091,
+	"mpegaudio": 0.00019,
+	"soot":      0.04432,
+	"scimark":   0.00028,
+}
+
+// TestPlainRunAllocsPerDispatch is the same bound for unprofiled block
+// dispatch. It catches an operand stack or a closure escaping to the heap
+// in the interpreter loop, which would show up as allocations per dispatch
+// no program asked for.
+func TestPlainRunAllocsPerDispatch(t *testing.T) {
+	checkRunAllocsPerDispatch(t, core.ModePlain, plainRunAllocs)
+}
+
+// checkRunAllocsPerDispatch runs each workload for 5 000 000 steps in mode
+// and holds its allocations per block dispatch to recorded×1.1 + 0.005.
+func checkRunAllocsPerDispatch(t *testing.T, mode core.Mode, recordedAllocs map[string]float64) {
 	s := NewSuite()
 	s.MaxSteps = 5_000_000
 	for _, name := range s.Workloads {
-		recorded, ok := profiledRunAllocs[name]
+		recorded, ok := recordedAllocs[name]
 		if !ok {
 			t.Errorf("%s: no recorded allocation figure", name)
 			continue
@@ -42,7 +68,7 @@ func TestProfiledRunAllocsPerDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-			Mode:     core.ModeProfile,
+			Mode:     mode,
 			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
 			MaxSteps: s.MaxSteps,
 		})

@@ -308,7 +308,7 @@ func b2i(b bool) int64 {
 }
 
 // edgeLegs runs prog on every engine that evaluates or folds the op — block
-// dispatch (execInstr), unfused traces, fused traces (execSBin for the
+// dispatch (execInstrs), unfused traces, fused traces (execSBin for the
 // local-operand forms, trace.Compile's folder for the constant ones) and,
 // after opt.Program, block dispatch again — and returns per leg the sink
 // payloads observed, the run's error, and the fused leg's session.
@@ -463,7 +463,12 @@ func TestEdgeOperandDifferential(t *testing.T) {
 			live := false
 			if cp := trace.Compile(&trace.CompileEnv{Blocks: []*cfg.Block{entry}, Resolve: pcfg.Block}); cp != nil {
 				for _, so := range cp.Segs[0].Ops {
-					live = live || so.Kind == trace.SExec && entry.Instrs[so.A].Op == op
+					if so.Kind != trace.SExec {
+						continue
+					}
+					for _, in := range entry.Instrs[so.A:so.B] {
+						live = live || in.Op == op
+					}
 				}
 			}
 			if !live {

@@ -59,7 +59,7 @@ func (env *CompileEnv) proven(i int) bool {
 // emitted; ops whose operands are fully covered by that region fuse into a
 // single superinstruction (or fold away entirely when every operand is a
 // compile-time constant), and anything else flushes the region and falls
-// back to the interpreter's single-op executor. The region is always
+// back to the interpreter's instruction executor. The region is always
 // contiguous with the real stack top and always empty at segment
 // boundaries, so a side exit anywhere leaves the frame in exactly the state
 // the block-by-block path would have produced.
@@ -158,6 +158,17 @@ func (c *segCompiler) emit(op SOp) {
 	}
 }
 
+// exec emits the unspecialized instruction at idx, extending the segment's
+// last op when that is an SExec range ending right before it.
+func (c *segCompiler) exec(idx int32, pc uint32) {
+	if n := len(c.seg.Ops); n > 0 && c.seg.Ops[n-1].Kind == SExec && c.seg.Ops[n-1].B == idx {
+		c.seg.Ops[n-1].B = idx + 1
+		c.lastBin = -1
+		return
+	}
+	c.emit(SOp{Kind: SExec, A: idx, B: idx + 1, PC: pc})
+}
+
 func (c *segCompiler) push(v symVal) {
 	c.pend = append(c.pend, v)
 	c.lastBin = -1
@@ -238,13 +249,13 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		if n := len(c.pend); n > 0 {
 			c.pend = c.pend[:n-1]
 		} else {
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 		}
 	case bytecode.Dup:
 		if n := len(c.pend); n > 0 {
 			c.push(c.pend[n-1])
 		} else {
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 		}
 	case bytecode.DupX1:
 		if n := len(c.pend); n >= 2 {
@@ -253,7 +264,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			c.push(b)
 		} else {
 			c.flushAll()
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 		}
 	case bytecode.Swap:
 		if n := len(c.pend); n >= 2 {
@@ -261,13 +272,13 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			c.lastBin = -1
 		} else {
 			c.flushAll()
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 		}
 
 	case bytecode.INeg, bytecode.FNeg, bytecode.I2F, bytecode.F2I:
 		n := len(c.pend)
 		if n == 0 {
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 			return
 		}
 		if v := c.pend[n-1]; v.isConst {
@@ -289,7 +300,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		n := len(c.pend)
 		if n < 2 {
 			c.flushAll()
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 			return
 		}
 		a, b := c.pend[n-2], c.pend[n-1]
@@ -304,7 +315,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 			// Division by a constant zero: keep the op live so the runtime
 			// trap fires with the interpreter's exact message and PC.
 			c.flushAll()
-			c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+			c.exec(idx, in.PC)
 			return
 		}
 		c.flushAllBut(2)
@@ -325,7 +336,7 @@ func (c *segCompiler) instr(idx int32, in bytecode.Instr) {
 		// Allocating ops, field and array access, checks: the region must
 		// be real before the interpreter op runs.
 		c.flushAll()
-		c.emit(SOp{Kind: SExec, A: idx, PC: in.PC})
+		c.exec(idx, in.PC)
 	}
 }
 

@@ -6,16 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bytecode"
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/jasm"
 	"repro/internal/minijava"
 	"repro/internal/trace"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // render prints a fused program one segment per line, "ops… | terminator",
 // in a notation close to the source: locals are lN, a result with no
-// destination is pushed, SExec prints the op it delegates, blocks go by ID.
+// destination is pushed, SExec prints the ops it delegates (a range joined
+// by "+"), blocks go by ID.
 func render(p *trace.Program) []string {
 	src := func(mode uint8, a, b int32, val int64) string {
 		switch mode {
@@ -35,7 +39,11 @@ func render(p *trace.Program) []string {
 		for _, op := range seg.Ops {
 			switch op.Kind {
 			case trace.SExec:
-				parts = append(parts, seg.Block.Instrs[op.A].Op.String())
+				var ops []string
+				for _, in := range seg.Block.Instrs[op.A:op.B] {
+					ops = append(ops, in.Op.String())
+				}
+				parts = append(parts, strings.Join(ops, "+"))
 			case trace.SPushConst:
 				parts = append(parts, fmt.Sprintf("push %d", op.Val))
 			case trace.SPushLocal:
@@ -260,6 +268,24 @@ end:
 			want: []string{"l2=iadd(l0,l1) l2=isub(l2,1) imul(7,l0) ineg(l1) iadd l0=pop | generic"},
 		},
 		{
+			// Adjacent unspecialized ops share one SExec range; a fused op,
+			// or instructions that emitted nothing, between two keep them
+			// apart, since a range covers contiguous instructions only.
+			name: "sexec-ranges",
+			src: `.field arr ref
+.method static main ( ) void
+.locals 2
+    aload 0 getfield Main.arr arraylength istore 1
+    aload 0 getfield Main.arr iinc 1 1 arraylength istore 1
+    aload 0 getfield Main.arr iconst 5 pop nop arraylength istore 1
+    return
+.end`,
+			path: []cfg.BlockID{0},
+			want: []string{"push l0 getfield+arraylength l1=pop" +
+				" push l0 getfield l1+=1 arraylength l1=pop" +
+				" push l0 getfield arraylength l1=pop | generic"},
+		},
+		{
 			// Folding would hide the trap: the division stays live.
 			name: "constant-zero-divisor-kept",
 			src: `.method static main ( ) void
@@ -380,5 +406,153 @@ func TestCompileRealWorkloadTraces(t *testing.T) {
 	}
 	if removed == 0 {
 		t.Error("no folded op or forwarded load in a constant-rich loop")
+	}
+}
+
+// emittedOnWorkloads is, per workload, the sum of TotalInstrs and of
+// Emitted() over every trace a 1 000 000-step tier-2 run caches, recorded
+// when each SExec still covered a single instruction. Merging adjacent
+// SExec ops into ranges must not move Emitted().
+var emittedOnWorkloads = map[string][2]int64{
+	"compress":  {551, 428},
+	"javac":     {2148, 1824},
+	"raytrace":  {1259, 1089},
+	"mpegaudio": {467, 315},
+	"soot":      {1930, 1631},
+	"scimark":   {557, 430},
+}
+
+// TestCompileEmittedOnWorkloads recompiles every trace the six workloads
+// cache and checks the instruction and emitted-op sums against the figures
+// recorded before SExec ranges existed.
+func TestCompileEmittedOnWorkloads(t *testing.T) {
+	for _, name := range workload.Names() {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, pcfg, err := w.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sess, err := core.NewSession(prog, pcfg, core.SessionOptions{
+			Mode:     core.ModeTrace,
+			Config:   core.Config{CompileTraces: true},
+			MaxSteps: 1_000_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Run(); err != nil {
+			if tr, ok := vm.AsTrap(err); !ok || tr.Kind != vm.TrapStepLimit {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		var got [2]int64
+		for _, tr := range sess.Cache.Traces() {
+			if p := sess.Cache.Compile(tr); p != nil {
+				got[0] += p.TotalInstrs
+				got[1] += p.Emitted()
+			}
+		}
+		if want, ok := emittedOnWorkloads[name]; !ok {
+			t.Errorf("%s: no recorded figures", name)
+		} else if got != want {
+			t.Errorf("%s: instrs, emitted = %v, recorded %v", name, got, want)
+		}
+	}
+}
+
+// TestSExecRangeTrapsAtInstruction runs a loop whose body is one SExec range
+// with a getfield in its middle under tier 2; the last iteration loads a null
+// reference. The fused run must trap exactly as plain dispatch does, at the
+// getfield's own PC.
+func TestSExecRangeTrapsAtInstruction(t *testing.T) {
+	prog, err := jasm.Assemble(`.class A
+.field x int
+.end
+.class Main
+.field static arr ref
+.field static i int
+.method static main ( ) void
+.locals 1
+    iconst 2000 newarray ref putstatic Main.arr
+fill:
+    getstatic Main.arr iload 0 new A aastore
+    iinc 0 1
+    iload 0 iconst 1999 if_icmplt fill
+use:
+    getstatic Main.arr getstatic Main.i aaload getfield A.x pop
+    getstatic Main.i iconst 1 iadd putstatic Main.i
+    getstatic Main.i iconst 2000 if_icmplt use
+    return
+.end
+.end
+.entry Main main
+`)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	pcfg, err := cfg.BuildProgram(prog)
+	if err != nil {
+		t.Fatalf("cfg: %v", err)
+	}
+	var getfieldPC uint32
+	var useBlock *cfg.Block
+	for _, b := range pcfg.Methods[prog.Main.ID].Blocks {
+		for k := range b.Instrs {
+			if b.Instrs[k].Op == bytecode.GetField {
+				getfieldPC, useBlock = b.Instrs[k].PC, b
+			}
+		}
+	}
+	if useBlock == nil {
+		t.Fatal("no getfield in the program")
+	}
+
+	run := func(mode core.Mode, conf core.Config) (*core.Session, *vm.Trap) {
+		s, err := core.NewSession(prog, pcfg, core.SessionOptions{Mode: mode, Config: conf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Run()
+		tr, ok := vm.AsTrap(err)
+		if !ok || tr.Kind != vm.TrapNullDeref {
+			t.Fatalf("mode %v: err = %v, want a null-dereference trap", mode, err)
+		}
+		return s, tr
+	}
+	_, plain := run(core.ModePlain, core.Config{})
+	fused, got := run(core.ModeTrace, core.Config{CompileTraces: true, TierUpDispatches: 1})
+	if plain.PC != getfieldPC || got.PC != getfieldPC {
+		t.Errorf("trapped at pc %d (plain %d), want the getfield's %d", got.PC, plain.PC, getfieldPC)
+	}
+	if got.Error() != plain.Error() {
+		t.Errorf("fused trap %q, plain %q", got, plain)
+	}
+
+	// The trap must have come from a fused range with the getfield inside
+	// it, not at its edge.
+	inRange := false
+	for _, tr := range fused.Cache.Traces() {
+		if tr.Compiled == nil || tr.CompiledEntered == 0 {
+			continue
+		}
+		for _, seg := range tr.Compiled.Segs {
+			if seg.Block != useBlock {
+				continue
+			}
+			for _, op := range seg.Ops {
+				if op.Kind != trace.SExec {
+					continue
+				}
+				for k := op.A + 1; k < op.B-1; k++ {
+					inRange = inRange || seg.Block.Instrs[k].PC == getfieldPC
+				}
+			}
+		}
+	}
+	if !inRange {
+		t.Error("no entered fused trace holds the getfield in the middle of an SExec range")
 	}
 }

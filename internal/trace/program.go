@@ -45,14 +45,21 @@ type Program struct {
 	DroppedGuards, Folded, Forwarded, Decided int
 }
 
-// Emitted returns the runtime work a fused program kept: superinstructions
-// plus terminators that still execute (every kind but TStatic). Compile
-// never emits more than it consumed — Emitted() <= TotalInstrs — because each
-// deferred value is created by one instruction that itself emitted nothing.
+// Emitted returns the runtime work a fused program kept: superinstructions,
+// an SExec range counting as the B−A instructions it runs, plus terminators
+// that still execute (every kind but TStatic). Compile never emits more
+// than it consumed — Emitted() <= TotalInstrs — because each deferred value
+// is created by one instruction that itself emitted nothing.
 func (p *Program) Emitted() int64 {
 	var n int64
 	for i := range p.Segs {
-		n += int64(len(p.Segs[i].Ops))
+		for _, op := range p.Segs[i].Ops {
+			if op.Kind == SExec {
+				n += int64(op.B - op.A)
+			} else {
+				n++
+			}
+		}
 		if p.Segs[i].Term.Kind != TStatic {
 			n++
 		}
@@ -90,9 +97,9 @@ type Segment struct {
 type SOpKind uint8
 
 const (
-	// SExec runs Block.Instrs[A] through the interpreter's single-op
+	// SExec runs Block.Instrs[A:B] through the interpreter's instruction
 	// executor — the universal fallback for ops the compiler does not
-	// specialize.
+	// specialize. Compile merges adjacent unspecialized ops into one range.
 	SExec SOpKind = iota
 	// SPushConst pushes Value{N: Val} (an int, float bit pattern, or null
 	// — the machine's Value is untyped).
@@ -128,7 +135,8 @@ const (
 )
 
 // SOp is one superinstruction. Operand meaning depends on Kind; PC is the
-// source instruction's PC for trap attribution.
+// source instruction's PC for trap attribution (an SExec range's first: its
+// instructions trap at their own PCs).
 type SOp struct {
 	Kind SOpKind
 	Op   bytecode.Op

@@ -17,8 +17,6 @@ func (f *frame) pop() Value {
 	return v
 }
 
-func (f *frame) peek() Value { return f.stack[len(f.stack)-1] }
-
 // stepBlock executes one basic block in the top frame and applies its
 // control transfer: it resolves branch targets, pushes and pops call frames,
 // and runs native methods. It returns the next block to dispatch, or
@@ -36,10 +34,8 @@ func (m *Machine) stepBlock(b *cfg.Block) (next *cfg.Block, halted bool, err err
 			return nil, false, err
 		}
 	}
-	for i := 0; i < n-1; i++ {
-		if err := m.execInstr(f, &b.Instrs[i]); err != nil {
-			return nil, false, err
-		}
+	if err := m.execInstrs(f, b.Instrs[:n-1]); err != nil {
+		return nil, false, err
 	}
 	return m.execTerminator(f, b)
 }
@@ -73,17 +69,18 @@ func (m *Machine) checkBlock(f *frame, b *cfg.Block) error {
 }
 
 // execTerminator executes a block's final instruction and applies its
-// control transfer. Fused trace segments lower what they can and delegate
-// the rest here; panics are recovered once, by Run.
+// control transfer, switching on the block's pre-decoded Kind. Fused trace
+// segments lower what they can and delegate the rest here; panics are
+// recovered once, by Run.
 //
 //tracevm:hotpath
 func (m *Machine) execTerminator(f *frame, b *cfg.Block) (next *cfg.Block, halted bool, err error) {
 	term := b.Terminator()
-	switch bytecode.InfoOf(term.Op).Flow {
+	switch b.Kind {
 	case bytecode.FlowNext:
 		// Block split by a following leader: the last instruction is an
 		// ordinary one.
-		if err := m.execInstr(f, term); err != nil {
+		if err := m.execInstrs(f, b.Instrs[len(b.Instrs)-1:]); err != nil {
 			return nil, false, err
 		}
 		return m.blockAt(b.FallThrough, term.PC)
@@ -318,266 +315,308 @@ func (m *Machine) invoke(f *frame, b *cfg.Block, in *bytecode.Instr) (*cfg.Block
 	return entry, false, nil
 }
 
-// execInstr executes one non-control-flow instruction in frame f.
+// execInstrs executes ins, a run of non-control-flow instructions, in frame
+// f. It is the one executor of such instructions: ordinary dispatch, both
+// trace tiers (a fused segment's SExec ranges) and the per-instruction
+// engine all run their instructions through it. The operand stack lives in locals for the whole
+// run — st spans the frame's full capacity and sp is its depth — and is
+// written back to f.stack once, on every exit, trap returns included.
+// pushFrame sizes that capacity by the verifier's MaxStack, so it is a hard
+// bound: a push past it is an index panic, which Run's recoverTrap reports
+// as a TrapBadProgram at the block.
 //
 //tracevm:hotpath
-func (m *Machine) execInstr(f *frame, in *bytecode.Instr) error {
-	switch in.Op {
-	case bytecode.Nop:
+func (m *Machine) execInstrs(f *frame, ins []bytecode.Instr) (err error) {
+	st, sp, locals := f.stack[:cap(f.stack)], len(f.stack), f.locals
+loop:
+	for k := range ins {
+		in := &ins[k]
+		switch in.Op {
+		case bytecode.Nop:
 
-	// Constants.
-	case bytecode.IConst:
-		f.push(IntVal(int64(in.A)))
-	case bytecode.FConst:
-		f.push(FloatVal(in.F))
-	case bytecode.SConst:
-		f.push(RefVal(NewString(m.prog.Strings[in.A])))
-	case bytecode.AConstNull:
-		f.push(RefVal(nil))
+		// Constants.
+		case bytecode.IConst:
+			st[sp] = IntVal(int64(in.A))
+			sp++
+		case bytecode.FConst:
+			st[sp] = FloatVal(in.F)
+			sp++
+		case bytecode.SConst:
+			st[sp] = RefVal(NewString(m.prog.Strings[in.A]))
+			sp++
+		case bytecode.AConstNull:
+			st[sp] = RefVal(nil)
+			sp++
 
-	// Locals.
-	case bytecode.ILoad, bytecode.FLoad, bytecode.ALoad:
-		f.push(f.locals[in.A])
-	case bytecode.IStore, bytecode.FStore, bytecode.AStore:
-		f.locals[in.A] = f.pop()
-	case bytecode.IInc:
-		f.locals[in.A].N += int64(in.B)
+		// Locals.
+		case bytecode.ILoad, bytecode.FLoad, bytecode.ALoad:
+			st[sp] = locals[in.A]
+			sp++
+		case bytecode.IStore, bytecode.FStore, bytecode.AStore:
+			sp--
+			locals[in.A] = st[sp]
+		case bytecode.IInc:
+			locals[in.A].N += int64(in.B)
 
-	// Stack manipulation.
-	case bytecode.Pop:
-		f.pop()
-	case bytecode.Dup:
-		f.push(f.peek())
-	case bytecode.DupX1:
-		a := f.pop()
-		b := f.pop()
-		f.push(a)
-		f.push(b)
-		f.push(a)
-	case bytecode.Swap:
-		a := f.pop()
-		b := f.pop()
-		f.push(a)
-		f.push(b)
+		// Stack manipulation.
+		case bytecode.Pop:
+			sp--
+		case bytecode.Dup:
+			st[sp] = st[sp-1]
+			sp++
+		case bytecode.DupX1:
+			a, b := st[sp-1], st[sp-2]
+			st[sp-2], st[sp-1], st[sp] = a, b, a
+			sp++
+		case bytecode.Swap:
+			st[sp-2], st[sp-1] = st[sp-1], st[sp-2]
 
-	// Integer arithmetic.
-	case bytecode.IAdd:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() + b))
-	case bytecode.ISub:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() - b))
-	case bytecode.IMul:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() * b))
-	case bytecode.IDiv:
-		b := f.pop().Int()
-		a := f.pop().Int()
-		if b == 0 {
-			return m.trap(TrapDivByZero, in.PC, "%d / 0", a)
-		}
-		if b == -1 {
-			// MinInt64 / -1 overflows; Java defines the result as
-			// MinInt64, which is exactly the wrapping negation.
-			f.push(IntVal(-a))
-		} else {
-			f.push(IntVal(a / b))
-		}
-	case bytecode.IRem:
-		b := f.pop().Int()
-		a := f.pop().Int()
-		if b == 0 {
-			return m.trap(TrapDivByZero, in.PC, "%d %% 0", a)
-		}
-		if b == -1 {
-			f.push(IntVal(0)) // avoids the MinInt64 % -1 overflow panic
-		} else {
-			f.push(IntVal(a % b))
-		}
-	case bytecode.INeg:
-		f.push(IntVal(-f.pop().Int()))
-	case bytecode.IShl:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() << (uint64(b) & 63)))
-	case bytecode.IShr:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() >> (uint64(b) & 63)))
-	case bytecode.IUshr:
-		b := f.pop().Int()
-		f.push(IntVal(int64(uint64(f.pop().Int()) >> (uint64(b) & 63))))
-	case bytecode.IAnd:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() & b))
-	case bytecode.IOr:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() | b))
-	case bytecode.IXor:
-		b := f.pop().Int()
-		f.push(IntVal(f.pop().Int() ^ b))
-
-	// Float arithmetic.
-	case bytecode.FAdd:
-		b := f.pop().Float()
-		f.push(FloatVal(f.pop().Float() + b))
-	case bytecode.FSub:
-		b := f.pop().Float()
-		f.push(FloatVal(f.pop().Float() - b))
-	case bytecode.FMul:
-		b := f.pop().Float()
-		f.push(FloatVal(f.pop().Float() * b))
-	case bytecode.FDiv:
-		b := f.pop().Float()
-		f.push(FloatVal(f.pop().Float() / b))
-	case bytecode.FRem:
-		b := f.pop().Float()
-		f.push(FloatVal(math.Mod(f.pop().Float(), b)))
-	case bytecode.FNeg:
-		f.push(FloatVal(-f.pop().Float()))
-
-	// Conversions.
-	case bytecode.I2F:
-		f.push(FloatVal(float64(f.pop().Int())))
-	case bytecode.F2I:
-		f.push(IntVal(bytecode.FloatToInt(f.pop().Float())))
-
-	// Float comparison.
-	case bytecode.FCmpL, bytecode.FCmpG:
-		b := f.pop().Float()
-		a := f.pop().Float()
-		switch {
-		case a < b:
-			f.push(IntVal(-1))
-		case a > b:
-			f.push(IntVal(1))
-		case a == b:
-			f.push(IntVal(0))
-		default: // NaN involved
-			if in.Op == bytecode.FCmpL {
-				f.push(IntVal(-1))
-			} else {
-				f.push(IntVal(1))
+		// Integer arithmetic.
+		case bytecode.IAdd:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N + st[sp].N)
+		case bytecode.ISub:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N - st[sp].N)
+		case bytecode.IMul:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N * st[sp].N)
+		case bytecode.IDiv:
+			sp -= 2
+			a, b := st[sp].N, st[sp+1].N
+			if b == 0 {
+				err = m.trap(TrapDivByZero, in.PC, "%d / 0", a)
+				break loop
 			}
-		}
+			if b == -1 {
+				// MinInt64 / -1 overflows; Java defines the result as
+				// MinInt64, which is exactly the wrapping negation.
+				st[sp] = IntVal(-a)
+			} else {
+				st[sp] = IntVal(a / b)
+			}
+			sp++
+		case bytecode.IRem:
+			sp -= 2
+			a, b := st[sp].N, st[sp+1].N
+			if b == 0 {
+				err = m.trap(TrapDivByZero, in.PC, "%d %% 0", a)
+				break loop
+			}
+			if b == -1 {
+				st[sp] = IntVal(0) // avoids the MinInt64 % -1 overflow panic
+			} else {
+				st[sp] = IntVal(a % b)
+			}
+			sp++
+		case bytecode.INeg:
+			st[sp-1] = IntVal(-st[sp-1].N)
+		case bytecode.IShl:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N << (uint64(st[sp].N) & 63))
+		case bytecode.IShr:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N >> (uint64(st[sp].N) & 63))
+		case bytecode.IUshr:
+			sp--
+			st[sp-1] = IntVal(int64(uint64(st[sp-1].N) >> (uint64(st[sp].N) & 63)))
+		case bytecode.IAnd:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N & st[sp].N)
+		case bytecode.IOr:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N | st[sp].N)
+		case bytecode.IXor:
+			sp--
+			st[sp-1] = IntVal(st[sp-1].N ^ st[sp].N)
 
-	// Objects.
-	case bytecode.New:
-		f.push(RefVal(NewInstance(m.prog.Classes[in.A])))
-	case bytecode.GetField:
-		ref := &m.prog.FieldRefs[in.A]
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "getfield %s", ref.Name)
-		}
-		if o.Kind != KindObject || ref.Field.Offset >= len(o.Fields) {
-			return m.trap(TrapBadCast, in.PC, "getfield %s on incompatible object", ref.Name)
-		}
-		f.push(o.Fields[ref.Field.Offset])
-	case bytecode.PutField:
-		ref := &m.prog.FieldRefs[in.A]
-		v := f.pop()
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "putfield %s", ref.Name)
-		}
-		if o.Kind != KindObject || ref.Field.Offset >= len(o.Fields) {
-			return m.trap(TrapBadCast, in.PC, "putfield %s on incompatible object", ref.Name)
-		}
-		o.Fields[ref.Field.Offset] = v
-	case bytecode.GetStatic:
-		ref := &m.prog.FieldRefs[in.A]
-		f.push(m.statics[ref.Class.ID][ref.Field.Offset])
-	case bytecode.PutStatic:
-		ref := &m.prog.FieldRefs[in.A]
-		m.statics[ref.Class.ID][ref.Field.Offset] = f.pop()
-	case bytecode.InstanceOf:
-		target := m.prog.Classes[in.A]
-		o := f.pop().Ref()
-		f.push(BoolVal(o != nil && o.Kind == KindObject && o.Class.IsSubclassOf(target)))
-	case bytecode.CheckCast:
-		target := m.prog.Classes[in.A]
-		o := f.peek().Ref()
-		if o != nil && (o.Kind != KindObject || !o.Class.IsSubclassOf(target)) {
-			return m.trap(TrapBadCast, in.PC, "cannot cast to %s", target.Name)
-		}
+		// Float arithmetic.
+		case bytecode.FAdd:
+			sp--
+			st[sp-1] = FloatVal(st[sp-1].Float() + st[sp].Float())
+		case bytecode.FSub:
+			sp--
+			st[sp-1] = FloatVal(st[sp-1].Float() - st[sp].Float())
+		case bytecode.FMul:
+			sp--
+			st[sp-1] = FloatVal(st[sp-1].Float() * st[sp].Float())
+		case bytecode.FDiv:
+			sp--
+			st[sp-1] = FloatVal(st[sp-1].Float() / st[sp].Float())
+		case bytecode.FRem:
+			sp--
+			st[sp-1] = FloatVal(math.Mod(st[sp-1].Float(), st[sp].Float()))
+		case bytecode.FNeg:
+			st[sp-1] = FloatVal(-st[sp-1].Float())
 
-	// Arrays.
-	case bytecode.NewArray:
-		n := f.pop().Int()
-		if n < 0 {
-			return m.trap(TrapIndexOOB, in.PC, "newarray with negative length %d", n)
-		}
-		if in.A == bytecode.ElemByte {
-			f.push(RefVal(NewByteArray(int(n))))
-		} else {
-			f.push(RefVal(NewValueArray(in.A, int(n))))
-		}
-	case bytecode.ArrayLength:
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "arraylength on null")
-		}
-		n := o.Length()
-		if n < 0 {
-			return m.trap(TrapBadCast, in.PC, "arraylength on non-array")
-		}
-		f.push(IntVal(int64(n)))
-	case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad:
-		i := f.pop().Int()
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "array load on null")
-		}
-		if o.Kind != KindArray {
-			return m.trap(TrapBadCast, in.PC, "array load on non-array")
-		}
-		if i < 0 || i >= int64(len(o.Elems)) {
-			return m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Elems))
-		}
-		f.push(o.Elems[i])
-	case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore:
-		v := f.pop()
-		i := f.pop().Int()
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "array store on null")
-		}
-		if o.Kind != KindArray {
-			return m.trap(TrapBadCast, in.PC, "array store on non-array")
-		}
-		if i < 0 || i >= int64(len(o.Elems)) {
-			return m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Elems))
-		}
-		o.Elems[i] = v
-	case bytecode.BALoad:
-		i := f.pop().Int()
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "byte array load on null")
-		}
-		if o.Kind != KindBytes {
-			return m.trap(TrapBadCast, in.PC, "byte array load on non-byte-array")
-		}
-		if i < 0 || i >= int64(len(o.Bytes)) {
-			return m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Bytes))
-		}
-		f.push(IntVal(int64(o.Bytes[i])))
-	case bytecode.BAStore:
-		v := f.pop().Int()
-		i := f.pop().Int()
-		o := f.pop().Ref()
-		if o == nil {
-			return m.trap(TrapNullDeref, in.PC, "byte array store on null")
-		}
-		if o.Kind != KindBytes {
-			return m.trap(TrapBadCast, in.PC, "byte array store on non-byte-array")
-		}
-		if i < 0 || i >= int64(len(o.Bytes)) {
-			return m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Bytes))
-		}
-		o.Bytes[i] = byte(v)
+		// Conversions.
+		case bytecode.I2F:
+			st[sp-1] = FloatVal(float64(st[sp-1].N))
+		case bytecode.F2I:
+			st[sp-1] = IntVal(bytecode.FloatToInt(st[sp-1].Float()))
 
-	default:
-		return m.trap(TrapBadProgram, in.PC, "opcode %s is not executable mid-block", in.Op)
+		// Float comparison.
+		case bytecode.FCmpL, bytecode.FCmpG:
+			sp--
+			a, b := st[sp-1].Float(), st[sp].Float()
+			switch {
+			case a < b:
+				st[sp-1] = IntVal(-1)
+			case a > b:
+				st[sp-1] = IntVal(1)
+			case a == b:
+				st[sp-1] = IntVal(0)
+			default: // NaN involved
+				if in.Op == bytecode.FCmpL {
+					st[sp-1] = IntVal(-1)
+				} else {
+					st[sp-1] = IntVal(1)
+				}
+			}
+
+		// Objects.
+		case bytecode.New:
+			st[sp] = RefVal(NewInstance(m.prog.Classes[in.A]))
+			sp++
+		case bytecode.GetField:
+			ref := &m.prog.FieldRefs[in.A]
+			o := st[sp-1].R
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "getfield %s", ref.Name)
+				break loop
+			}
+			if o.Kind != KindObject || ref.Field.Offset >= len(o.Fields) {
+				err = m.trap(TrapBadCast, in.PC, "getfield %s on incompatible object", ref.Name)
+				break loop
+			}
+			st[sp-1] = o.Fields[ref.Field.Offset]
+		case bytecode.PutField:
+			ref := &m.prog.FieldRefs[in.A]
+			sp -= 2
+			o := st[sp].R
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "putfield %s", ref.Name)
+				break loop
+			}
+			if o.Kind != KindObject || ref.Field.Offset >= len(o.Fields) {
+				err = m.trap(TrapBadCast, in.PC, "putfield %s on incompatible object", ref.Name)
+				break loop
+			}
+			o.Fields[ref.Field.Offset] = st[sp+1]
+		case bytecode.GetStatic:
+			ref := &m.prog.FieldRefs[in.A]
+			st[sp] = m.statics[ref.Class.ID][ref.Field.Offset]
+			sp++
+		case bytecode.PutStatic:
+			ref := &m.prog.FieldRefs[in.A]
+			sp--
+			m.statics[ref.Class.ID][ref.Field.Offset] = st[sp]
+		case bytecode.InstanceOf:
+			target := m.prog.Classes[in.A]
+			o := st[sp-1].R
+			st[sp-1] = BoolVal(o != nil && o.Kind == KindObject && o.Class.IsSubclassOf(target))
+		case bytecode.CheckCast:
+			target := m.prog.Classes[in.A]
+			o := st[sp-1].R
+			if o != nil && (o.Kind != KindObject || !o.Class.IsSubclassOf(target)) {
+				err = m.trap(TrapBadCast, in.PC, "cannot cast to %s", target.Name)
+				break loop
+			}
+
+		// Arrays.
+		case bytecode.NewArray:
+			n := st[sp-1].N
+			if n < 0 {
+				err = m.trap(TrapIndexOOB, in.PC, "newarray with negative length %d", n)
+				break loop
+			}
+			if in.A == bytecode.ElemByte {
+				st[sp-1] = RefVal(NewByteArray(int(n)))
+			} else {
+				st[sp-1] = RefVal(NewValueArray(in.A, int(n)))
+			}
+		case bytecode.ArrayLength:
+			o := st[sp-1].R
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "arraylength on null")
+				break loop
+			}
+			n := o.Length()
+			if n < 0 {
+				err = m.trap(TrapBadCast, in.PC, "arraylength on non-array")
+				break loop
+			}
+			st[sp-1] = IntVal(int64(n))
+		case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad:
+			o, i := st[sp-2].R, st[sp-1].N
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "array load on null")
+				break loop
+			}
+			if o.Kind != KindArray {
+				err = m.trap(TrapBadCast, in.PC, "array load on non-array")
+				break loop
+			}
+			if i < 0 || i >= int64(len(o.Elems)) {
+				err = m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Elems))
+				break loop
+			}
+			sp--
+			st[sp-1] = o.Elems[i]
+		case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore:
+			sp -= 3
+			o, i := st[sp].R, st[sp+1].N
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "array store on null")
+				break loop
+			}
+			if o.Kind != KindArray {
+				err = m.trap(TrapBadCast, in.PC, "array store on non-array")
+				break loop
+			}
+			if i < 0 || i >= int64(len(o.Elems)) {
+				err = m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Elems))
+				break loop
+			}
+			o.Elems[i] = st[sp+2]
+		case bytecode.BALoad:
+			o, i := st[sp-2].R, st[sp-1].N
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "byte array load on null")
+				break loop
+			}
+			if o.Kind != KindBytes {
+				err = m.trap(TrapBadCast, in.PC, "byte array load on non-byte-array")
+				break loop
+			}
+			if i < 0 || i >= int64(len(o.Bytes)) {
+				err = m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Bytes))
+				break loop
+			}
+			sp--
+			st[sp-1] = IntVal(int64(o.Bytes[i]))
+		case bytecode.BAStore:
+			sp -= 3
+			o, i := st[sp].R, st[sp+1].N
+			if o == nil {
+				err = m.trap(TrapNullDeref, in.PC, "byte array store on null")
+				break loop
+			}
+			if o.Kind != KindBytes {
+				err = m.trap(TrapBadCast, in.PC, "byte array store on non-byte-array")
+				break loop
+			}
+			if i < 0 || i >= int64(len(o.Bytes)) {
+				err = m.trap(TrapIndexOOB, in.PC, "index %d, length %d", i, len(o.Bytes))
+				break loop
+			}
+			o.Bytes[i] = byte(st[sp+2].N)
+
+		default:
+			err = m.trap(TrapBadProgram, in.PC, "opcode %s is not executable mid-block", in.Op)
+			break loop
+		}
 	}
-	return nil
+	f.stack = st[:sp]
+	return err
 }

@@ -75,7 +75,7 @@ func (m *Machine) RunInstrMode() (err error) {
 
 		switch bytecode.InfoOf(in.Op).Flow {
 		case bytecode.FlowNext:
-			if err := m.execInstr(f, in); err != nil {
+			if err := m.execInstrs(f, d.ins[pc:pc+1]); err != nil {
 				return err
 			}
 			pc++

@@ -243,8 +243,9 @@ func (m *Machine) pushFrame(meth *classfile.Method, args []Value) *frame {
 		f.locals = f.locals[:meth.MaxLocals]
 		clear(f.locals)
 	}
-	// Room for the verifier's MaxStack, so push's append never grows the
-	// stack; a wrong bound costs a reallocation, never correctness.
+	// Room for the verifier's MaxStack. The capacity is the operand stack's
+	// hard bound: execInstrs indexes it, so a push past a wrong bound is a
+	// TrapBadProgram, not a reallocation.
 	if cap(f.stack) < meth.MaxStack {
 		f.stack = make([]Value, 0, max(meth.MaxStack, 16))
 	}

@@ -63,17 +63,13 @@ func (m *Machine) execTrace(t *trace.Trace) (next *cfg.Block, last cfg.BlockID, 
 			err error
 		)
 		if p.Fused {
-			for j := range seg.Ops {
-				if err := m.execSOp(f, seg, &seg.Ops[j]); err != nil {
-					return nil, last, false, err
-				}
+			if err := m.execSOps(f, seg); err != nil {
+				return nil, last, false, err
 			}
 			nxt, h, err = m.execTerm(f, seg)
 		} else {
-			for k, n := 0, len(b.Instrs)-1; k < n; k++ {
-				if err := m.execInstr(f, &b.Instrs[k]); err != nil {
-					return nil, last, false, err
-				}
+			if err := m.execInstrs(f, b.Instrs[:len(b.Instrs)-1]); err != nil {
+				return nil, last, false, err
 			}
 			nxt, h, err = m.execTerminator(f, b)
 		}
@@ -169,48 +165,74 @@ func (m *Machine) accountTrace(t *trace.Trace, blocksRun int, instrs int64, comp
 	}
 }
 
-// execSOp executes one superinstruction in frame f.
+// execSOps executes a fused segment's superinstructions in frame f. Like
+// execInstrs it holds the operand stack in locals — st over the frame's
+// capacity, sp its depth — and writes it back on every exit; an SExec range
+// is handed to execInstrs with the stack written back first and reloaded
+// after.
 //
 //tracevm:hotpath
-func (m *Machine) execSOp(f *frame, seg *trace.Segment, op *trace.SOp) error {
-	switch op.Kind {
-	case trace.SExec:
-		return m.execInstr(f, &seg.Block.Instrs[op.A])
-	case trace.SPushConst:
-		f.push(IntVal(op.Val))
-	case trace.SPushLocal:
-		f.push(f.locals[op.A])
-	case trace.SStoreLocal:
-		f.locals[op.A] = f.pop()
-	case trace.SStoreConst:
-		f.locals[op.A] = IntVal(op.Val)
-	case trace.SMove:
-		f.locals[op.A] = f.locals[op.B]
-	case trace.SIncLocal:
-		f.locals[op.A].N += op.Val
-	case trace.SBin:
-		return m.execSBin(f, op)
+func (m *Machine) execSOps(f *frame, seg *trace.Segment) (err error) {
+	st, sp, locals := f.stack[:cap(f.stack)], len(f.stack), f.locals
+loop:
+	for j := range seg.Ops {
+		op := &seg.Ops[j]
+		switch op.Kind {
+		case trace.SExec:
+			f.stack = st[:sp]
+			if err := m.execInstrs(f, seg.Block.Instrs[op.A:op.B]); err != nil {
+				return err
+			}
+			sp = len(f.stack)
+		case trace.SPushConst:
+			st[sp] = IntVal(op.Val)
+			sp++
+		case trace.SPushLocal:
+			st[sp] = locals[op.A]
+			sp++
+		case trace.SStoreLocal:
+			sp--
+			locals[op.A] = st[sp]
+		case trace.SStoreConst:
+			locals[op.A] = IntVal(op.Val)
+		case trace.SMove:
+			locals[op.A] = locals[op.B]
+		case trace.SIncLocal:
+			locals[op.A].N += op.Val
+		case trace.SBin:
+			var r Value
+			if r, err = m.execSBin(locals, op); err != nil {
+				break loop
+			}
+			if op.Dst >= 0 {
+				locals[op.Dst] = r
+			} else {
+				st[sp] = r
+				sp++
+			}
+		}
 	}
-	return nil
+	f.stack = st[:sp]
+	return err
 }
 
-// execSBin executes a specialized arithmetic superinstruction, reproducing
-// execInstr's semantics (wrapping int64, division traps, masked shifts,
-// IEEE float ops, NaN-aware compares) on operands read straight from
-// locals or baked-in constants.
+// execSBin computes a specialized arithmetic superinstruction's result,
+// reproducing execInstrs' semantics (wrapping int64, division traps, masked
+// shifts, IEEE float ops, NaN-aware compares) on operands read straight
+// from locals or baked-in constants; execSOps stores it.
 //
 //tracevm:hotpath
-func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
+func (m *Machine) execSBin(locals []Value, op *trace.SOp) (Value, error) {
 	var a, b Value
 	switch op.Mode {
 	case trace.SrcLL:
-		a, b = f.locals[op.A], f.locals[op.B]
+		a, b = locals[op.A], locals[op.B]
 	case trace.SrcLC:
-		a, b = f.locals[op.A], IntVal(op.Val)
+		a, b = locals[op.A], IntVal(op.Val)
 	case trace.SrcCL:
-		a, b = IntVal(op.Val), f.locals[op.B]
+		a, b = IntVal(op.Val), locals[op.B]
 	default: // SrcL: unary
-		a = f.locals[op.A]
+		a = locals[op.A]
 	}
 	var r Value
 	switch op.Op {
@@ -222,7 +244,7 @@ func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 		r = IntVal(a.N * b.N)
 	case bytecode.IDiv:
 		if b.N == 0 {
-			return m.trap(TrapDivByZero, op.PC, "%d / 0", a.N)
+			return r, m.trap(TrapDivByZero, op.PC, "%d / 0", a.N)
 		}
 		if b.N == -1 {
 			r = IntVal(-a.N)
@@ -231,7 +253,7 @@ func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 		}
 	case bytecode.IRem:
 		if b.N == 0 {
-			return m.trap(TrapDivByZero, op.PC, "%d %% 0", a.N)
+			return r, m.trap(TrapDivByZero, op.PC, "%d %% 0", a.N)
 		}
 		if b.N == -1 {
 			r = IntVal(0)
@@ -285,14 +307,9 @@ func (m *Machine) execSBin(f *frame, op *trace.SOp) error {
 	case bytecode.F2I:
 		r = IntVal(bytecode.FloatToInt(a.Float()))
 	default:
-		return m.trap(TrapBadProgram, op.PC, "opcode %s is not a compiled arithmetic op", op.Op)
+		return r, m.trap(TrapBadProgram, op.PC, "opcode %s is not a compiled arithmetic op", op.Op)
 	}
-	if op.Dst >= 0 {
-		f.locals[op.Dst] = r
-	} else {
-		f.push(r)
-	}
-	return nil
+	return r, nil
 }
 
 // execTerm applies a segment's lowered terminator.

@@ -801,3 +801,53 @@ func TestMachineConstructorErrors(t *testing.T) {
 		t.Error("unlinked program accepted")
 	}
 }
+
+// TestOperandStackOverflowTraps pins that the operand stack's capacity is a
+// hard bound: pushFrame sizes it by the verifier's MaxStack (at least 16
+// slots), and a method that pushes past it — here, one whose recorded bound
+// is lowered after linking — stops with a TrapBadProgram naming the method
+// instead of growing the stack or panicking out of the engine.
+func TestOperandStackOverflowTraps(t *testing.T) {
+	const depth = 20
+	src := ".class Main\n.method static main ( ) void\n" +
+		strings.Repeat("    iconst 1\n", depth) +
+		strings.Repeat("    pop\n", depth) +
+		"    return\n.end\n.end\n.entry Main main\n"
+	for _, engine := range []string{"block", "instr"} {
+		t.Run(engine, func(t *testing.T) {
+			prog, err := jasm.Assemble(src)
+			if err != nil {
+				t.Fatalf("assemble: %v", err)
+			}
+			if prog.Main.MaxStack != depth {
+				t.Fatalf("linked MaxStack = %d, want %d", prog.Main.MaxStack, depth)
+			}
+			pcfg, err := cfg.BuildProgram(prog)
+			if err != nil {
+				t.Fatalf("cfg: %v", err)
+			}
+			prog.Main.MaxStack = 1
+			m, err := vm.New(prog, pcfg, vm.Options{})
+			if err != nil {
+				t.Fatalf("vm.New: %v", err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic escaped the engine: %v", r)
+				}
+			}()
+			if engine == "block" {
+				err = m.Run()
+			} else {
+				err = m.RunInstrMode()
+			}
+			trap, ok := vm.AsTrap(err)
+			if !ok || trap.Kind != vm.TrapBadProgram {
+				t.Fatalf("error = %v, want a bad-program trap", err)
+			}
+			if trap.Method != prog.Main.QName() {
+				t.Errorf("trap names method %q, want %q", trap.Method, prog.Main.QName())
+			}
+		})
+	}
+}
