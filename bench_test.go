@@ -79,6 +79,51 @@ func BenchmarkPlainDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceDispatchFrozen times trace dispatch with the profiler
+// frozen. Two ModeTrace runs warm a core.Profiler; each timed run is then
+// ModeTraceDeploy on that profiler with a no-op dispatch hook, so the graph
+// never changes, no trace is built or retired, and what is left is trace
+// lookup plus execTrace. ns/instr reads against BenchmarkPlainDispatch's;
+// trace-block-% is the share of block dispatches that ran inside traces.
+func BenchmarkTraceDispatchFrozen(b *testing.B) {
+	freeze := func(vm.DispatchHook) vm.DispatchHook { return noopHook{} }
+	for _, name := range workload.Names() {
+		b.Run(name, func(b *testing.B) {
+			c := compiled(b, name)
+			prof, err := core.NewProfiler(profile.DefaultParams(), core.Config{}, nil, c.cfg.NumBlocks())
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := func(opts core.SessionOptions) *stats.Counters {
+				opts.Profiler = prof
+				s, err := core.NewSession(c.prog, c.cfg, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+				return s.Counters
+			}
+			for i := 0; i < 2; i++ {
+				run(core.SessionOptions{Mode: core.ModeTrace})
+			}
+			b.ResetTimer()
+			var ctr *stats.Counters
+			for i := 0; i < b.N; i++ {
+				ctr = run(core.SessionOptions{Mode: core.ModeTraceDeploy, WrapHook: freeze})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ctr.Instrs), "ns/instr")
+			b.ReportMetric(float64(ctr.BlocksInTraces)/float64(max(ctr.BlockDispatches, 1))*100, "trace-block-%")
+		})
+	}
+}
+
+// noopHook is a dispatch hook that does nothing.
+type noopHook struct{}
+
+func (noopHook) OnDispatch(from, to cfg.BlockID) {}
+
 // BenchmarkTraceThroughput times in-trace execution at both tiers: traces
 // on their unfused programs against the fused programs compiled from the
 // same traces. The reported metric is nanoseconds per block executed inside
