@@ -19,35 +19,21 @@ const tablesGoldenPath = "testdata/tables.golden"
 // that the 48 table runs render in about two seconds.
 const tablesGoldenSteps = 2_000_000
 
-// goldenMode is one dispatch configuration of the per-workload lines.
-type goldenMode struct {
-	name string
-	mode core.Mode
-	conf core.Config
-}
-
-var goldenModes = []goldenMode{
-	{"instr", core.ModeInstr, core.Config{}},
-	{"plain", core.ModePlain, core.Config{}},
-	{"profile", core.ModeProfile, core.Config{}},
-	{"trace", core.ModeTrace, core.Config{}},
-	{"trace-deploy", core.ModeTraceDeploy, core.Config{}},
-	{"trace+tier2", core.ModeTrace, core.Config{CompileTraces: true}},
-}
+// goldenModes are the dispatch modes of the per-workload lines.
+var goldenModes = []core.Mode{core.ModeInstr, core.ModePlain, core.ModeProfile, core.ModeTrace, core.ModeTraceDeploy}
 
 // modeLine runs one workload to completion under one mode and renders its
 // golden line: a digest of the program's output and every counter that does
 // not depend on wall-clock time.
-func modeLine(s *Suite, name string, m goldenMode) (string, error) {
+func modeLine(s *Suite, name string, m core.Mode) (string, error) {
 	c, err := s.compileWorkload(name)
 	if err != nil {
 		return "", err
 	}
 	var out bytes.Buffer
 	sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-		Mode:   m.mode,
+		Mode:   m,
 		Params: profile.DefaultParams(),
-		Config: m.conf,
 		Out:    &out,
 		Facts:  c.facts,
 	})
@@ -55,14 +41,13 @@ func modeLine(s *Suite, name string, m goldenMode) (string, error) {
 		return "", err
 	}
 	if err := sess.Run(); err != nil {
-		return "", fmt.Errorf("%s (%s): %w", name, m.name, err)
+		return "", fmt.Errorf("%s (%s): %w", name, m, err)
 	}
 	ctr := sess.Counters
 	sum := sha256.Sum256(out.Bytes())
-	return fmt.Sprintf("%s %s out=%x instrs=%d instr_dispatches=%d block_dispatches=%d trace_dispatches=%d built=%d retired=%d signals=%d compiled=%d compiled_dispatches=%d",
-		name, m.name, sum[:8], ctr.Instrs, ctr.InstrDispatches, ctr.BlockDispatches,
-		ctr.TraceDispatches, ctr.TracesBuilt, ctr.TracesRetired, ctr.Signals,
-		ctr.TracesCompiled, ctr.CompiledDispatches), nil
+	return fmt.Sprintf("%s %s out=%x instrs=%d instr_dispatches=%d block_dispatches=%d trace_dispatches=%d built=%d retired=%d signals=%d",
+		name, m, sum[:8], ctr.Instrs, ctr.InstrDispatches, ctr.BlockDispatches,
+		ctr.TraceDispatches, ctr.TracesBuilt, ctr.TracesRetired, ctr.Signals), nil
 }
 
 // renderTablesGolden renders the golden file: Tables I–V at a fixed step
