@@ -1,6 +1,6 @@
 // Per-layer micro-benchmarks: each measures one layer or cost that no paper
-// table shows — interpreter dispatch, in-trace execution at each tier, the
-// profiler hook, trace lookup and the baseline selectors. The paper's tables
+// table shows — interpreter dispatch, trace dispatch with the profiler
+// frozen, the profiler hook, trace lookup and the baseline selectors. The paper's tables
 // and figures come from `tracevm bench`; service-level numbers come from the
 // benchmark/ module.
 //
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/analysis/valueflow"
 	"repro/internal/baseline"
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -27,9 +26,8 @@ import (
 var compiledCache = map[string]*benchProg{}
 
 type benchProg struct {
-	prog  *repro.Program
-	cfg   *cfg.ProgramCFG
-	facts *valueflow.Facts
+	prog *repro.Program
+	cfg  *cfg.ProgramCFG
 }
 
 func compiled(b *testing.B, name string) *benchProg {
@@ -45,7 +43,7 @@ func compiled(b *testing.B, name string) *benchProg {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &benchProg{prog: prog, cfg: pcfg, facts: valueflow.Compute(pcfg)}
+	c := &benchProg{prog: prog, cfg: pcfg}
 	compiledCache[name] = c
 	return c
 }
@@ -123,55 +121,6 @@ func BenchmarkTraceDispatchFrozen(b *testing.B) {
 type noopHook struct{}
 
 func (noopHook) OnDispatch(from, to cfg.BlockID) {}
-
-// BenchmarkTraceThroughput times in-trace execution at both tiers: traces
-// on their unfused programs against the fused programs compiled from the
-// same traces. The reported metric is nanoseconds per block executed inside
-// traces — one executor runs both forms and counts blocks the same way, so
-// both tiers share the denominator and the delta is the fused form's
-// per-trace-block saving. It is the instrument for the tier-2 gain per
-// workload; run it with -count 5 and compare medians.
-func BenchmarkTraceThroughput(b *testing.B) {
-	tiers := []struct {
-		label  string
-		config core.Config
-	}{
-		{"tier1", core.Config{}},
-		{"tier2", core.Config{CompileTraces: true, TierUpDispatches: 4}},
-	}
-	for _, name := range workload.Names() {
-		for _, tier := range tiers {
-			b.Run(name+"/"+tier.label, func(b *testing.B) {
-				c := compiled(b, name)
-				var traceBlocks, compiledDisp, traceDisp int64
-				for i := 0; i < b.N; i++ {
-					s, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-						Mode:   core.ModeTrace,
-						Params: profile.DefaultParams(),
-						Config: tier.config,
-						Facts:  c.facts,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := s.Run(); err != nil {
-						b.Fatal(err)
-					}
-					traceBlocks = s.Counters.BlocksInTraces
-					compiledDisp = s.Counters.CompiledDispatches
-					traceDisp = s.Counters.TraceDispatches
-				}
-				if traceBlocks == 0 {
-					b.Fatalf("%s executed no blocks inside traces; ns/trace-block is undefined", name)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(traceBlocks), "ns/trace-block")
-				if traceDisp > 0 {
-					b.ReportMetric(float64(compiledDisp)/float64(traceDisp)*100, "compiled-share-%")
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkBaselines measures the comparison selectors on one mid-size
 // workload so their cost is visible next to the BCG system.

@@ -15,8 +15,9 @@ import (
 // benchCmd regenerates the paper's evaluation: Tables I–VII, the
 // dispatch-granularity figure data, and the baseline comparison. Profiler
 // overhead per dispatch is Table VI. Service throughput, latency, memory
-// and per-layer costs are measured by the benchmark/ module; the tier-1 vs
-// tier-2 in-trace cost by BenchmarkTraceThroughput in the root package.
+// and per-layer costs are measured by the benchmark/ module; trace dispatch
+// against plain dispatch by BenchmarkTraceDispatchFrozen and
+// BenchmarkPlainDispatch in the root package.
 //
 //	tracevm bench                           # everything, in paper order
 //	tracevm bench -table 3                  # one table (1..7)
@@ -31,7 +32,6 @@ func benchCmd(w io.Writer, args []string) error {
 	table := fs.Int("table", 0, "regenerate a single table (1..7); 0 = all")
 	figures := fs.Bool("figures", false, "print only the figure data")
 	baselines := fs.Bool("baselines", false, "print only the baseline comparison")
-	optim := fs.Bool("optimizability", false, "print only the trace optimizability study")
 	ablations := fs.Bool("ablations", false, "print the decay-interval and max-trace-length ablations")
 	stability := fs.Bool("stability", false, "print the phase-change cache stability experiment")
 	warmstart := fs.Bool("warmstart", false, "print the snapshot warm-start comparison (cold vs seeded first trace)")
@@ -68,8 +68,6 @@ func benchCmd(w io.Writer, args []string) error {
 		t, err = s.Figures()
 	case *baselines:
 		t, err = s.Baselines()
-	case *optim:
-		t, err = s.Optimizability()
 	case *table == 0:
 		return s.RunAll(w)
 	case *table == 1:

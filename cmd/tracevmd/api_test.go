@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/stats"
 )
@@ -104,15 +104,11 @@ func TestMetricsEndpointPinsEveryCounter(t *testing.T) {
 	}
 }
 
-// TestTracesEndpoint drives a tier-2-enabled daemon and reads the trace
-// inventory back over the wire: schema tag, per-program grouping, the
-// proven/estimated guard split, and a promoted trace with a nonzero
-// compiled-dispatch share.
+// TestTracesEndpoint drives a daemon and reads the trace inventory back
+// over the wire: schema tag, per-program grouping, hottest first, and the
+// proven/estimated guard split.
 func TestTracesEndpoint(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{
-		Workers:    1,
-		TraceCache: core.Config{CompileTraces: true, TierUpDispatches: 4},
-	})
+	srv, _ := newTestServer(t, serve.Config{Workers: 1})
 
 	// Before any traffic the endpoint answers with an empty inventory, not
 	// null.
@@ -138,8 +134,8 @@ func TestTracesEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Schema != api.SchemaTraces {
-		t.Errorf("schema %q, want %q", tr.Schema, api.SchemaTraces)
+	if tr.Schema != "tracevm/traces/v2" {
+		t.Errorf("schema %q, want tracevm/traces/v2", tr.Schema)
 	}
 	if len(tr.Programs) != 1 || tr.Programs[0].Program != "soot" {
 		t.Fatalf("programs = %+v, want exactly soot", tr.Programs)
@@ -148,7 +144,7 @@ func TestTracesEndpoint(t *testing.T) {
 	if len(traces) == 0 {
 		t.Fatal("no traces reported after 4 traced runs")
 	}
-	var promoted bool
+	var proven, entered bool
 	for i, e := range traces {
 		if e.Key == "" || e.Blocks < 2 || e.Entered < e.Completed {
 			t.Errorf("malformed entry: %+v", e)
@@ -159,12 +155,51 @@ func TestTracesEndpoint(t *testing.T) {
 		if i > 0 && e.Entered > traces[i-1].Entered {
 			t.Error("inventory not sorted hottest first")
 		}
-		if e.Tier == 2 && e.CompiledShare > 0 {
-			promoted = true
+		proven = proven || e.ProvenGuards > 0
+		entered = entered || e.Entered > 0
+	}
+	if !proven {
+		t.Error("no trace carries a proven guard")
+	}
+	if !entered {
+		t.Error("no trace was ever entered")
+	}
+	for _, gone := range []string{`"tier"`, `"compiledEntered"`, `"compiledShare"`, `"compiledGuardExits"`, `"compileBarred"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("inventory still carries %s", gone)
 		}
 	}
-	if !promoted {
-		t.Error("no tier-2 trace with a compiled-dispatch share")
+}
+
+// TestCompileTracesFlagIsIgnored: -compile-traces still parses, and a
+// service built from a flag set that carries it answers a traced run with
+// the same output and counters as one built without it.
+func TestCompileTracesFlagIsIgnored(t *testing.T) {
+	run := func(args ...string) []map[string]any {
+		fs := flag.NewFlagSet("tracevmd", flag.ContinueOnError)
+		conf := serviceFlags(fs)
+		if err := fs.Parse(append([]string{"-workers", "1"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		srv, _ := newTestServer(t, conf())
+		var out []map[string]any
+		for i := 0; i < 2; i++ {
+			resp, m := postRun(t, srv.URL, `{"workload":"soot","mode":"trace"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v: status %d: %v", args, resp.StatusCode, m)
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+	plain, flagged := run(), run("-compile-traces")
+	for i := range plain {
+		if plain[i]["output"] != flagged[i]["output"] {
+			t.Errorf("run %d: output %q with the flag, %q without", i, flagged[i]["output"], plain[i]["output"])
+		}
+		if !reflect.DeepEqual(plain[i]["counters"], flagged[i]["counters"]) {
+			t.Errorf("run %d: counters differ:\n with:    %v\n without: %v", i, flagged[i]["counters"], plain[i]["counters"])
+		}
 	}
 }
 

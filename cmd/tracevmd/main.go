@@ -17,8 +17,8 @@
 //	POST /v1/run     {"workload":"compress","mode":"trace"} or
 //	                 {"source":"class Main {...}","kind":"minijava",...}
 //	GET  /v1/stats   aggregated service + execution metrics snapshot
-//	GET  /v1/traces  per-program live trace inventory: tier, guard split,
-//	                 compiled-dispatch share (sharded profiling only)
+//	GET  /v1/traces  per-program live trace inventory: dispatch counts and
+//	                 guard split (sharded profiling only)
 //	GET  /v1/metrics Prometheus text exposition of the same snapshot
 //	GET  /v1/events  JSON tail of the event ring (?n=256&type=breaker&program=x)
 //	GET  /v1/snapshot?workload=x (or ?key=h) learned-profile snapshot download
@@ -73,34 +73,14 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8077", "listen address (server) or daemon address (-replay)")
-		debugAddr = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
-		workers   = flag.Int("workers", 0, "concurrent session workers (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "pending request queue depth (0 = 4x workers)")
-		timeout   = flag.Duration("timeout", 0, "default per-request timeout (0 = none)")
-		maxSteps  = flag.Int64("maxsteps", 0, "hard per-request instruction cap (0 = unlimited)")
-		events    = flag.Int("events", 4096, "event trace ring capacity (0 = disabled)")
-
-		maxTraces   = flag.Int("max-traces", 512, "per-session live trace budget (0 = unbounded)")
-		maxTrBlocks = flag.Int("max-trace-blocks", 8192, "per-session cached trace block budget (0 = unbounded)")
-		compileTr   = flag.Bool("compile-traces", false, "enable tier-2 execution: hot traces compile to superinstruction form")
-		tierUp      = flag.Int64("tier-up", 0, "trace dispatch count that promotes a hot trace to its compiled form (0 = 16 default)")
-		tierDown    = flag.Int64("tier-down", 0, "compiled guard-exit count that demotes a trace back to tier 1 (0 = 8 default)")
-		brkChurn    = flag.Float64("breaker-churn", 8, "churn breaker threshold in trace build+retire events per 1k dispatches (0 = disabled)")
-		brkAfter    = flag.Int("breaker-after", 3, "consecutive churny runs before the breaker opens")
-		brkCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker demotes a program before probing")
-		quarAfter   = flag.Int("quarantine-after", 3, "VM panics before a program is quarantined (-1 = disabled)")
-		noVerify    = flag.Bool("no-verify", false, "skip bytecode verification of submitted sources")
-
-		snapDir      = flag.String("snapshot-dir", "", "profile snapshot directory; warm-starts known programs and persists learned state (empty = disabled)")
-		snapInterval = flag.Duration("snapshot-interval", 0, "coalescing snapshot writer commit period (0 = 30s default)")
-		snapNet      = flag.Int64("snapshot-net", 0, "per-program learning delta that forces an early snapshot commit (0 = 512 default)")
-
+		addr       = flag.String("addr", ":8077", "listen address (server) or daemon address (-replay)")
+		debugAddr  = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 		recordDir  = flag.String("record", "", "server: record every submission and commit the traffic log to this directory at shutdown")
 		replayFile = flag.String("replay", "", "replay the traffic log at this path against the daemon at -addr, then exit")
 		replayPace = flag.Float64("replay-pace", 1, "replay: arrival-gap multiplier (1 = as recorded, 0 = max speed, 0.5 = double speed)")
 		replayConc = flag.Int("replay-inflight", 0, "replay: max concurrently outstanding requests (0 = 16 default)")
 	)
+	serviceConfig := serviceFlags(flag.CommandLine)
 	flag.Parse()
 
 	var err error
@@ -108,18 +88,50 @@ func main() {
 	case *replayFile != "":
 		err = runReplay(*addr, *replayFile, *replayPace, *replayConc)
 	default:
-		err = runServer(*addr, *debugAddr, *recordDir, serve.Config{
+		err = runServer(*addr, *debugAddr, *recordDir, serviceConfig())
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracevmd: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// serviceFlags registers the flags that shape the service on fs and returns
+// a function that builds the service configuration from them once fs is
+// parsed.
+func serviceFlags(fs *flag.FlagSet) func() serve.Config {
+	var (
+		workers  = fs.Int("workers", 0, "concurrent session workers (0 = GOMAXPROCS)")
+		queue    = fs.Int("queue", 0, "pending request queue depth (0 = 4x workers)")
+		timeout  = fs.Duration("timeout", 0, "default per-request timeout (0 = none)")
+		maxSteps = fs.Int64("maxsteps", 0, "hard per-request instruction cap (0 = unlimited)")
+		events   = fs.Int("events", 4096, "event trace ring capacity (0 = disabled)")
+
+		maxTraces   = fs.Int("max-traces", 512, "per-session live trace budget (0 = unbounded)")
+		maxTrBlocks = fs.Int("max-trace-blocks", 8192, "per-session cached trace block budget (0 = unbounded)")
+		brkChurn    = fs.Float64("breaker-churn", 8, "churn breaker threshold in trace build+retire events per 1k dispatches (0 = disabled)")
+		brkAfter    = fs.Int("breaker-after", 3, "consecutive churny runs before the breaker opens")
+		brkCooldown = fs.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker demotes a program before probing")
+		quarAfter   = fs.Int("quarantine-after", 3, "VM panics before a program is quarantined (-1 = disabled)")
+		noVerify    = fs.Bool("no-verify", false, "skip bytecode verification of submitted sources")
+
+		snapDir      = fs.String("snapshot-dir", "", "profile snapshot directory; warm-starts known programs and persists learned state (empty = disabled)")
+		snapInterval = fs.Duration("snapshot-interval", 0, "coalescing snapshot writer commit period (0 = 30s default)")
+		snapNet      = fs.Int64("snapshot-net", 0, "per-program learning delta that forces an early snapshot commit (0 = 512 default)")
+	)
+	// Deprecated: tier 2 was removed; kept only for benchmark/daemon.go,
+	// which passes it for the steady-tier2 row.
+	fs.Bool("compile-traces", false, "ignored (deprecated: the second execution tier was removed)")
+	return func() serve.Config {
+		return serve.Config{
 			Workers:        *workers,
 			QueueDepth:     *queue,
 			DefaultTimeout: *timeout,
 			MaxSteps:       *maxSteps,
 			EventTrace:     *events,
 			TraceCache: core.Config{
-				MaxTraces:          *maxTraces,
-				MaxCachedBlocks:    *maxTrBlocks,
-				CompileTraces:      *compileTr,
-				TierUpDispatches:   *tierUp,
-				TierDownGuardExits: *tierDown,
+				MaxTraces:       *maxTraces,
+				MaxCachedBlocks: *maxTrBlocks,
 			},
 			Breaker: serve.BreakerConfig{
 				ChurnPerK: *brkChurn,
@@ -131,11 +143,7 @@ func main() {
 			SnapshotDir:      *snapDir,
 			SnapshotInterval: *snapInterval,
 			SnapshotNet:      *snapNet,
-		})
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracevmd: %v\n", err)
-		os.Exit(1)
+		}
 	}
 }
 

@@ -10,13 +10,10 @@ func ResolvedParams(opts ...Option) Params {
 		o(&c)
 	}
 	return Params{
-		Threshold:          c.params.Threshold,
-		StartDelay:         c.params.StartDelay,
-		DecayInterval:      c.params.DecayInterval,
-		MaxTraces:          c.cache.MaxTraces,
-		MaxCachedBlocks:    c.cache.MaxCachedBlocks,
-		CompileTraces:      c.cache.CompileTraces,
-		TierUpDispatches:   c.cache.TierUpDispatches,
-		TierDownGuardExits: c.cache.TierDownGuardExits,
+		Threshold:       c.params.Threshold,
+		StartDelay:      c.params.StartDelay,
+		DecayInterval:   c.params.DecayInterval,
+		MaxTraces:       c.cache.MaxTraces,
+		MaxCachedBlocks: c.cache.MaxCachedBlocks,
 	}
 }

@@ -27,7 +27,7 @@ import (
 const (
 	SchemaRun    = "tracevm/run/v1"
 	SchemaStats  = "tracevm/stats/v1"
-	SchemaTraces = "tracevm/traces/v1"
+	SchemaTraces = "tracevm/traces/v2"
 	SchemaEvents = "tracevm/events/v1"
 	SchemaHealth = "tracevm/health/v1"
 	SchemaReady  = "tracevm/ready/v1"
@@ -154,24 +154,17 @@ func (s StatsResponse) MarshalJSON() ([]byte, error) {
 }
 
 // TraceEntry is the wire form of one live trace: identity (canonical block
-// key, entry block, length), execution tier, the proven/estimated guard
-// split, and the tier-1 versus tier-2 dispatch accounting.
+// key, entry block, length), shard count, dispatch accounting and the
+// proven/estimated guard split.
 type TraceEntry struct {
 	Key             string `json:"key"`
 	EntryBlock      int    `json:"entryBlock"`
 	Blocks          int    `json:"blocks"`
-	Tier            int    `json:"tier"`
 	Shards          int    `json:"shards"`
 	Entered         int64  `json:"entered"`
 	Completed       int64  `json:"completed"`
 	ProvenGuards    int    `json:"provenGuards"`
 	EstimatedGuards int    `json:"estimatedGuards"`
-	CompiledEntered int64  `json:"compiledEntered"`
-	// CompiledShare is the fraction of this trace's dispatches that ran the
-	// compiled form (0 when the trace never promoted).
-	CompiledShare      float64 `json:"compiledShare"`
-	CompiledGuardExits int64   `json:"compiledGuardExits,omitempty"`
-	CompileBarred      bool    `json:"compileBarred,omitempty"`
 }
 
 // ProgramTraces is one program's trace inventory on the wire.
@@ -188,30 +181,22 @@ type TracesResponse struct {
 }
 
 // TracesResponseFrom converts the service's trace inventory to its wire
-// form, deriving each trace's compiled-dispatch share.
+// form.
 func TracesResponseFrom(inv []serve.ProgramTraces) TracesResponse {
 	resp := TracesResponse{Schema: SchemaTraces, Programs: make([]ProgramTraces, 0, len(inv))}
 	for _, p := range inv {
 		wp := ProgramTraces{Program: p.Program, Traces: make([]TraceEntry, 0, len(p.Traces))}
 		for _, t := range p.Traces {
-			e := TraceEntry{
-				Key:                t.Key,
-				EntryBlock:         t.Entry,
-				Blocks:             t.Blocks,
-				Tier:               t.Tier,
-				Shards:             t.Shards,
-				Entered:            t.Entered,
-				Completed:          t.Completed,
-				ProvenGuards:       t.ProvenGuards,
-				EstimatedGuards:    t.EstimatedGuards,
-				CompiledEntered:    t.CompiledEntered,
-				CompiledGuardExits: t.CompiledGuardExits,
-				CompileBarred:      t.Barred,
-			}
-			if t.Entered > 0 {
-				e.CompiledShare = float64(t.CompiledEntered) / float64(t.Entered)
-			}
-			wp.Traces = append(wp.Traces, e)
+			wp.Traces = append(wp.Traces, TraceEntry{
+				Key:             t.Key,
+				EntryBlock:      t.Entry,
+				Blocks:          t.Blocks,
+				Shards:          t.Shards,
+				Entered:         t.Entered,
+				Completed:       t.Completed,
+				ProvenGuards:    t.ProvenGuards,
+				EstimatedGuards: t.EstimatedGuards,
+			})
 		}
 		resp.Programs = append(resp.Programs, wp)
 	}

@@ -4,9 +4,9 @@ import "math"
 
 // This file is the one statement of what the pure arithmetic, conversion
 // and compare opcodes compute on constant operands. Every static folder
-// (internal/opt, internal/trace's superinstruction compiler, value-flow)
-// calls it; the interpreter keeps its own inline switches for speed and is
-// pinned to this table by the edge-operand differential in internal/progen.
+// (internal/opt, value-flow) calls it; the interpreter keeps its own
+// inline switches for speed and is pinned to this table by the edge-operand
+// differential in internal/progen.
 //
 // Values are int64 payloads exactly as vm.Value.N carries them: ints as
 // themselves, floats as their IEEE-754 bit pattern.

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis/valueflow"
 	"repro/internal/cfg"
 	"repro/internal/faultinject/crash"
 	"repro/internal/obs"
@@ -49,17 +48,10 @@ type Config struct {
 	// (0 = unbounded).
 	MaxCachedBlocks int
 
-	// CompileTraces enables the second execution tier: hot traces are
-	// compiled into superinstruction form and dispatched as single fused
-	// units until a guard-exit storm demotes them.
+	// CompileTraces is read by nothing.
+	//
+	// Deprecated: tier 2 was removed; kept only for benchmark/probes.go.
 	CompileTraces bool
-	// TierUpDispatches is the dispatch count at which a cached trace is
-	// promoted to its compiled form (default 16 when CompileTraces is set).
-	TierUpDispatches int64
-	// TierDownGuardExits is the compiled-guard-exit count at which a
-	// trace's compiled form is discarded again (default 8 when
-	// CompileTraces is set; the trace itself stays cached at tier 1).
-	TierDownGuardExits int64
 }
 
 // DefaultConfig returns the standard constructor configuration.
@@ -77,14 +69,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBacktrack <= 0 {
 		c.MaxBacktrack = d.MaxBacktrack
-	}
-	if c.CompileTraces {
-		if c.TierUpDispatches <= 0 {
-			c.TierUpDispatches = DefaultTierUpDispatches
-		}
-		if c.TierDownGuardExits <= 0 {
-			c.TierDownGuardExits = DefaultTierDownGuardExits
-		}
 	}
 }
 
@@ -112,13 +96,6 @@ type Cache struct {
 	// prover, when set, stamps every newly built trace with static guard
 	// proofs (trace.GuardProofs) at registration.
 	prover GuardProver
-
-	// Tier-2 compilation environment (tier.go): the canonical CFG and
-	// value-flow facts the trace compiler consumes, and the shared memo of
-	// compiled programs.
-	pcfg     *cfg.ProgramCFG
-	facts    *valueflow.Facts
-	compiled *CompiledStore
 }
 
 // GuardProver proves side-exit guards of a block sequence dead: the result
@@ -446,10 +423,6 @@ func (c *Cache) register(nodes []*profile.Node, prob float64) {
 		t = trace.New(c.nextID, blocks, prob)
 		if c.prover != nil {
 			t.GuardProofs = c.prover.ProveGuards(blocks)
-		}
-		if c.conf.CompileTraces {
-			t.TierUpAt = c.conf.TierUpDispatches
-			t.TierDownAt = c.conf.TierDownGuardExits
 		}
 		c.nextID++
 		c.byKey[key] = t

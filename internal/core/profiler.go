@@ -2,8 +2,6 @@ package core
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/valueflow"
-	"repro/internal/cfg"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/snapshot"
@@ -75,21 +73,6 @@ func (p *Profiler) SetSink(s obs.Sink) {
 // SetProver attaches a static guard oracle to the cache: traces the shard
 // builds from here on carry proofs of never-firing side-exit guards.
 func (p *Profiler) SetProver(gp GuardProver) { p.Cache.SetProver(gp) }
-
-// EnableCompile attaches the tier-2 compilation environment to the cache:
-// the canonical CFG (required), value-flow facts for const-folding
-// (optional), and a compiled-program memo shared across this program's
-// shards and merged views so every block sequence compiles at most once.
-// No-op unless the cache was configured with CompileTraces.
-func (p *Profiler) EnableCompile(pcfg *cfg.ProgramCFG, facts *valueflow.Facts, store *CompiledStore) {
-	if !p.Cache.Config().CompileTraces || pcfg == nil {
-		return
-	}
-	p.Cache.SetCompileEnv(pcfg, facts)
-	if store != nil {
-		p.Cache.SetCompiledStore(store)
-	}
-}
 
 // Seeded reports whether the profiler holds any learned state yet; a fresh
 // shard seeds from a warm snapshot only while this is false.

@@ -146,8 +146,8 @@ func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptio
 	if opts.Mode != ModePlain && opts.Mode != ModeInstr {
 		p := opts.Profiler
 		if p == nil {
-			// Private pair: built exactly as a shard is, with the prover and
-			// compile environment a shard's owner would attach itself.
+			// Private pair: built exactly as a shard is, with the prover a
+			// shard's owner would attach itself.
 			var err error
 			p, err = NewProfiler(opts.Params, opts.Config, opts.Hints, pcfg.NumBlocks())
 			if err != nil {
@@ -156,7 +156,6 @@ func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptio
 			if opts.Facts != nil {
 				p.SetProver(valueflow.NewOracle(opts.Facts, pcfg))
 			}
-			p.EnableCompile(pcfg, opts.Facts, nil)
 		}
 		// Attach to the pair, rebinding its accounting to this run. Its
 		// params govern the session, never opts.Params.
@@ -176,9 +175,6 @@ func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptio
 		if opts.Mode == ModeTrace || opts.Mode == ModeTraceDeploy {
 			mopts.Traces = p.Cache
 			mopts.HookInsideTraces = opts.Mode == ModeTrace
-			if p.Cache.CompileEnabled() {
-				mopts.Tiering = p.Cache
-			}
 		}
 	}
 	if opts.WrapHook != nil {

@@ -76,27 +76,24 @@ func corruptSwitch(t *testing.T) (*cfg.ProgramCFG, *cfg.Block) {
 
 // TestPanicTrapAttribution pins where a structural panic is reported: the
 // same TrapBadProgram string (kind, method, block start PC) after the same
-// work whether the faulting block runs under ordinary dispatch, inside an
-// unfused trace, or inside a fused one. The trace legs must agree on every
-// counter but the three tiered ones; plain dispatch has no trace counters,
-// so against it the executed work (instructions, blocks, calls) must match.
+// work whether the faulting block runs under ordinary dispatch or inside a
+// trace. Plain dispatch has no trace counters, so against it the executed
+// work (instructions, blocks, calls) must match.
 func TestPanicTrapAttribution(t *testing.T) {
 	type leg struct {
 		name string
 		mode core.Mode
-		conf core.Config
 	}
 	legs := []leg{
-		{"plain", core.ModePlain, core.Config{}},
-		{"unfused", core.ModeTrace, core.Config{}},
-		{"fused", core.ModeTrace, core.Config{CompileTraces: true, TierUpDispatches: 1}},
+		{"plain", core.ModePlain},
+		{"trace", core.ModeTrace},
 	}
 	traps := make([]string, len(legs))
 	ctrs := make([]stats.Counters, len(legs))
 	for i, l := range legs {
 		pcfg, bad := corruptSwitch(t)
 		s, err := core.NewSession(pcfg.Program, pcfg, core.SessionOptions{
-			Mode: l.mode, Params: tierParams, Config: l.conf, Out: &testWriter{},
+			Mode: l.mode, Params: convergeParams, Out: &testWriter{},
 		})
 		if err != nil {
 			t.Fatalf("%s: session: %v", l.name, err)
@@ -108,9 +105,8 @@ func TestPanicTrapAttribution(t *testing.T) {
 		}
 		traps[i], ctrs[i] = err.Error(), s.Counters.Snapshot()
 		if l.mode == core.ModeTrace {
-			if tr := faultedTrace(s.Cache.Traces()); tr == nil || !slices.Contains(tr.Blocks, bad.ID) ||
-				(tr.Compiled != nil) != l.conf.CompileTraces {
-				t.Fatalf("%s: the panic did not strike inside a trace of this leg's form; the leg is vacuous", l.name)
+			if tr := faultedTrace(s.Cache.Traces()); tr == nil || !slices.Contains(tr.Blocks, bad.ID) {
+				t.Fatalf("%s: the panic did not strike inside a trace; the leg is vacuous", l.name)
 			}
 		}
 	}
@@ -124,11 +120,6 @@ func TestPanicTrapAttribution(t *testing.T) {
 		if work(ctrs[i]) != work(ctrs[0]) {
 			t.Errorf("%s did different work before the trap: %v, plain %v", legs[i].name, work(ctrs[i]), work(ctrs[0]))
 		}
-	}
-	fused := ctrs[2]
-	fused.TracesCompiled, fused.TierDowns, fused.CompiledDispatches = 0, 0, 0
-	if fused != ctrs[1] {
-		t.Errorf("counters diverge between tiers:\n unfused: %+v\n fused:   %+v", ctrs[1], fused)
 	}
 }
 
@@ -178,7 +169,7 @@ func TestHookPanicTrapsAtLastBlock(t *testing.T) {
 			var from *cfg.Block
 			s, err := core.NewSession(prog, pcfg, core.SessionOptions{
 				Mode:   core.ModeProfile,
-				Params: tierParams,
+				Params: convergeParams,
 				Out:    &testWriter{},
 				WrapHook: func(h vm.DispatchHook) vm.DispatchHook {
 					return vm.HookFunc(func(f, to cfg.BlockID) {

@@ -178,51 +178,6 @@ func TestStormBreakerRecovery(t *testing.T) {
 	}
 }
 
-// TestStormWithCompiledTraces runs the signal storm against a cache that
-// compiles hot traces: synthetic storm signals churn the cache (retire,
-// rebuild, evict) while real loop traces promote to tier 2 and execute as
-// superinstructions. The compiled tier must ride the churn without
-// corrupting anything — outputs stay correct, the storm's structural
-// invariants hold, and tier-2 execution demonstrably happened. Storm
-// signals name synthetic blocks outside the program's CFG; traces built
-// from them must fail compilation safely (the compiler bails, the trace is
-// barred) rather than crash the service.
-func TestStormWithCompiledTraces(t *testing.T) {
-	storm := &Storm{Seed: 21}
-	storm.SetEnabled(true)
-	const maxBlocks = 48
-	s := newService(t, serve.Config{
-		Workers: 2,
-		TraceCache: core.Config{
-			MaxTraces: 4, MaxCachedBlocks: maxBlocks,
-			CompileTraces: true, TierUpDispatches: 2, TierDownGuardExits: 2,
-		},
-		Injector: &Faults{Storm: storm},
-	})
-	saveArtifactsOnFailure(t, s)
-	req := serve.Request{Source: loopSource, Mode: core.ModeTrace}
-	for i := 0; i < 8; i++ {
-		resp, err := s.Do(context.Background(), req)
-		if err != nil {
-			t.Fatalf("storm run %d: %v", i, err)
-		}
-		if resp.Output != loopOutput {
-			t.Fatalf("storm run %d output = %q, want %q", i, resp.Output, loopOutput)
-		}
-		if resp.CachedBlocks > maxBlocks {
-			t.Fatalf("storm run %d: cache over budget: %d > %d", i, resp.CachedBlocks, maxBlocks)
-		}
-	}
-	if v := storm.Violations(); v != 0 {
-		t.Fatalf("%d cache invariant violations with compiled traces: %v", v, storm.Err())
-	}
-	snap := s.Stats()
-	if snap.Global.TracesCompiled == 0 || snap.Global.CompiledDispatches == 0 {
-		t.Errorf("tier 2 never engaged under storm: compiled=%d dispatches=%d",
-			snap.Global.TracesCompiled, snap.Global.CompiledDispatches)
-	}
-}
-
 // TestPanicQuarantine crashes workers with the panic injector until the
 // service quarantines the program, leaving other programs unharmed.
 func TestPanicQuarantine(t *testing.T) {

@@ -209,11 +209,10 @@ func (d *Delay) Wrap(h vm.DispatchHook) vm.DispatchHook {
 // Misdirect poisons the profiler's view of one branch: every dispatch
 // leaving From is reported as going to To, regardless of where execution
 // actually went. The profiler then learns a perfectly correlated path
-// through a successor the program never takes, the cache builds (and, under
-// tiered execution, compiles) a trace along it, and real execution
-// guard-exits out of that trace on every entry — the deterministic
-// guard-exit storm the tier-down policy must absorb. Plug the method value
-// Wrap into core.SessionOptions.WrapHook or the serve.Injector seam.
+// through a successor the program never takes, the cache builds a trace
+// along it, and real execution guard-exits out of that trace on every
+// entry — a deterministic guard-exit storm. Plug the method value Wrap into
+// core.SessionOptions.WrapHook or the serve.Injector seam.
 type Misdirect struct {
 	// From is the branch block whose reported successor is replaced.
 	From cfg.BlockID

@@ -646,11 +646,7 @@ func (s *Suite) RunAll(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt, err := s.Optimizability()
-	if err != nil {
-		return err
-	}
-	for _, t := range []Table{fig, t1, t2, t3, t4, t5, t6, t7, bl, opt} {
+	for _, t := range []Table{fig, t1, t2, t3, t4, t5, t6, t7, bl} {
 		if _, err := fmt.Fprintln(w, t.Format()); err != nil {
 			return err
 		}
@@ -669,81 +665,6 @@ func (s *Suite) SortedKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Optimizability answers the paper's future-work question (§6) — "what
-// further improvement can be achieved by applying optimizations to the
-// traces" — with what tier 2 did remove: every cached trace of a tier-2 run
-// goes through the cache's own Compile, and the table sums the compiler's
-// counters. Instruction and op totals are static sums over the compiled
-// programs; the removed share weights each trace's instrs − ops by how often
-// it completed, over all cached traces (one that fails to compile removed
-// nothing).
-func (s *Suite) Optimizability() (Table, error) {
-	var rows [][]string
-	for _, name := range s.Workloads {
-		c, err := s.compileWorkload(name)
-		if err != nil {
-			return Table{}, err
-		}
-		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-			Mode:     core.ModeTrace,
-			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
-			Config:   core.Config{CompileTraces: true},
-			MaxSteps: s.MaxSteps,
-			Facts:    c.facts, // traces register with guard proofs attached
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		if err := sess.Run(); err != nil && !stepLimited(err) {
-			return Table{}, fmt.Errorf("harness: %s: %w", name, err)
-		}
-		traces := sess.Cache.Traces()
-		var compiled, folded, forwarded, dropped, decided int
-		var instrs, ops, weightedInstrs, weightedRemoved int64
-		for _, t := range traces {
-			var n int64
-			for _, id := range t.Blocks {
-				n += int64(c.cfg.Block(id).NumInstrs())
-			}
-			weightedInstrs += n * t.Completed
-			p := sess.Cache.Compile(t)
-			if p == nil {
-				continue
-			}
-			emitted := p.Emitted()
-			compiled++
-			instrs += p.TotalInstrs
-			ops += emitted
-			folded += p.Folded
-			forwarded += p.Forwarded
-			dropped += p.DroppedGuards
-			decided += p.Decided
-			weightedRemoved += (p.TotalInstrs - emitted) * t.Completed
-		}
-		removed := 0.0
-		if weightedInstrs > 0 {
-			removed = float64(weightedRemoved) / float64(weightedInstrs)
-		}
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%d", len(traces)),
-			fmt.Sprintf("%d", compiled),
-			fmt.Sprintf("%d", instrs),
-			fmt.Sprintf("%d", ops),
-			fmt.Sprintf("%d", folded),
-			fmt.Sprintf("%d", forwarded),
-			fmt.Sprintf("%d", dropped),
-			fmt.Sprintf("%d", decided),
-			fmt.Sprintf("%.1f%%", removed*100),
-		})
-	}
-	return Table{
-		Title:   "Trace optimizability (what trace.Compile removed; static counts over compiled traces, completion-weighted share)",
-		Columns: []string{"benchmark", "traces", "compiled", "instrs", "ops", "folded", "forwarded", "guards dropped", "branches decided", "weighted removed"},
-		Rows:    rows,
-	}, nil
 }
 
 // DecayIntervals swept by AblationDecay.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -194,49 +193,6 @@ func TestTableFormatAlignment(t *testing.T) {
 	}
 	if len(lines[1]) != len(lines[2]) {
 		t.Errorf("misaligned:\n%s", out)
-	}
-}
-
-func TestOptimizabilityTable(t *testing.T) {
-	s := smallSuite()
-	tb, err := s.Optimizability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	row := tb.Rows[0]
-	if row[0] != "soot" || len(row) != len(tb.Columns) {
-		t.Fatalf("row malformed: %v", row)
-	}
-	cell := func(col string) int {
-		for i, c := range tb.Columns {
-			if c == col {
-				n, err := strconv.Atoi(row[i])
-				if err != nil {
-					t.Fatalf("%s cell %q: %v", col, row[i], err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("no %q column in %v", col, tb.Columns)
-		return 0
-	}
-	if traces, compiled := cell("traces"), cell("compiled"); traces == 0 || compiled != traces {
-		t.Errorf("compiled %d of %d traces, want all of a non-empty cache", compiled, traces)
-	}
-	if instrs, ops := cell("instrs"), cell("ops"); ops > instrs || ops == 0 {
-		t.Errorf("ops = %d, instrs = %d: the compiler may not emit more than it consumed", ops, instrs)
-	}
-	// soot's traces reload constants the compiler knows: forwarding is the
-	// counter this workload must move.
-	if cell("forwarded") == 0 {
-		t.Error("no load forwarded on soot")
-	}
-	share, ok := strings.CutSuffix(row[len(row)-1], "%")
-	if pct, err := strconv.ParseFloat(share, 64); !ok || err != nil || pct <= 0 || pct >= 100 {
-		t.Errorf("weighted removed cell %q, want a percentage strictly between 0 and 100", row[len(row)-1])
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // TestMaxStackBoundsOperandStack pins the bound pushFrame sizes every
-// operand stack by: at each executed block entry — ordinary dispatch,
-// unfused traces and fused traces — the live stack holds at most the
+// operand stack by: at each executed block entry — ordinary dispatch and
+// inside traces — the live stack holds at most the
 // method's verifier-computed MaxStack values. It covers the six workloads
 // and a progen batch, each generated program also after opt.Program (whose
 // Reverify refreshes MaxStack). A violation is a verifier bug to report,
@@ -69,19 +69,17 @@ func TestMaxStackBoundsOperandStack(t *testing.T) {
 	legs := []struct {
 		name string
 		mode core.Mode
-		conf core.Config
 	}{
-		{"plain", core.ModePlain, core.Config{}},
-		{"unfused", core.ModeTrace, core.Config{}},
-		{"fused", core.ModeTrace, core.Config{CompileTraces: true, TierUpDispatches: 1}},
+		{"plain", core.ModePlain},
+		{"trace", core.ModeTrace},
 	}
-	var fusedDispatches int64
+	var traceDispatches int64
 	for _, sub := range subjects {
 		for _, leg := range legs {
 			var checks int64
 			var violation string
 			s, err := core.NewSession(sub.prog, sub.pcfg, core.SessionOptions{
-				Mode: leg.mode, Config: leg.conf, Out: io.Discard, MaxSteps: 2_000_000,
+				Mode: leg.mode, Out: io.Discard, MaxSteps: 2_000_000,
 				Probe: func(b *cfg.Block, _, stack []vm.Value) {
 					checks++
 					if len(stack) > b.Method.MaxStack && violation == "" {
@@ -103,10 +101,10 @@ func TestMaxStackBoundsOperandStack(t *testing.T) {
 			if violation != "" {
 				t.Errorf("%s/%s: %s", sub.name, leg.name, violation)
 			}
-			fusedDispatches += s.Counters.CompiledDispatches
+			traceDispatches += s.Counters.TraceDispatches
 		}
 	}
-	if fusedDispatches == 0 {
-		t.Error("no fused program was dispatched; the fused leg is vacuous")
+	if traceDispatches == 0 {
+		t.Error("no trace was dispatched; the trace leg is vacuous")
 	}
 }

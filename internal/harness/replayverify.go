@@ -19,11 +19,6 @@ type ReplayProgramCounts struct {
 	BlockDispatches int64 `json:"block_dispatches"`
 	TraceDispatches int64 `json:"trace_dispatches"`
 	TracesBuilt     int64 `json:"traces_built"`
-	// Tier-2 counters: zero unless the config enables CompileTraces, in
-	// which case promotion points and superinstruction dispatch counts must
-	// replay exactly like everything else.
-	TracesCompiled     int64 `json:"traces_compiled,omitempty"`
-	CompiledDispatches int64 `json:"compiled_dispatches,omitempty"`
 }
 
 // ReplayVerifyReport is the outcome of replaying one traffic log repeatedly
@@ -120,9 +115,6 @@ func collectReplayCounts(svc *serve.Service) map[string]ReplayProgramCounts {
 			BlockDispatches: ps.Counters.BlockDispatches,
 			TraceDispatches: ps.Counters.TraceDispatches,
 			TracesBuilt:     ps.Counters.TracesBuilt,
-
-			TracesCompiled:     ps.Counters.TracesCompiled,
-			CompiledDispatches: ps.Counters.CompiledDispatches,
 		}
 	}
 	return out

@@ -154,27 +154,21 @@ func CheckTraces(traces []*trace.Trace) []string {
 	return out
 }
 
-// SoundnessResult is one workload's differential check, summed over an
-// unfused and a fused leg.
+// SoundnessResult is one workload's differential check.
 type SoundnessResult struct {
 	Workload     string
-	Checks       int64 // block entries compared against the fact table
-	ProvenGuards int   // guard proofs stamped on the final trace cache
-	Traces       int   // traces in the final cache
-	// CompiledDispatches counts the fused leg's dispatches of fused
-	// programs: zero means the tier-2 half of the check tested nothing,
-	// which is reported as a violation.
-	CompiledDispatches int64
-	Violations         []string // empty means every claim held
-	Stats              valueflow.Stats
+	Checks       int64    // block entries compared against the fact table
+	ProvenGuards int      // guard proofs stamped on the final trace cache
+	Traces       int      // traces in the final cache
+	Violations   []string // empty means every claim held
+	Stats        valueflow.Stats
 }
 
-// ValueFlowSoundness runs one workload in trace mode twice — every trace on
-// its unfused program, then with hot traces promoted to fused programs — with
-// the fact checker probing every block entry and the guard oracle stamping
-// traces, then cross-checks proofs against side-exit counts. The probe fires
-// at every segment entry of either form, so the block-entry constants the
-// trace compiler folds are checked at the point they are consumed.
+// ValueFlowSoundness runs one workload in trace mode with the fact checker
+// probing every block entry — inside traces too — and the guard oracle
+// stamping traces, then cross-checks proofs against side-exit counts. A
+// run whose probe checked no block entry tested nothing and is reported as
+// a violation.
 func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 	c, err := s.compileWorkload(name)
 	if err != nil {
@@ -184,54 +178,50 @@ func (s *Suite) ValueFlowSoundness(name string) (SoundnessResult, error) {
 	if err != nil {
 		return SoundnessResult{}, err
 	}
-	if res.CompiledDispatches == 0 {
-		res.Violations = append(res.Violations, "fused leg dispatched no fused program: the tier-2 check is vacuous")
+	if res.Checks == 0 {
+		res.Violations = append(res.Violations, "probe checked no block entry: the check is vacuous")
 	}
 	return res, nil
 }
 
-// checkSoundness runs the two legs of the differential check on one
-// compiled program, stopping each after maxSteps instructions.
+// checkSoundness runs the differential check on one compiled program,
+// stopping after maxSteps instructions.
 func checkSoundness(name string, c *compiled, maxSteps int64) (SoundnessResult, error) {
 	res := SoundnessResult{Workload: name, Stats: c.facts.Stats()}
-	// A low promotion threshold compiles hot traces early in a step-bounded
-	// run, so the fused leg checks compiled execution rather than warm-up.
-	const tierUpDispatches = 4
-	for _, conf := range []core.Config{{}, {CompileTraces: true, TierUpDispatches: tierUpDispatches}} {
-		checker := NewFactChecker(c.facts)
-		sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
-			Mode:     core.ModeTrace,
-			Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
-			Config:   conf,
-			MaxSteps: maxSteps,
-			Facts:    c.facts,
-			Probe:    checker.Probe,
-		})
-		if err != nil {
-			return SoundnessResult{}, err
-		}
-		if err := sess.Run(); err != nil && !stepLimited(err) {
-			return SoundnessResult{}, fmt.Errorf("harness: soundness %s: %w", name, err)
-		}
-		traces := sess.Cache.Traces()
-		res.Traces, res.ProvenGuards = len(traces), 0
-		for _, t := range traces {
-			res.ProvenGuards += t.ProvenGuards()
-		}
-		res.Checks += checker.Checks()
-		res.CompiledDispatches += sess.Counters.CompiledDispatches
-		res.Violations = append(res.Violations, checker.Violations()...)
-		res.Violations = append(res.Violations, CheckTraces(traces)...)
+	checker := NewFactChecker(c.facts)
+	sess, err := core.NewSession(c.prog, c.cfg, core.SessionOptions{
+		Mode:     core.ModeTrace,
+		Params:   profile.Params{StartDelay: DefaultDelay, Threshold: DefaultThreshold, DecayInterval: 256},
+		MaxSteps: maxSteps,
+		Facts:    c.facts,
+		Probe:    checker.Probe,
+	})
+	if err != nil {
+		return SoundnessResult{}, err
 	}
+	if err := sess.Run(); err != nil && !stepLimited(err) {
+		return SoundnessResult{}, fmt.Errorf("harness: soundness %s: %w", name, err)
+	}
+	traces := sess.Cache.Traces()
+	res.Traces = len(traces)
+	for _, t := range traces {
+		res.ProvenGuards += t.ProvenGuards()
+	}
+	res.Checks = checker.Checks()
+	res.Violations = append(res.Violations, checker.Violations()...)
+	res.Violations = append(res.Violations, CheckTraces(traces)...)
 	return res, nil
 }
 
 // VerifyValueFlowSoundness runs the differential check over every workload
 // in the suite, writing one summary line each, and returns an error naming
-// the first workload whose claims were violated. This is the gate CI runs:
-// a failure is an unsoundness bug in the analysis, never flaky.
+// the workloads whose claims were violated. It also fails when no trace of
+// any workload carried a proven guard, since the guard cross-check then
+// tested nothing. This is the gate CI runs: a failure is an unsoundness bug
+// in the analysis, or a check gone vacuous, never flaky.
 func (s *Suite) VerifyValueFlowSoundness(w io.Writer) error {
 	var failed []string
+	proven := 0
 	for _, name := range s.Workloads {
 		res, err := s.ValueFlowSoundness(name)
 		if err != nil {
@@ -242,16 +232,20 @@ func (s *Suite) VerifyValueFlowSoundness(w io.Writer) error {
 			status = "FAIL"
 			failed = append(failed, res.Workload)
 		}
-		fmt.Fprintf(w, "%-12s %s: %d checked entries, %d consts, %d decided, %d traces (%d proven guards), %d fused dispatches\n",
+		proven += res.ProvenGuards
+		fmt.Fprintf(w, "%-12s %s: %d checked entries, %d consts, %d decided, %d traces (%d proven guards)\n",
 			res.Workload, status, res.Checks,
 			res.Stats.IntConsts+res.Stats.FloatConsts, res.Stats.Decided,
-			res.Traces, res.ProvenGuards, res.CompiledDispatches)
+			res.Traces, res.ProvenGuards)
 		for _, v := range res.Violations {
 			fmt.Fprintf(w, "    violation: %s\n", v)
 		}
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("harness: value-flow claims violated on %v", failed)
+	}
+	if proven == 0 {
+		return fmt.Errorf("harness: no trace carried a proven guard on any workload: the guard check is vacuous")
 	}
 	return nil
 }

@@ -13,10 +13,8 @@ import (
 // TestValueFlowSoundnessGenerated runs the differential check over the
 // value-flow golden's cold band: the first 200 progen programs, walking
 // seeds upward from 1, whose source is 6 000–8 500 bytes. Every claim must
-// hold on every executed block entry of both legs, and no program may
-// degrade to the claim-free table, which would make its check vacuous.
-// Small programs need not reach a fused trace, so unlike the workload
-// gate a leg without fused dispatches is not a violation.
+// hold on every executed block entry, and no program may degrade to the
+// claim-free table, which would make its check vacuous.
 func TestValueFlowSoundnessGenerated(t *testing.T) {
 	const (
 		programs = 200

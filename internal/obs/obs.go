@@ -81,14 +81,6 @@ const (
 	// EvSnapshotQuarantined: the startup scrub moved a corrupt snapshot file
 	// to its .corrupt sidecar. Val is the file size in bytes.
 	EvSnapshotQuarantined
-	// EvTraceCompiled: the tiering policy promoted a trace to its compiled
-	// superinstruction form. TraceID is the trace, Val its dropped-guard
-	// count.
-	EvTraceCompiled
-	// EvTraceTierDown: the engine discarded a trace's compiled form after a
-	// guard-exit storm. TraceID is the trace, Val its compiled guard-exit
-	// count at demotion.
-	EvTraceTierDown
 
 	numEventTypes
 )
@@ -110,8 +102,6 @@ var eventTypeNames = [numEventTypes]string{
 	EvSnapshotRejected:    "snapshot-rejected",
 	EvEpochMerge:          "epoch-merge",
 	EvSnapshotQuarantined: "snapshot-quarantined",
-	EvTraceCompiled:       "trace-compiled",
-	EvTraceTierDown:       "trace-tier-down",
 }
 
 func (t EventType) String() string {

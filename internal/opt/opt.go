@@ -1,10 +1,9 @@
 // Package opt implements a static bytecode-to-bytecode optimizer: classic
 // method-local peephole passes plus unreachable-code elimination, iterated
-// to a fixpoint. It exists as the static counterpart to the dynamic
-// trace-level optimizer (internal/trace's Compile, whose removal counters
-// `tracevm bench -optimizability` reports): the paper's premise is that traces
-// expose opportunities static optimization cannot see, and comparing the
-// two quantifies that.
+// to a fixpoint. It is the static half of the paper's premise that traces
+// expose opportunities static optimization cannot see; the repo has no
+// trace-level optimizer to compare it with, so it stands as a whole-program
+// rewrite that the differential tests hold to the interpreter's semantics.
 //
 // Passes (all target-safe: the rewriter works on an index-based IR where
 // branch targets are instruction indexes, and re-encodes with remapped

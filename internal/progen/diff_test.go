@@ -19,25 +19,22 @@ import (
 	"repro/internal/profile"
 	"repro/internal/progen"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // runUnder executes a compiled program under one mode and returns output.
 func runUnder(t *testing.T, prog *classfile.Program, pcfg *cfg.ProgramCFG, mode core.Mode) string {
 	t.Helper()
-	out, _ := runWith(t, prog, pcfg, mode, core.Config{})
+	out, _ := runWith(t, prog, pcfg, mode)
 	return out
 }
 
-// runWith is runUnder with a trace-cache configuration, also returning the
-// run's counters.
-func runWith(t *testing.T, prog *classfile.Program, pcfg *cfg.ProgramCFG, mode core.Mode, conf core.Config) (string, stats.Counters) {
+// runWith is runUnder also returning the run's counters.
+func runWith(t *testing.T, prog *classfile.Program, pcfg *cfg.ProgramCFG, mode core.Mode) (string, stats.Counters) {
 	t.Helper()
 	var out bytes.Buffer
 	s, err := core.NewSession(prog, pcfg, core.SessionOptions{
 		Mode:     mode,
-		Config:   conf,
 		Out:      &out,
 		MaxSteps: 100_000_000,
 	})
@@ -59,7 +56,6 @@ func TestDifferentialEnginesAndOptimizer(t *testing.T) {
 		seeds = 10
 	}
 	modes := []core.Mode{core.ModePlain, core.ModeInstr, core.ModeProfile, core.ModeTrace, core.ModeTraceDeploy}
-	var fusedDispatches int64
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		src := progen.Generate(seed, progen.Config{})
 		prog, err := minijava.Compile(src)
@@ -71,7 +67,7 @@ func TestDifferentialEnginesAndOptimizer(t *testing.T) {
 			t.Fatalf("seed %d: cfg failed: %v", seed, err)
 		}
 
-		want, plain := runWith(t, prog, pcfg, core.ModePlain, core.Config{})
+		want, plain := runWith(t, prog, pcfg, core.ModePlain)
 		for _, mode := range modes[1:] {
 			if got := runUnder(t, prog, pcfg, mode); got != want {
 				t.Errorf("seed %d: mode %s diverged:\nwant %q\ngot  %q\nprogram:\n%s",
@@ -79,27 +75,12 @@ func TestDifferentialEnginesAndOptimizer(t *testing.T) {
 			}
 		}
 
-		// Both forms of trace execution — every trace on its unfused
-		// program, and every trace fused on its first re-entry — must do
-		// exactly the work of block dispatch, not just print the same.
-		for _, leg := range []struct {
-			name string
-			conf core.Config
-		}{
-			{"unfused", core.Config{}},
-			{"fused", core.Config{CompileTraces: true, TierUpDispatches: 1}},
-		} {
-			got, c := runWith(t, prog, pcfg, core.ModeTrace, leg.conf)
-			if got != want {
-				t.Errorf("seed %d: %s traces diverged:\nwant %q\ngot  %q\nprogram:\n%s",
-					seed, leg.name, want, got, src)
-			}
-			if c.Instrs != plain.Instrs || c.BlockDispatches != plain.BlockDispatches || c.MethodCalls != plain.MethodCalls {
-				t.Errorf("seed %d: %s traces did different work: instrs %d, blocks %d, calls %d; plain %d, %d, %d\nprogram:\n%s",
-					seed, leg.name, c.Instrs, c.BlockDispatches, c.MethodCalls,
-					plain.Instrs, plain.BlockDispatches, plain.MethodCalls, src)
-			}
-			fusedDispatches += c.CompiledDispatches
+		// Trace execution must do exactly the work of block dispatch, not
+		// just print the same.
+		if _, c := runWith(t, prog, pcfg, core.ModeTrace); c.Instrs != plain.Instrs || c.BlockDispatches != plain.BlockDispatches || c.MethodCalls != plain.MethodCalls {
+			t.Errorf("seed %d: traces did different work: instrs %d, blocks %d, calls %d; plain %d, %d, %d\nprogram:\n%s",
+				seed, c.Instrs, c.BlockDispatches, c.MethodCalls,
+				plain.Instrs, plain.BlockDispatches, plain.MethodCalls, src)
 		}
 
 		// Optimized build (fresh compile so the unoptimized runs above are
@@ -119,9 +100,6 @@ func TestDifferentialEnginesAndOptimizer(t *testing.T) {
 			t.Errorf("seed %d: optimizer diverged:\nwant %q\ngot  %q\nprogram:\n%s",
 				seed, want, got, src)
 		}
-	}
-	if fusedDispatches == 0 {
-		t.Errorf("no fused program was dispatched across %d seeds; the fused leg is vacuous", seeds)
 	}
 }
 
@@ -155,7 +133,7 @@ var (
 )
 
 // edgeIters is the trip count of an edge program's loop: enough for the
-// body to be traced and fused long before the last iteration.
+// body to be traced long before the last iteration.
 const edgeIters = 200
 
 var edgeParams = profile.Params{StartDelay: 16, Threshold: 0.97, DecayInterval: 256}
@@ -182,16 +160,14 @@ func kindLetter(k bytecode.ValKind) string {
 }
 
 // edgeProgram assembles one opcode's edge program. Per iteration of a hot
-// loop and per operand tuple it parks the operands in locals, crosses a call
-// (after which the trace compiler knows no local's value), and evaluates the
-// op once per operand-source form — every mix of local and constant
-// operands, which fuse into superinstructions, then all constants, which
-// every folder folds — handing each result to a sink method whose entry the
-// caller probes. It returns the program and one iteration's expected sink
+// loop and per operand tuple it parks the operands in locals, crosses a call,
+// and evaluates the op once per operand-source form — every mix of local and
+// constant operands, then all constants, which the optimizer's folder folds —
+// handing each result to a sink method whose entry the caller probes. It returns the program and one iteration's expected sink
 // payloads, computed by the shared fold table.
 //
 // With divZeroAt >= 0 the tuples are (a, divZeroAt - k): the divisor reaches
-// zero on that iteration, inside the fused trace.
+// zero on that iteration, inside the trace.
 func edgeProgram(t *testing.T, op bytecode.Op, divZeroAt int) (*classfile.Program, []int64) {
 	t.Helper()
 	pops, pushes, _ := bytecode.StackKinds(op)
@@ -308,20 +284,19 @@ func b2i(b bool) int64 {
 }
 
 // edgeLegs runs prog on every engine that evaluates or folds the op — block
-// dispatch (execInstrs), unfused traces, fused traces (execSBin for the
-// local-operand forms, trace.Compile's folder for the constant ones) and,
-// after opt.Program, block dispatch again — and returns per leg the sink
-// payloads observed, the run's error, and the fused leg's session.
-func edgeLegs(t *testing.T, prog *classfile.Program) (names []string, sunk [][]int64, errs []error, fused *core.Session) {
+// dispatch (execInstrs), traces and, after opt.Program, block dispatch
+// again — and returns per leg the sink payloads observed and the run's
+// error.
+func edgeLegs(t *testing.T, prog *classfile.Program) (names []string, sunk [][]int64, errs []error) {
 	t.Helper()
-	run := func(name string, prog *classfile.Program, mode core.Mode, conf core.Config) *core.Session {
+	run := func(name string, prog *classfile.Program, mode core.Mode) {
 		pcfg, err := cfg.BuildProgram(prog)
 		if err != nil {
 			t.Fatalf("%s: cfg: %v", name, err)
 		}
 		var got []int64
 		s, err := core.NewSession(prog, pcfg, core.SessionOptions{
-			Mode: mode, Params: edgeParams, Config: conf,
+			Mode: mode, Params: edgeParams,
 			Probe: func(b *cfg.Block, locals, _ []vm.Value) {
 				if b.Index == 0 && strings.HasSuffix(b.Method.Name, "sink") {
 					got = append(got, locals[0].N)
@@ -333,26 +308,21 @@ func edgeLegs(t *testing.T, prog *classfile.Program) (names []string, sunk [][]i
 		}
 		err = s.Run()
 		names, sunk, errs = append(names, name), append(sunk, got), append(errs, err)
-		return s
 	}
-	run("plain", prog, core.ModePlain, core.Config{})
-	run("unfused", prog, core.ModeTrace, core.Config{})
-	fused = run("fused", prog, core.ModeTrace, core.Config{CompileTraces: true, TierUpDispatches: 1})
-	if fused.Counters.CompiledDispatches == 0 {
-		t.Fatal("no fused dispatch: the fused leg is vacuous")
-	}
+	run("plain", prog, core.ModePlain)
+	run("trace", prog, core.ModeTrace)
 	// The optimizer rewrites in place; it runs last.
 	if _, err := opt.Program(prog); err != nil {
 		t.Fatalf("optimizer: %v", err)
 	}
-	run("opt", prog, core.ModePlain, core.Config{})
-	return names, sunk, errs, fused
+	run("opt", prog, core.ModePlain)
+	return names, sunk, errs
 }
 
 // TestEdgeOperandDifferential pins every evaluator of the pure opcodes to
 // bytecode.FoldBinary / FoldUnary / Cond1 / Cond2 on the edge operands,
-// bit for bit: the interpreter's two inline switches (which do not call the
-// table, for speed) and the three folders that do.
+// bit for bit: the interpreter's inline switch (which does not call the
+// table, for speed) and the optimizer's folder (which does).
 func TestEdgeOperandDifferential(t *testing.T) {
 	ops := []bytecode.Op{
 		bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv, bytecode.IRem, bytecode.INeg,
@@ -365,7 +335,7 @@ func TestEdgeOperandDifferential(t *testing.T) {
 	for _, op := range ops {
 		t.Run(bytecode.InfoOf(op).Name, func(t *testing.T) {
 			prog, want := edgeProgram(t, op, -1)
-			names, sunk, errs, fused := edgeLegs(t, prog)
+			names, sunk, errs := edgeLegs(t, prog)
 			for i, name := range names {
 				if errs[i] != nil {
 					t.Fatalf("%s: %v", name, errs[i])
@@ -380,39 +350,6 @@ func TestEdgeOperandDifferential(t *testing.T) {
 					}
 				}
 			}
-			// The local-operand forms must have run as superinstructions.
-			modes := map[uint8]bool{}
-			for _, tr := range fused.Cache.Traces() {
-				if tr.Compiled == nil {
-					continue
-				}
-				for _, seg := range tr.Compiled.Segs {
-					for _, so := range seg.Ops {
-						if so.Kind == trace.SBin && so.Op == op {
-							modes[so.Mode] = true
-						}
-					}
-					switch seg.Term.Kind {
-					case trace.TCondI:
-						if seg.Term.Op == op {
-							modes[trace.SrcL] = true
-						}
-					case trace.TCondII:
-						if seg.Term.Op == op {
-							modes[seg.Term.Mode] = true
-						}
-					}
-				}
-			}
-			wantModes := []uint8{trace.SrcL}
-			if pops, _, _ := bytecode.StackKinds(op); len(pops) == 2 {
-				wantModes = []uint8{trace.SrcLL, trace.SrcLC, trace.SrcCL}
-			}
-			for _, m := range wantModes {
-				if !modes[m] {
-					t.Errorf("no fused trace holds the op in operand-source mode %d (saw %v); the superinstruction leg is vacuous", m, modes)
-				}
-			}
 		})
 	}
 
@@ -420,7 +357,7 @@ func TestEdgeOperandDifferential(t *testing.T) {
 	for _, op := range []bytecode.Op{bytecode.IDiv, bytecode.IRem} {
 		t.Run(bytecode.InfoOf(op).Name+"-by-zero", func(t *testing.T) {
 			prog, _ := edgeProgram(t, op, edgeIters-1)
-			names, sunk, errs, _ := edgeLegs(t, prog)
+			names, sunk, errs := edgeLegs(t, prog)
 			for i, name := range names {
 				tr, ok := vm.AsTrap(errs[i])
 				if !ok || tr.Kind != vm.TrapDivByZero {
@@ -437,9 +374,9 @@ func TestEdgeOperandDifferential(t *testing.T) {
 				t.Errorf("trap after %d results, want on the last iteration's first division", len(sunk[0]))
 			}
 
-			// A constant zero divisor cannot run hot, so the folders are
-			// checked on a straight-line block: trace.Compile keeps the op
-			// live, and the optimized program still traps.
+			// A constant zero divisor cannot run hot, so the optimizer's
+			// folder is checked on a straight-line block: the optimized
+			// program still traps.
 			prog, err := jasm.Assemble(fmt.Sprintf(`
 .class Main
 .method static main ( ) void
@@ -454,25 +391,6 @@ func TestEdgeOperandDifferential(t *testing.T) {
 `, bytecode.InfoOf(op).Name))
 			if err != nil {
 				t.Fatal(err)
-			}
-			pcfg, err := cfg.BuildProgram(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entry := pcfg.MethodEntry(prog.Main)
-			live := false
-			if cp := trace.Compile(&trace.CompileEnv{Blocks: []*cfg.Block{entry}, Resolve: pcfg.Block}); cp != nil {
-				for _, so := range cp.Segs[0].Ops {
-					if so.Kind != trace.SExec {
-						continue
-					}
-					for _, in := range entry.Instrs[so.A:so.B] {
-						live = live || in.Op == op
-					}
-				}
-			}
-			if !live {
-				t.Error("trace.Compile folded a division by constant zero away")
 			}
 			if _, err := opt.Program(prog); err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/valueflow"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/faultinject/crash"
 	"repro/internal/obs"
@@ -51,16 +50,6 @@ type shardSet struct {
 	// persist marks the program's first set: the one the snapshot writer
 	// commits and GET /v1/snapshot reads.
 	persist bool
-
-	// Tier-2 compilation state. cfgp/facts feed each shard's compile
-	// environment; compiled is the set-wide memo of lowered trace programs,
-	// shared by every shard so a block sequence compiles at most once and the
-	// compiled form is per-merged-view — a trace rebuilt from the merged
-	// snapshot in any shard rebinds to the same immutable Program. Nil when
-	// the trace-cache config leaves CompileTraces off.
-	cfgp     *cfg.ProgramCFG
-	facts    *valueflow.Facts
-	compiled *core.CompiledStore
 
 	shards []*workerShard
 
@@ -145,11 +134,6 @@ func (ec *epochCoordinator) setFor(comp *Compiled, params profile.Params) *shard
 	if comp.Facts != nil && comp.CFG != nil {
 		set.prover = valueflow.NewOracle(comp.Facts, comp.CFG)
 	}
-	if ec.conf.CompileTraces && comp.CFG != nil {
-		set.cfgp = comp.CFG
-		set.facts = comp.Facts
-		set.compiled = core.NewCompiledStore()
-	}
 	for i := range set.shards {
 		set.shards[i] = &workerShard{}
 	}
@@ -195,9 +179,6 @@ func (ec *epochCoordinator) profiler(sh *workerShard, set *shardSet) (*core.Prof
 	}
 	if set.prover != nil {
 		prof.SetProver(set.prover)
-	}
-	if set.compiled != nil {
-		prof.EnableCompile(set.cfgp, set.facts, set.compiled)
 	}
 	sh.prof, sh.gen = prof, gen
 	ec.liveShards.Add(1)

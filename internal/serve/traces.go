@@ -15,24 +15,15 @@ type TraceRecord struct {
 	Key    string
 	Entry  int
 	Blocks int
-	// Tier is the highest execution tier across shards (2 = a compiled
-	// superinstruction form is installed); Shards counts the shards
-	// currently holding the sequence.
-	Tier   int
+	// Shards counts the shards currently holding the sequence.
 	Shards int
 	// Dispatch accounting, summed over shards.
 	Entered   int64
 	Completed int64
-	// Guard split: ProvenGuards were proven dead by static value flow and
-	// cost nothing at tier 2; EstimatedGuards remain live side-exit checks.
+	// Guard split: ProvenGuards were proven dead by static value flow;
+	// EstimatedGuards rest on the profiler's correlation estimate alone.
 	ProvenGuards    int
 	EstimatedGuards int
-	// Tier-2 accounting, summed over shards.
-	CompiledEntered    int64
-	CompiledGuardExits int64
-	// Barred reports that at least one shard pinned the trace at tier 1
-	// (compilation bailed, or a guard-exit storm forced a tier-down).
-	Barred bool
 }
 
 // ProgramTraces is one program's live trace inventory.
@@ -87,14 +78,6 @@ func (s *Service) TraceInventory() []ProgramTraces {
 					r.Shards++
 					r.Entered += t.Entered
 					r.Completed += t.Completed
-					r.CompiledEntered += t.CompiledEntered
-					r.CompiledGuardExits += t.CompiledGuardExits
-					if tier := t.Tier(); tier > r.Tier {
-						r.Tier = tier
-					}
-					if t.CompileBarred {
-						r.Barred = true
-					}
 				}
 			}
 			sh.mu.Unlock()

@@ -48,10 +48,10 @@ type Counters struct {
 	TracesEvicted   int64 // traces retired by cache budget eviction (also in TracesRetired)
 	BudgetPressure  int64 // trace registrations that forced at least one eviction
 
-	// Tiered-execution counters.
-	TracesCompiled     int64 // traces promoted to a compiled superinstruction form
-	TierDowns          int64 // compiled forms discarded after guard-exit storms
-	CompiledDispatches int64 // trace dispatches served by a compiled form
+	// Written by nothing; they export as zero.
+	//
+	// Deprecated: tier 2 was removed; kept only for benchmark/probes.go.
+	TracesCompiled, TierDowns, CompiledDispatches int64
 
 	// Snapshot (profile persistence) counters.
 	SnapshotsSaved           int64 // snapshots committed to durable storage

@@ -33,11 +33,11 @@ type Trace struct {
 	// them, so the engine never dispatches a retired trace.
 	Retired bool
 
-	// Unfused is the trace's tier-1 executable form, built by the engine on
-	// the trace's first execution (Lower over the resolved blocks). Valid
-	// only for the ProgramCFG the trace was built against (a trace never
+	// Program is the trace's executable form, built by the engine on the
+	// trace's first execution (Lower over the resolved blocks). Valid only
+	// for the ProgramCFG the trace was built against (a trace never
 	// outlives its session).
-	Unfused *Program
+	Program *Program
 
 	// GuardProofs marks side-exit guards proven dead by static value-flow
 	// analysis: GuardProofs[i] claims SideExits[i] can never fire, so a
@@ -45,41 +45,6 @@ type Trace struct {
 	// was attached; otherwise len(Blocks)-1, set once at registration and
 	// immutable afterwards.
 	GuardProofs []bool
-
-	// Tier-2 state. Compiled is the fused program the engine executes in
-	// place of Unfused when non-nil; the Program itself is immutable and may
-	// be shared across traces (and, under sharded profiling, across shards of
-	// the same merged view), while the fields below are per-trace and mutated
-	// only by the single goroutine running the trace.
-
-	// Compiled is the trace's tier-2 form, set by the tiering policy once
-	// Entered reaches TierUpAt and cleared again on tier-down.
-	Compiled *Program
-	// TierUpAt is the dispatch count at which the engine asks the tiering
-	// policy to compile the trace; 0 disables promotion.
-	TierUpAt int64
-	// TierDownAt is the compiled-guard-exit count at which the engine
-	// discards the compiled form (the trace itself survives at tier 1);
-	// 0 disables demotion.
-	TierDownAt int64
-	// CompiledEntered counts dispatches that entered the compiled form.
-	CompiledEntered int64
-	// CompiledGuardExits counts side exits taken from the compiled form.
-	CompiledGuardExits int64
-	// CompileBarred pins the trace at tier 1: set when compilation bailed
-	// or after a tier-down, so a guard-exit storm cannot flap the trace
-	// between tiers. A rebuilt trace is a fresh object and gets a fresh
-	// chance.
-	CompileBarred bool
-}
-
-// Tier reports the trace's current execution tier: 2 when a fused program
-// is installed, 1 otherwise.
-func (t *Trace) Tier() int {
-	if t.Compiled != nil {
-		return 2
-	}
-	return 1
 }
 
 // ProvenGuards counts the side-exit guards proven dead.

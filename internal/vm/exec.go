@@ -69,9 +69,9 @@ func (m *Machine) checkBlock(f *frame, b *cfg.Block) error {
 }
 
 // execTerminator executes a block's final instruction and applies its
-// control transfer, switching on the block's pre-decoded Kind. Fused trace
-// segments lower what they can and delegate the rest here; panics are
-// recovered once, by Run.
+// control transfer, switching on the block's pre-decoded Kind. Ordinary
+// dispatch and trace segments both end here; panics are recovered once, by
+// Run.
 //
 //tracevm:hotpath
 func (m *Machine) execTerminator(f *frame, b *cfg.Block) (next *cfg.Block, halted bool, err error) {
@@ -316,10 +316,9 @@ func (m *Machine) invoke(f *frame, b *cfg.Block, in *bytecode.Instr) (*cfg.Block
 }
 
 // execInstrs executes ins, a run of non-control-flow instructions, in frame
-// f. It is the one executor of such instructions: ordinary dispatch, both
-// trace tiers (a fused segment's SExec ranges) and the per-instruction
-// engine all run their instructions through it. The operand stack lives in locals for the whole
-// run — st spans the frame's full capacity and sp is its depth — and is
+// f. It is the one executor of such instructions: ordinary dispatch, trace
+// segments and the per-instruction engine all run their instructions
+// through it. The operand stack lives in locals for the whole run — st spans the frame's full capacity and sp is its depth — and is
 // written back to f.stack once, on every exit, trap returns included.
 // pushFrame sizes that capacity by the verifier's MaxStack, so it is a hard
 // bound: a push past it is an index panic, which Run's recoverTrap reports

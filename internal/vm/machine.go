@@ -29,12 +29,6 @@ type Options struct {
 	// Traces, if set, enables trace dispatch: at every block boundary the
 	// engine consults the source and executes a registered trace as a unit.
 	Traces trace.Source
-	// Tiering, if set alongside Traces, enables tier-2 dispatch: once a
-	// trace's dispatch count reaches its tier-up threshold the engine asks
-	// the policy for the trace's fused program, executes that in place of
-	// the unfused one while it holds, and discards it again (notifying the
-	// policy) after a guard-exit storm. Nil keeps every trace unfused.
-	Tiering trace.Tiering
 	// HookInsideTraces controls profiling fidelity during trace execution.
 	// True (measurement mode) runs the hook on every intra-trace edge, so
 	// the branch correlation graph sees the full execution stream — this is
@@ -74,7 +68,6 @@ type Machine struct {
 	out              io.Writer
 	hook             DispatchHook
 	traces           trace.Source
-	tiering          trace.Tiering
 	hookInsideTraces bool
 	ctr              *stats.Counters
 	maxSteps         int64
@@ -143,7 +136,6 @@ func New(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts Options) (*Machine,
 		out:              opts.Out,
 		hook:             opts.Hook,
 		traces:           opts.Traces,
-		tiering:          opts.Tiering,
 		hookInsideTraces: opts.HookInsideTraces,
 		ctr:              opts.Counters,
 		maxSteps:         opts.MaxSteps,

@@ -120,17 +120,6 @@ type Params struct {
 	// MaxCachedBlocks bounds the total blocks held by live traces per
 	// session (default 0 = unbounded).
 	MaxCachedBlocks int
-	// CompileTraces enables tier-2 execution: hot traces are compiled into
-	// superinstruction form and dispatched as fused units (default off).
-	CompileTraces bool
-	// TierUpDispatches is the dispatch count at which a cached trace is
-	// promoted to its compiled form (default 16 when CompileTraces is set;
-	// 0 keeps the default).
-	TierUpDispatches int64
-	// TierDownGuardExits is the compiled-guard-exit count at which a
-	// trace's compiled form is discarded again (default 8 when
-	// CompileTraces is set; 0 keeps the default).
-	TierDownGuardExits int64
 	// Breaker tunes the per-program churn circuit breaker. It only takes
 	// effect through ServiceConfig (a single VM has no breaker).
 	Breaker BreakerConfig
@@ -156,11 +145,8 @@ func DefaultParams() Params {
 func (p Params) ServiceConfig() ServiceConfig {
 	return ServiceConfig{
 		TraceCache: core.Config{
-			MaxTraces:          p.MaxTraces,
-			MaxCachedBlocks:    p.MaxCachedBlocks,
-			CompileTraces:      p.CompileTraces,
-			TierUpDispatches:   p.TierUpDispatches,
-			TierDownGuardExits: p.TierDownGuardExits,
+			MaxTraces:       p.MaxTraces,
+			MaxCachedBlocks: p.MaxCachedBlocks,
 		},
 		Breaker: p.Breaker,
 	}
@@ -201,15 +187,6 @@ func WithParams(p Params) Option {
 		}
 		if p.MaxCachedBlocks != 0 {
 			c.cache.MaxCachedBlocks = p.MaxCachedBlocks
-		}
-		if p.CompileTraces {
-			c.cache.CompileTraces = true
-		}
-		if p.TierUpDispatches != 0 {
-			c.cache.TierUpDispatches = p.TierUpDispatches
-		}
-		if p.TierDownGuardExits != 0 {
-			c.cache.TierDownGuardExits = p.TierDownGuardExits
 		}
 		if p.SnapshotPath != "" {
 			c.snapPath = p.SnapshotPath
@@ -358,15 +335,8 @@ type TraceInfo struct {
 	ExpectedCompletion float64
 	Entered            int64
 	Completed          int64
-	// Tier is the trace's current execution tier: 1 (block-by-block) or 2
-	// (compiled superinstruction form).
-	Tier int
 	// ProvenGuards counts side-exit guards statically proven dead.
 	ProvenGuards int
-	// CompiledEntered counts dispatches served by the compiled form.
-	CompiledEntered int64
-	// CompiledGuardExits counts guard exits taken out of the compiled form.
-	CompiledGuardExits int64
 }
 
 // Traces lists the live traces in the cache (nil in ModePlain).
@@ -382,10 +352,7 @@ func (v *VM) Traces() []TraceInfo {
 			ExpectedCompletion: t.ExpectedCompletion,
 			Entered:            t.Entered,
 			Completed:          t.Completed,
-			Tier:               t.Tier(),
 			ProvenGuards:       t.ProvenGuards(),
-			CompiledEntered:    t.CompiledEntered,
-			CompiledGuardExits: t.CompiledGuardExits,
 		})
 	}
 	return out

@@ -198,43 +198,17 @@ func TestParamsDefaultsAndOverrideOrder(t *testing.T) {
 	if got.Threshold != 0.9 || got.MaxTraces != 7 {
 		t.Errorf("override order: %+v", got)
 	}
-
-	// Tier-2 knobs merge field-wise like everything else: CompileTraces is
-	// sticky once set, thresholds override only when named.
-	got = repro.ResolvedParams(
-		repro.WithParams(repro.Params{CompileTraces: true, TierUpDispatches: 32}),
-		repro.WithParams(repro.Params{TierDownGuardExits: 5}),
-	)
-	if !got.CompileTraces || got.TierUpDispatches != 32 || got.TierDownGuardExits != 5 {
-		t.Errorf("tier knobs: %+v", got)
-	}
-	got = repro.ResolvedParams(
-		repro.WithParams(repro.Params{CompileTraces: true}),
-		repro.WithParams(repro.Params{Threshold: 0.9}),
-	)
-	if !got.CompileTraces {
-		t.Error("CompileTraces dropped by a later unrelated override")
-	}
-	if def.CompileTraces || def.TierUpDispatches != 0 || def.TierDownGuardExits != 0 {
-		t.Errorf("tier-2 not off by default: %+v", def)
-	}
 }
 
 func TestParamsServiceConfig(t *testing.T) {
 	p := repro.Params{
-		MaxTraces:          5,
-		MaxCachedBlocks:    100,
-		CompileTraces:      true,
-		TierUpDispatches:   12,
-		TierDownGuardExits: 3,
-		Breaker:            repro.BreakerConfig{ChurnPerK: 8},
+		MaxTraces:       5,
+		MaxCachedBlocks: 100,
+		Breaker:         repro.BreakerConfig{ChurnPerK: 8},
 	}
 	cfg := p.ServiceConfig()
 	if cfg.TraceCache.MaxTraces != 5 || cfg.TraceCache.MaxCachedBlocks != 100 {
 		t.Errorf("budgets not mapped: %+v", cfg.TraceCache)
-	}
-	if !cfg.TraceCache.CompileTraces || cfg.TraceCache.TierUpDispatches != 12 || cfg.TraceCache.TierDownGuardExits != 3 {
-		t.Errorf("tier knobs not mapped: %+v", cfg.TraceCache)
 	}
 	if cfg.Breaker.ChurnPerK != 8 {
 		t.Errorf("breaker not mapped: %+v", cfg.Breaker)

@@ -36,7 +36,7 @@ const (
 
 // copyLimit is the smallest struct size, in bytes on gc/amd64, that a hot
 // function may not copy: four words, so a vm.Value (two) passes and a
-// trace.SOp (exactly four) or a bytecode.Instr (ten) does not.
+// bytecode.Instr (ten) does not.
 const copyLimit = 32
 
 var amd64Sizes = types.SizesFor("gc", "amd64")
