@@ -57,11 +57,6 @@ type testWriter struct{ b []byte }
 func (w *testWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 func (w *testWriter) String() string              { return string(w.b) }
 
-// dispatchFunc adapts a function to vm.DispatchHook for hook wrapping.
-type dispatchFunc func(from, to cfg.BlockID)
-
-func (f dispatchFunc) OnDispatch(from, to cfg.BlockID) { f(from, to) }
-
 // TestTraceDispatchZeroAlloc pins trace execution at zero heap allocations
 // per dispatch, as the twin of the profiler's warmed fast-path pin: once
 // the loop trace is built and the machine's working set (frame, operand
@@ -86,7 +81,7 @@ func TestTraceDispatchZeroAlloc(t *testing.T) {
 	var calls int64
 	openAt, closeAt := int64(-1), int64(-1) // traces entered at the window edges
 	wrap := func(h vm.DispatchHook) vm.DispatchHook {
-		return dispatchFunc(func(from, to cfg.BlockID) {
+		return vm.HookFunc(func(from, to cfg.BlockID) {
 			calls++
 			switch calls {
 			case warm:
