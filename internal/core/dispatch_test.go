@@ -57,8 +57,8 @@ type testWriter struct{ b []byte }
 func (w *testWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 func (w *testWriter) String() string              { return string(w.b) }
 
-// TestTraceDispatchZeroAlloc pins trace execution at zero heap allocations
-// per dispatch, as the twin of the profiler's warmed fast-path pin: once
+// TestCompiledDispatchZeroAlloc pins trace execution at zero heap
+// allocations per dispatch, as the twin of the profiler's warmed fast-path pin: once
 // the loop trace is built and the machine's working set (frame, operand
 // stack, profiler arenas) is warm, the steady run region — segment
 // execution, trace accounting, and the per-trace-dispatch profiler hook —
@@ -68,7 +68,11 @@ func (w *testWriter) String() string              { return string(w.b) }
 // once per trace dispatch, so two hook invocations bracket a window of
 // tens of thousands of trace dispatches, and runtime.MemStats.Mallocs
 // across that window counts every heap allocation the steady state makes.
-func TestTraceDispatchZeroAlloc(t *testing.T) {
+//
+// The test and its "unfused" case keep the names they had when a second,
+// fused trace form had a case of its own; the unfused program is now the
+// only form a trace runs in.
+func TestCompiledDispatchZeroAlloc(t *testing.T) {
 	// Hook invocations before the window opens (profiler convergence, trace
 	// build, stack growth all happen here) and the window's width.
 	// stormProgram's loop runs 30000 iterations (~15k hook calls once the
@@ -76,49 +80,51 @@ func TestTraceDispatchZeroAlloc(t *testing.T) {
 	// margin.
 	const warm, window = 2000, 10000
 
-	var sess *core.Session
-	var m0, m1 runtime.MemStats
-	var calls int64
-	openAt, closeAt := int64(-1), int64(-1) // traces entered at the window edges
-	wrap := func(h vm.DispatchHook) vm.DispatchHook {
-		return vm.HookFunc(func(from, to cfg.BlockID) {
-			calls++
-			switch calls {
-			case warm:
-				runtime.ReadMemStats(&m0)
-				openAt = sess.Counters.TracesEntered
-			case warm + window:
-				runtime.ReadMemStats(&m1)
-				closeAt = sess.Counters.TracesEntered
-			}
-			if h != nil {
-				h.OnDispatch(from, to)
-			}
-		})
-	}
+	t.Run("unfused", func(t *testing.T) {
+		var sess *core.Session
+		var m0, m1 runtime.MemStats
+		var calls int64
+		openAt, closeAt := int64(-1), int64(-1) // traces entered at the window edges
+		wrap := func(h vm.DispatchHook) vm.DispatchHook {
+			return vm.HookFunc(func(from, to cfg.BlockID) {
+				calls++
+				switch calls {
+				case warm:
+					runtime.ReadMemStats(&m0)
+					openAt = sess.Counters.TracesEntered
+				case warm + window:
+					runtime.ReadMemStats(&m1)
+					closeAt = sess.Counters.TracesEntered
+				}
+				if h != nil {
+					h.OnDispatch(from, to)
+				}
+			})
+		}
 
-	s, out := buildSession(t, stormProgram, core.SessionOptions{
-		Mode:     core.ModeTraceDeploy,
-		Params:   convergeParams,
-		WrapHook: wrap,
+		s, out := buildSession(t, stormProgram, core.SessionOptions{
+			Mode:     core.ModeTraceDeploy,
+			Params:   convergeParams,
+			WrapHook: wrap,
+		})
+		sess = s
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if out.String() != stormOutput {
+			t.Errorf("output = %q, want %q", out.String(), stormOutput)
+		}
+		if closeAt < 0 {
+			t.Fatalf("run made only %d hook calls; the %d-call window never closed", calls, warm+window)
+		}
+		served := closeAt - openAt
+		if served <= 0 {
+			t.Fatalf("no trace dispatches inside the window (open %d, close %d); the pin is vacuous", openAt, closeAt)
+		}
+		if mallocs := m1.Mallocs - m0.Mallocs; mallocs != 0 {
+			t.Errorf("steady state allocated %d times over %d trace dispatches, want 0", mallocs, served)
+		}
 	})
-	sess = s
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if out.String() != stormOutput {
-		t.Errorf("output = %q, want %q", out.String(), stormOutput)
-	}
-	if closeAt < 0 {
-		t.Fatalf("run made only %d hook calls; the %d-call window never closed", calls, warm+window)
-	}
-	served := closeAt - openAt
-	if served <= 0 {
-		t.Fatalf("no trace dispatches inside the window (open %d, close %d); the pin is vacuous", openAt, closeAt)
-	}
-	if mallocs := m1.Mallocs - m0.Mallocs; mallocs != 0 {
-		t.Errorf("steady state allocated %d times over %d trace dispatches, want 0", mallocs, served)
-	}
 }
 
 // TestMisdirectedTraceGuardExits drives a deterministic guard-exit storm:
