@@ -118,6 +118,10 @@ func runCmd(w io.Writer, args []string) error {
 	fs.Parse(args)
 
 	mode, err := api.ParseMode(*modeStr)
+	if *modeStr == repro.ModeTraceDeploy.String() {
+		// One VM runs deployment mode on request; the daemon picks it itself.
+		mode, err = repro.ModeTraceDeploy, nil
+	}
 	if err != nil {
 		return err
 	}

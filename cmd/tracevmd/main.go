@@ -8,19 +8,21 @@
 //
 //	tracevmd -addr :8077 -workers 8 -queue 64 -timeout 30s \
 //	         -max-traces 512 -max-trace-blocks 8192 \
-//	         -breaker-churn 8 -breaker-after 3 -breaker-cooldown 30s \
 //	         -quarantine-after 3 -events 4096 -debug-addr localhost:8078 \
 //	         -snapshot-dir /var/lib/tracevm/snapshots -snapshot-interval 30s
 //
 // Endpoints (all under /v1/):
 //
 //	POST /v1/run     {"workload":"compress","mode":"trace"} or
-//	                 {"source":"class Main {...}","kind":"minijava",...}
+//	                 {"source":"class Main {...}","kind":"minijava",...};
+//	                 a "trace" program runs measured, deployed or plain as
+//	                 its mode controller decides, and the answer's "mode"
+//	                 names the one it ran in
 //	GET  /v1/stats   aggregated service + execution metrics snapshot
 //	GET  /v1/traces  per-program live trace inventory: dispatch counts and
 //	                 guard split (sharded profiling only)
 //	GET  /v1/metrics Prometheus text exposition of the same snapshot
-//	GET  /v1/events  JSON tail of the event ring (?n=256&type=breaker&program=x)
+//	GET  /v1/events  JSON tail of the event ring (?n=256&type=mode&program=x)
 //	GET  /v1/snapshot?workload=x (or ?key=h) learned-profile snapshot download
 //	PUT  /v1/snapshot binary snapshot upload: pre-warm a program before traffic
 //	GET  /v1/healthz liveness plus queue depth
@@ -109,9 +111,6 @@ func serviceFlags(fs *flag.FlagSet) func() serve.Config {
 
 		maxTraces   = fs.Int("max-traces", 512, "per-session live trace budget (0 = unbounded)")
 		maxTrBlocks = fs.Int("max-trace-blocks", 8192, "per-session cached trace block budget (0 = unbounded)")
-		brkChurn    = fs.Float64("breaker-churn", 8, "churn breaker threshold in trace build+retire events per 1k dispatches (0 = disabled)")
-		brkAfter    = fs.Int("breaker-after", 3, "consecutive churny runs before the breaker opens")
-		brkCooldown = fs.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker demotes a program before probing")
 		quarAfter   = fs.Int("quarantine-after", 3, "VM panics before a program is quarantined (-1 = disabled)")
 		noVerify    = fs.Bool("no-verify", false, "skip bytecode verification of submitted sources")
 
@@ -132,11 +131,6 @@ func serviceFlags(fs *flag.FlagSet) func() serve.Config {
 			TraceCache: core.Config{
 				MaxTraces:       *maxTraces,
 				MaxCachedBlocks: *maxTrBlocks,
-			},
-			Breaker: serve.BreakerConfig{
-				ChurnPerK: *brkChurn,
-				TripAfter: *brkAfter,
-				Cooldown:  *brkCooldown,
 			},
 			QuarantineAfter:  *quarAfter,
 			NoVerify:         *noVerify,
@@ -372,15 +366,15 @@ func newDebugMux() *http.ServeMux {
 // readiness classifies the service for orchestrators: "healthy" and
 // "degraded" both accept traffic (200); "draining" tells the balancer to
 // stop sending (503). Degraded means the service is up but some governor
-// has engaged — open breakers, quarantined programs, or a queue running at
-// three quarters of capacity.
+// has engaged — a program demoted to the plain arm, quarantined programs, or
+// a queue running at three quarters of capacity.
 func readiness(snap serve.Snapshot) (int, api.ReadyResponse) {
 	status := "healthy"
 	code := http.StatusOK
 	switch {
 	case snap.Draining:
 		status, code = "draining", http.StatusServiceUnavailable
-	case snap.OpenBreakers > 0 || snap.QuarantinedPrograms > 0 ||
+	case snap.PlainPrograms > 0 || snap.QuarantinedPrograms > 0 ||
 		(snap.QueueCap > 0 && snap.QueueDepth*4 >= snap.QueueCap*3):
 		status = "degraded"
 	}
@@ -389,8 +383,7 @@ func readiness(snap serve.Snapshot) (int, api.ReadyResponse) {
 		Status:              status,
 		QueueDepth:          snap.QueueDepth,
 		QueueCap:            snap.QueueCap,
-		OpenBreakers:        snap.OpenBreakers,
-		HalfOpenBreakers:    snap.HalfOpenBreakers,
+		PlainPrograms:       snap.PlainPrograms,
 		QuarantinedPrograms: snap.QuarantinedPrograms,
 	}
 }

@@ -98,6 +98,8 @@ func TestRunEndpointErrors(t *testing.T) {
 		{name: "bad json", body: `{`, status: http.StatusBadRequest},
 		{name: "bad mode", body: `{"workload":"soot","mode":"warp"}`, status: http.StatusBadRequest},
 		{name: "bad kind", body: `{"source":"x","kind":"cobol"}`, status: http.StatusBadRequest},
+		// Deployment mode is the server's choice, not the client's.
+		{name: "deploy mode", body: `{"workload":"soot","mode":"trace-deploy"}`, status: http.StatusBadRequest},
 		{name: "no program", body: `{}`, status: http.StatusUnprocessableEntity},
 		{name: "compile error", body: `{"source":"class {"}`, status: http.StatusUnprocessableEntity},
 		{name: "stack underflow", body: `{"kind":"jasm","source":".class Main\n.method static main ( ) void\n iadd\n return\n.end\n.end\n.entry Main main\n"}`,
@@ -234,6 +236,52 @@ func TestReadyzDegradedByQuarantine(t *testing.T) {
 	}
 }
 
+// calmLoop is an inline program whose runs churn far below the mode
+// controller's storm threshold.
+const calmLoop = `{"source":"class Main { static void main() { int i = 0; while (i < 2000) { i = i + 1; } Sys.printlnInt(i); } }","mode":"trace"}`
+
+// TestReadyzDegradedByPlainArm: a signal storm that demotes a program to the
+// plain arm degrades readiness, and the demoted runs answer mode "plain".
+func TestReadyzDegradedByPlainArm(t *testing.T) {
+	srv, _ := newTestServer(t, serve.Config{
+		Workers: 1,
+		Injector: serve.InjectorFuncs{
+			After: func(_ serve.Request, sess *core.Session) {
+				if sess.Graph != nil {
+					sess.Counters.TracesBuilt += 10000
+				}
+			},
+		},
+	})
+	for i := 0; i < 3; i++ {
+		if _, m := postRun(t, srv.URL, calmLoop); m["mode"] != "trace" {
+			t.Fatalf("storm run %d answered mode %v, want trace", i, m["mode"])
+		}
+	}
+	resp, m := getJSON(t, srv.URL+"/v1/readyz")
+	if resp.StatusCode != http.StatusOK || m["status"] != "degraded" || m["plainPrograms"] != 1.0 {
+		t.Errorf("readyz after a storm: status %d, body %v", resp.StatusCode, m)
+	}
+	if _, m := postRun(t, srv.URL, calmLoop); m["mode"] != "plain" || m["output"] != "2000\n" {
+		t.Errorf("demoted run answered mode %v output %q", m["mode"], m["output"])
+	}
+}
+
+// TestRunAnswersDeployMode: after three calm "trace" runs the program runs
+// deployed, and the answer names the mode that ran.
+func TestRunAnswersDeployMode(t *testing.T) {
+	srv, _ := newTestServer(t, serve.Config{Workers: 1})
+	for i, want := range []string{"trace", "trace", "trace", "trace-deploy"} {
+		if _, m := postRun(t, srv.URL, calmLoop); m["mode"] != want {
+			t.Errorf("run %d answered mode %v, want %s", i, m["mode"], want)
+		}
+	}
+	resp, m := getJSON(t, srv.URL+"/v1/readyz")
+	if resp.StatusCode != http.StatusOK || m["status"] != "healthy" {
+		t.Errorf("readyz with a deployed program: status %d, body %v", resp.StatusCode, m)
+	}
+}
+
 func TestReadyzDrainingAfterClose(t *testing.T) {
 	svc := serve.New(serve.Config{Workers: 1})
 	srv := httptest.NewServer(newMux(svc))
@@ -313,7 +361,12 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestParseModeAllFive(t *testing.T) {
+// TestParseModeWireNames: the four client-chosen modes parse, the empty
+// mode means trace, and deployment mode is not a wire name.
+func TestParseModeWireNames(t *testing.T) {
+	if len(api.ModeNames) != 4 {
+		t.Errorf("ModeNames = %v, want plain, instr, profile, trace", api.ModeNames)
+	}
 	for name, want := range api.ModeNames {
 		got, err := api.ParseMode(name)
 		if err != nil || got != want {
@@ -323,8 +376,10 @@ func TestParseModeAllFive(t *testing.T) {
 	if m, err := api.ParseMode(""); err != nil || m != core.ModeTrace {
 		t.Errorf("default mode = %v, %v", m, err)
 	}
-	if _, err := api.ParseMode("warp"); err == nil {
-		t.Error("ParseMode(warp) succeeded")
+	for _, name := range []string{"warp", "trace-deploy"} {
+		if _, err := api.ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%s) succeeded", name)
+		}
 	}
 }
 

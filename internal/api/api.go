@@ -91,7 +91,6 @@ type RunResponse struct {
 	NumTraces int            `json:"numTraces"`
 	BCGNodes  int            `json:"bcgNodes"`
 	Cached    int            `json:"cachedBlocks"`
-	Demoted   bool           `json:"demoted,omitempty"`
 	WallMs    float64        `json:"wallMs"`
 }
 
@@ -108,7 +107,6 @@ func RunResponseFrom(resp *serve.Response) RunResponse {
 		NumTraces: resp.NumTraces,
 		BCGNodes:  resp.BCGNodes,
 		Cached:    resp.CachedBlocks,
-		Demoted:   resp.Demoted,
 		WallMs:    float64(resp.Wall) / float64(time.Millisecond),
 	}
 }
@@ -242,18 +240,17 @@ type ReadyResponse struct {
 	Status              string `json:"status"`
 	QueueDepth          int    `json:"queueDepth"`
 	QueueCap            int    `json:"queueCap"`
-	OpenBreakers        int    `json:"openBreakers"`
-	HalfOpenBreakers    int    `json:"halfOpenBreakers"`
+	PlainPrograms       int    `json:"plainPrograms"`
 	QuarantinedPrograms int    `json:"quarantinedPrograms"`
 }
 
-// ModeNames maps wire mode names to dispatch modes.
+// ModeNames maps wire mode names to dispatch modes. Deployment mode is not
+// among them: the server moves a calm "trace" program there itself.
 var ModeNames = map[string]core.Mode{
-	"plain":        core.ModePlain,
-	"instr":        core.ModeInstr,
-	"profile":      core.ModeProfile,
-	"trace":        core.ModeTrace,
-	"trace-deploy": core.ModeTraceDeploy,
+	"plain":   core.ModePlain,
+	"instr":   core.ModeInstr,
+	"profile": core.ModeProfile,
+	"trace":   core.ModeTrace,
 }
 
 // ParseMode maps a wire mode name to a dispatch mode; empty defaults to
@@ -265,5 +262,5 @@ func ParseMode(s string) (core.Mode, error) {
 	if m, ok := ModeNames[s]; ok {
 		return m, nil
 	}
-	return 0, fmt.Errorf("unknown mode %q (plain, instr, profile, trace, trace-deploy)", s)
+	return 0, fmt.Errorf("unknown mode %q (plain, instr, profile, trace)", s)
 }

@@ -30,15 +30,19 @@ func TestSnakeCase(t *testing.T) {
 }
 
 func TestRunRequestToServe(t *testing.T) {
-	req, err := RunRequest{Workload: "soot", Mode: "trace-deploy", Kind: "jasm", TimeoutMs: 250}.ToServe()
+	req, err := RunRequest{Workload: "soot", Mode: "profile", Kind: "jasm", TimeoutMs: 250}.ToServe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Mode != core.ModeTraceDeploy || req.Kind != serve.KindJasm || req.Timeout != 250*time.Millisecond {
+	if req.Mode != core.ModeProfile || req.Kind != serve.KindJasm || req.Timeout != 250*time.Millisecond {
 		t.Errorf("conversion lost fields: %+v", req)
 	}
-	if _, err := (RunRequest{Mode: "warp"}).ToServe(); err == nil {
-		t.Error("bad mode accepted")
+	// Deployment mode is the server's to choose, so a client naming it is
+	// refused like any unknown mode (400 on the wire).
+	for _, mode := range []string{"warp", "trace-deploy"} {
+		if _, err := (RunRequest{Mode: mode}).ToServe(); err == nil {
+			t.Errorf("mode %q accepted", mode)
+		}
 	}
 	if _, err := (RunRequest{Kind: "cobol"}).ToServe(); err == nil {
 		t.Error("bad kind accepted")
@@ -59,9 +63,12 @@ func TestWriteMetricsHistogramAndLabels(t *testing.T) {
 		ShardsMerged: 9,
 		Global:       stats.Counters{Instrs: 1234, BlockDispatches: 99},
 		PerProgram: map[string]serve.ProgramStats{
-			"zeta":  {Breaker: "open"},
-			"alpha": {Breaker: "closed"},
+			"zeta":  {Mode: "plain"},
+			"alpha": {Mode: "trace-deploy"},
+			"omega": {},
 		},
+		ModeMoves:     serve.ModeMoves{Plain: 1, Trace: 2, Deploy: 3},
+		PlainPrograms: 1,
 		Latency: []serve.LatencyBucket{
 			{UpperMs: 1, Count: 3},
 			{UpperMs: 2, Count: 1},
@@ -90,16 +97,24 @@ func TestWriteMetricsHistogramAndLabels(t *testing.T) {
 		`tracevm_request_latency_ms_bucket{le="+Inf"} 5`,
 		"tracevm_request_latency_ms_sum 7",
 		"tracevm_request_latency_ms_count 5",
-		// Labeled breaker states in sorted program order.
-		`tracevm_breaker_state{program="alpha"} 0`,
-		`tracevm_breaker_state{program="zeta"} 1`,
+		// Mode-controller moves per arm and the demoted-program gauge.
+		`tracevm_mode_transitions_total{arm="plain"} 1`,
+		`tracevm_mode_transitions_total{arm="trace"} 2`,
+		`tracevm_mode_transitions_total{arm="trace-deploy"} 3`,
+		"tracevm_programs_plain 1",
+		// Labeled arms in sorted program order.
+		`tracevm_program_mode{program="alpha"} 2`,
+		`tracevm_program_mode{program="zeta"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
 	if strings.Index(out, `program="alpha"`) > strings.Index(out, `program="zeta"`) {
-		t.Error("breaker states not sorted by program")
+		t.Error("program modes not sorted by program")
+	}
+	if strings.Contains(out, `program="omega"`) {
+		t.Error("a program no profiled request ran reports a mode")
 	}
 }
 

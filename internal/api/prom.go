@@ -15,7 +15,8 @@ import (
 // format (version 0.0.4). Every stats.Counters field is exported via a
 // reflection walk — adding a counter to stats automatically adds a series
 // here — plus the serve layer's request accounting, pool/registry gauges,
-// breaker states, event-ring gauges, and the request latency histogram.
+// mode-controller state, event-ring gauges, and the request latency
+// histogram.
 func WriteMetrics(w io.Writer, snap serve.Snapshot) error {
 	pw := &promWriter{w: w}
 
@@ -51,12 +52,12 @@ func WriteMetrics(w io.Writer, snap serve.Snapshot) error {
 	pw.counter("tracevm_quarantined_requests_total", "requests refused because the program is quarantined", float64(snap.Quarantined))
 	pw.counter("tracevm_requests_recorded_total", "submissions captured by the record/replay tap", float64(snap.RecordedRequests))
 
-	// Breaker accounting and current states.
-	pw.counter("tracevm_breaker_trips_total", "churn breaker transitions into open", float64(snap.BreakerTrips))
-	pw.counter("tracevm_breaker_demotions_total", "profiled runs demoted to plain dispatch", float64(snap.BreakerDemoted))
-	pw.counter("tracevm_breaker_probes_total", "half-open probe runs admitted", float64(snap.BreakerProbes))
-	pw.gauge("tracevm_breakers_open", "programs with an open churn breaker", float64(snap.OpenBreakers))
-	pw.gauge("tracevm_breakers_half_open", "programs with a half-open churn breaker", float64(snap.HalfOpenBreakers))
+	// Mode-controller moves per arm, and the governors' gauges.
+	pw.header("tracevm_mode_transitions_total", "mode-controller moves into each arm", "counter")
+	pw.labeled("tracevm_mode_transitions_total", "arm", "plain", float64(snap.ModeMoves.Plain))
+	pw.labeled("tracevm_mode_transitions_total", "arm", "trace", float64(snap.ModeMoves.Trace))
+	pw.labeled("tracevm_mode_transitions_total", "arm", "trace-deploy", float64(snap.ModeMoves.Deploy))
+	pw.gauge("tracevm_programs_plain", "programs a signal storm holds in the plain arm", float64(snap.PlainPrograms))
 	pw.gauge("tracevm_programs_quarantined", "programs past the panic quarantine threshold", float64(snap.QuarantinedPrograms))
 
 	// Pool, registry, and event-ring state.
@@ -79,26 +80,26 @@ func WriteMetrics(w io.Writer, snap serve.Snapshot) error {
 	pw.counter("tracevm_epoch_merges_total", "completed epoch merges of per-worker profiler shards", float64(snap.EpochMerges))
 	pw.counter("tracevm_epoch_shards_merged_total", "shards absorbed across all epoch merges", float64(snap.ShardsMerged))
 
-	// Per-program breaker state, one labeled gauge per program
-	// (0=closed, 1=open, 2=half-open), in sorted order for stable output.
+	// Per-program mode-controller arm, one labeled gauge per program
+	// (0=plain, 1=trace, 2=trace-deploy), in sorted order for stable output.
 	names := make([]string, 0, len(snap.PerProgram))
 	for name, ps := range snap.PerProgram {
-		if ps.Breaker != "" {
+		if ps.Mode != "" {
 			names = append(names, name)
 		}
 	}
 	if len(names) > 0 {
 		sort.Strings(names)
-		pw.header("tracevm_breaker_state", "per-program breaker state (0=closed, 1=open, 2=half-open)", "gauge")
+		pw.header("tracevm_program_mode", "per-program mode-controller arm (0=plain, 1=trace, 2=trace-deploy)", "gauge")
 		for _, name := range names {
 			var v float64
-			switch snap.PerProgram[name].Breaker {
-			case "open":
+			switch snap.PerProgram[name].Mode {
+			case "trace":
 				v = 1
-			case "half-open":
+			case "trace-deploy":
 				v = 2
 			}
-			pw.labeled("tracevm_breaker_state", "program", name, v)
+			pw.labeled("tracevm_program_mode", "program", name, v)
 		}
 	}
 

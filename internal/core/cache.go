@@ -89,8 +89,8 @@ type Cache struct {
 
 	// seeding marks registrations driven by SeedTraces (snapshot warm
 	// start): they count as seeded, not built/reused, and emit no lifecycle
-	// events — a warm start is restored state, not churn, and must not trip
-	// churn-based breakers.
+	// events — a warm start is restored state, not churn, and must not
+	// demote the program in the serving layer's mode controller.
 	seeding bool
 
 	// prover, when set, stamps every newly built trace with static guard

@@ -41,7 +41,8 @@ const (
 )
 
 // Profiled reports whether the mode attaches the BCG profiler and therefore
-// constructs traces — the modes the serving layer's churn breaker governs.
+// constructs traces — the modes whose requests the serving layer's mode
+// controller runs measured, deployed or plain.
 func (m Mode) Profiled() bool { return m != ModePlain && m != ModeInstr }
 
 func (m Mode) String() string {

@@ -54,20 +54,17 @@ func saveArtifactsOnFailure(t *testing.T, s *serve.Service) {
 	})
 }
 
-// TestBreakerTripMidEpochNoStrandedDeltas: a breaker trip demotes the
-// program to plain dispatch while its tracing-phase learning sits in
-// unmerged shards. Every snapshot-writer trigger but drain is disabled, so
+// TestBreakerTripMidEpochNoStrandedDeltas: a storm demotion (the mode
+// controller's move to its plain arm, which replaced the churn breaker's
+// trip) leaves the program's tracing-phase learning in unmerged shards. Every snapshot-writer trigger but drain is disabled, so
 // the drain commit must merge those shards and carry the learning to disk.
 func TestBreakerTripMidEpochNoStrandedDeltas(t *testing.T) {
 	storm := &Storm{Seed: 99}
 	storm.SetEnabled(true)
-	clk := NewClock(time.Unix(1_000_000, 0))
 	dir := t.TempDir()
 	s := newService(t, serve.Config{
 		Workers:          2,
 		TraceCache:       core.Config{MaxTraces: 4, MaxCachedBlocks: 48},
-		Breaker:          serve.BreakerConfig{ChurnPerK: 8, TripAfter: 2, Cooldown: time.Minute},
-		Clock:            clk.Now,
 		Injector:         &Faults{Storm: storm},
 		EventTrace:       512,
 		SnapshotDir:      dir,       // persistence on...
@@ -86,10 +83,10 @@ func TestBreakerTripMidEpochNoStrandedDeltas(t *testing.T) {
 		if resp.Output != loopOutput {
 			t.Fatalf("storm run %d output = %q, want %q", i, resp.Output, loopOutput)
 		}
-		tripped = s.Stats().BreakerTrips > 0
+		tripped = s.Stats().ModeMoves.Plain > 0
 	}
 	if !tripped {
-		t.Fatal("breaker never tripped under the signal storm")
+		t.Fatal("the signal storm never demoted the program")
 	}
 
 	// Drain. The writer's final flush pulls the merged view through the

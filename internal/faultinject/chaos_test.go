@@ -90,27 +90,24 @@ func TestStormRespectsBudgetsAndInvariants(t *testing.T) {
 }
 
 // TestStormBreakerRecovery is the acceptance chaos scenario: under an
-// injected signal storm the cache stays within budget, the churn breaker
-// trips (visible in the service metrics), demoted block-dispatch results
-// stay correct, and once the storm ends the program returns to traced
-// execution.
+// injected signal storm the cache stays within budget, the program's mode
+// controller trips to its plain arm (visible in the service metrics),
+// demoted block-dispatch results stay correct, and once the storm ends a
+// probe returns the program to traced execution. Every step is counted in
+// runs; no clock is involved.
 func TestStormBreakerRecovery(t *testing.T) {
 	storm := &Storm{Seed: 99}
 	storm.SetEnabled(true)
-	clk := NewClock(time.Unix(1_000_000, 0))
-	const cooldown = time.Minute
 	const maxBlocks = 48
 	s := newService(t, serve.Config{
 		Workers:    2,
 		TraceCache: core.Config{MaxTraces: 4, MaxCachedBlocks: maxBlocks},
-		Breaker:    serve.BreakerConfig{ChurnPerK: 8, TripAfter: 2, Cooldown: cooldown},
-		Clock:      clk.Now,
 		Injector:   &Faults{Storm: storm},
 	})
 	saveArtifactsOnFailure(t, s)
 	req := serve.Request{Source: loopSource, Mode: core.ModeTrace}
 
-	// Phase 1: the storm rages. Within a few runs the breaker must trip;
+	// Phase 1: the storm rages. Within a few runs the controller must trip;
 	// every result — traced or demoted — must stay correct.
 	tripped := false
 	for i := 0; i < 10 && !tripped; i++ {
@@ -124,10 +121,10 @@ func TestStormBreakerRecovery(t *testing.T) {
 		if resp.CachedBlocks > maxBlocks {
 			t.Fatalf("storm run %d: cache over budget: %d > %d", i, resp.CachedBlocks, maxBlocks)
 		}
-		tripped = s.Stats().BreakerTrips > 0
+		tripped = s.Stats().ModeMoves.Plain > 0
 	}
 	if !tripped {
-		t.Fatal("breaker never tripped under the signal storm")
+		t.Fatal("the mode controller never tripped under the signal storm")
 	}
 	if v := storm.Violations(); v != 0 {
 		t.Fatalf("%d cache invariant violations: %v", v, storm.Err())
@@ -137,37 +134,57 @@ func TestStormBreakerRecovery(t *testing.T) {
 		t.Error("no evictions despite storm under budget")
 	}
 
-	// Phase 2: the breaker is open — runs demote to plain dispatch and
-	// still compute the right answer.
+	// Phase 2: the program is in the plain arm — runs demote to plain
+	// dispatch and still compute the right answer.
 	resp, err := s.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Demoted || resp.Mode != core.ModePlain {
-		t.Fatalf("open breaker: demoted=%v mode=%v", resp.Demoted, resp.Mode)
+	if resp.Mode != core.ModePlain {
+		t.Fatalf("tripped program ran in mode %v, want plain", resp.Mode)
 	}
 	if resp.Output != loopOutput {
 		t.Fatalf("demoted output = %q, want %q", resp.Output, loopOutput)
 	}
-
-	// Phase 3: the storm ends and the cool-down passes. The half-open
-	// probe runs traced, measures calm churn, and the breaker closes —
-	// the program is back to traced execution.
-	storm.SetEnabled(false)
-	clk.Advance(cooldown + time.Second)
-	probe, err := s.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	if got := s.Stats().PlainPrograms; got != 1 {
+		t.Errorf("PlainPrograms = %d, want 1", got)
 	}
-	if probe.Demoted || probe.Mode != core.ModeTrace {
-		t.Fatalf("probe: demoted=%v mode=%v, want traced", probe.Demoted, probe.Mode)
+
+	// Phase 3: the storm ends. The program stays demoted for a fixed number
+	// of runs, then probes in measurement mode; the probe measures calm
+	// churn and the program is back to traced execution.
+	storm.SetEnabled(false)
+	demoted := 1
+	var probe *serve.Response
+	for probe == nil {
+		r, err := s.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Output != loopOutput {
+			t.Fatalf("demoted output = %q, want %q", r.Output, loopOutput)
+		}
+		switch {
+		case r.Mode != core.ModePlain:
+			probe = r
+		case demoted > 1000:
+			t.Fatal("no probe after 1000 demoted runs")
+		default:
+			demoted++
+		}
+	}
+	if demoted < 2 {
+		t.Errorf("probed after %d demoted run, want a stay in the plain arm", demoted)
+	}
+	if probe.Mode != core.ModeTrace {
+		t.Fatalf("probe ran in mode %v, want trace", probe.Mode)
 	}
 	after, err := s.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Demoted {
-		t.Fatal("breaker still open after a calm probe")
+	if after.Mode == core.ModePlain {
+		t.Fatal("program demoted again after a calm probe")
 	}
 	if after.NumTraces == 0 || after.Counters.TraceDispatches == 0 {
 		t.Errorf("no traced execution after recovery: traces=%d dispatches=%d",

@@ -5,15 +5,10 @@
 // pressure — so the robustness machinery can be tested instead of trusted.
 //
 // Everything is deterministic by construction: randomness comes from a
-// seeded SplitMix64 stream and time from a manually advanced Clock, so a
-// failing chaos run replays exactly. The injectors plug into the serving
+// seeded SplitMix64 stream, and the serving layer's mode controller counts
+// runs rather than time, so a failing chaos run replays exactly. The injectors plug into the serving
 // layer through the serve.Injector seam and cost nothing when absent.
 package faultinject
-
-import (
-	"sync"
-	"time"
-)
 
 // Rand is a tiny seedable PRNG (SplitMix64). It is not safe for concurrent
 // use; derive one stream per injection site.
@@ -33,29 +28,3 @@ func (r *Rand) Uint64() uint64 {
 
 // Intn returns a value in [0, n).
 func (r *Rand) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
-
-// Clock is a manually advanced time source, the deterministic stand-in for
-// time.Now in breaker cool-down tests. The zero value starts at the zero
-// time; all methods are safe for concurrent use.
-type Clock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewClock returns a clock frozen at start.
-func NewClock(start time.Time) *Clock { return &Clock{now: start} }
-
-// Now returns the current frozen instant; pass the method value as a
-// serve.Config.Clock.
-func (c *Clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d.
-func (c *Clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}

@@ -24,7 +24,7 @@ import (
 //
 // The injection happens after the program's own execution and before the
 // serving layer snapshots counters, so block-dispatch results are untouched
-// while the churn is fully visible to the circuit breaker. After each
+// while the churn is fully visible to the mode controller. After each
 // injection the trace cache's invariants are checked; violations are
 // counted and the first is retained.
 type Storm struct {

@@ -12,13 +12,15 @@ import (
 )
 
 // ReplayProgramCounts are the per-program counters a deterministic replay
-// must reproduce exactly: how often the program ran and what its runs did.
+// must reproduce exactly: how often the program ran, what its runs did, and
+// how often its mode controller moved between arms.
 type ReplayProgramCounts struct {
-	Runs            int64 `json:"runs"`
-	Instrs          int64 `json:"instrs"`
-	BlockDispatches int64 `json:"block_dispatches"`
-	TraceDispatches int64 `json:"trace_dispatches"`
-	TracesBuilt     int64 `json:"traces_built"`
+	Runs            int64           `json:"runs"`
+	Instrs          int64           `json:"instrs"`
+	BlockDispatches int64           `json:"block_dispatches"`
+	TraceDispatches int64           `json:"trace_dispatches"`
+	TracesBuilt     int64           `json:"traces_built"`
+	ModeMoves       serve.ModeMoves `json:"mode_moves"`
 }
 
 // ReplayVerifyReport is the outcome of replaying one traffic log repeatedly
@@ -44,9 +46,9 @@ type ReplayVerifyReport struct {
 // learns into the same shard in log order, and every epoch merge falls on
 // the same run), and no snapshot persistence (a warm start shifts block
 // dispatches into trace dispatches). The caller's Workers and QueueDepth are
-// overridden; its TraceCache settings are honoured. The breaker should be
-// left disabled (its cool-down probes are wall-clock dependent). Rounds run
-// concurrently, up to GOMAXPROCS at a time, each on its own service, so the
+// overridden; its TraceCache settings are honoured. Each program's mode
+// controller counts runs, not time, so its moves must replay exactly too.
+// Rounds run concurrently, up to GOMAXPROCS at a time, each on its own service, so the
 // one-worker shape does not leave the other cores idle.
 func VerifyReplayDeterminism(ctx context.Context, l *replay.Log, rounds int, cfg serve.Config) (*ReplayVerifyReport, error) {
 	if len(l.Records) == 0 {
@@ -115,6 +117,7 @@ func collectReplayCounts(svc *serve.Service) map[string]ReplayProgramCounts {
 			BlockDispatches: ps.Counters.BlockDispatches,
 			TraceDispatches: ps.Counters.TraceDispatches,
 			TracesBuilt:     ps.Counters.TracesBuilt,
+			ModeMoves:       ps.ModeMoves,
 		}
 	}
 	return out

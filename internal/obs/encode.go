@@ -43,11 +43,11 @@ func (enc *Encoder) AppendText(dst []byte, e Event) []byte {
 		dst = strconv.AppendInt(dst, int64(e.TraceID), 10)
 		dst = append(dst, " heat="...)
 		dst = strconv.AppendInt(dst, e.Val, 10)
-	case EvBreaker:
+	case EvMode:
 		dst = append(dst, ' ')
-		dst = append(dst, breakerName(e.Old)...)
+		dst = append(dst, modeName(e.Old)...)
 		dst = append(dst, "->"...)
-		dst = append(dst, breakerName(e.New)...)
+		dst = append(dst, modeName(e.New)...)
 	case EvQuarantine:
 		dst = append(dst, " panics="...)
 		dst = strconv.AppendInt(dst, e.Val, 10)
@@ -134,15 +134,16 @@ func stateName(s uint8) string {
 	return "invalid"
 }
 
-// breakerName mirrors serve.BreakerState names, same leaf-package reason.
-func breakerName(s uint8) string {
-	switch s {
+// modeName mirrors the names of core.Mode's controller arms, same
+// leaf-package reason.
+func modeName(m uint8) string {
+	switch m {
 	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
+		return "plain"
+	case 3:
+		return "trace"
+	case 4:
+		return "trace-deploy"
 	}
 	return "invalid"
 }

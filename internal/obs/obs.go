@@ -1,7 +1,7 @@
 // Package obs is the zero-allocation observability layer: a fixed-size
 // ring-buffer event trace recording *when* the dynamic system changed state
 // — a BCG node crossed the correlated/weak boundary, a trace was built,
-// retired or evicted, a circuit breaker moved, a program was quarantined,
+// retired or evicted, a program's mode controller moved, a program was quarantined,
 // the request queue saturated — where the counters in package stats only
 // record *how often*.
 //
@@ -53,18 +53,15 @@ const (
 	// EvTraceEvicted: the cache budget evicted a trace. TraceID is the
 	// victim, Val its heat score at eviction.
 	EvTraceEvicted
-	// EvBreaker: a program's churn circuit breaker changed state. Old/New
-	// are serve breaker states (closed=0, open=1, half-open=2).
-	EvBreaker
+	// EvMode: a program's mode controller moved to another arm. Old/New
+	// are the arms' core.Mode values (plain=0, trace=3, trace-deploy=4).
+	EvMode
 	// EvQuarantine: a program crossed the panic threshold and is refused
 	// from now on. Val is the panic count.
 	EvQuarantine
 	// EvQueueSaturated: a request was rejected with ErrQueueFull. Val is
 	// the queue depth at rejection.
 	EvQueueSaturated
-	// EvDemoted: an open breaker forced a profiled run down to plain block
-	// dispatch.
-	EvDemoted
 	// EvSnapshotSaved: a program's learned profile was committed to durable
 	// storage. Val is the snapshot's node count.
 	EvSnapshotSaved
@@ -92,10 +89,9 @@ var eventTypeNames = [numEventTypes]string{
 	EvTraceReused:    "trace-reused",
 	EvTraceRetired:   "trace-retired",
 	EvTraceEvicted:   "trace-evicted",
-	EvBreaker:        "breaker",
+	EvMode:           "mode",
 	EvQuarantine:     "quarantine",
 	EvQueueSaturated: "queue-saturated",
-	EvDemoted:        "demoted",
 
 	EvSnapshotSaved:       "snapshot-saved",
 	EvSnapshotLoaded:      "snapshot-loaded",
@@ -162,8 +158,8 @@ type Event struct {
 	UnixNano int64 `json:"unixNano"`
 	// Type says what changed.
 	Type EventType `json:"type"`
-	// Old and New carry a state transition (profile.State or breaker
-	// state), when the type has one.
+	// Old and New carry a state transition (profile.State or mode
+	// controller arm), when the type has one.
 	Old uint8 `json:"old,omitempty"`
 	New uint8 `json:"new,omitempty"`
 	// X, Y are the BCG block pair for node events; NoID otherwise.

@@ -41,19 +41,19 @@ func TestRingTailOrderAndOverwrite(t *testing.T) {
 func TestRingBeforeWrap(t *testing.T) {
 	r := NewRing(8)
 	r.Emit(Event{Type: EvQuarantine})
-	r.Emit(Event{Type: EvDemoted})
+	r.Emit(Event{Type: EvMode})
 	if r.Len() != 2 || r.Total() != 2 {
 		t.Errorf("Len/Total = %d/%d, want 2/2", r.Len(), r.Total())
 	}
 	tail := r.Tail(nil, 0)
-	if len(tail) != 2 || tail[0].Type != EvQuarantine || tail[1].Type != EvDemoted {
+	if len(tail) != 2 || tail[0].Type != EvQuarantine || tail[1].Type != EvMode {
 		t.Errorf("tail = %+v", tail)
 	}
 }
 
 func TestNilRingIsInert(t *testing.T) {
 	var r *Ring
-	r.Emit(Event{Type: EvBreaker}) // must not panic
+	r.Emit(Event{Type: EvMode}) // must not panic
 	if r.Len() != 0 || r.Total() != 0 || r.Cap() != 0 {
 		t.Error("nil ring reports held events")
 	}
@@ -130,7 +130,8 @@ func TestEncoderTextShape(t *testing.T) {
 			[]string{"000007", "node-state", "(1,2)", "weak->strong", "best=3", "[p]"}},
 		{Event{Type: EvTraceBuilt, TraceID: 4, Val: 9}, []string{"trace-built", "trace=4", "blocks=9"}},
 		{Event{Type: EvTraceEvicted, TraceID: 2, Val: 17}, []string{"trace-evicted", "trace=2", "heat=17"}},
-		{Event{Type: EvBreaker, Old: 0, New: 1}, []string{"breaker", "closed->open"}},
+		{Event{Type: EvMode, Old: 3, New: 0}, []string{"mode", "trace->plain"}},
+		{Event{Type: EvMode, Old: 3, New: 4}, []string{"mode", "trace->trace-deploy"}},
 		{Event{Type: EvQuarantine, Val: 3}, []string{"quarantine", "panics=3"}},
 		{Event{Type: EvQueueSaturated, Val: 64}, []string{"queue-saturated", "depth=64"}},
 	}

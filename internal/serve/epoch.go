@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
 // This file is the serving layer's side of multicore scale-out, and the one
@@ -65,6 +66,8 @@ type shardSet struct {
 	// dirty marks runs released since the last merge began: merged may lag
 	// the shards, so a fresh shard merges before it seeds.
 	dirty atomic.Bool
+	// ctl picks the mode of the set's profiled runs (see mode.go).
+	ctl modeController
 }
 
 // epochCoordinator owns every program's shard sets and performs the merges.
@@ -92,15 +95,6 @@ func newEpochCoordinator(workers int, conf core.Config, ring *obs.Ring) *epochCo
 		ring:    ring,
 		sets:    make(map[string][]*shardSet),
 	}
-}
-
-// acquire locks and returns workerID's shard in the program's set for
-// params, creating the set on first sight.
-func (ec *epochCoordinator) acquire(comp *Compiled, params profile.Params, workerID int) (*workerShard, *shardSet) {
-	set := ec.setFor(comp, params)
-	sh := set.shards[workerID]
-	sh.mu.Lock()
-	return sh, set
 }
 
 // find returns the program's set for params, nil if there is none. Callers
@@ -131,6 +125,7 @@ func (ec *epochCoordinator) setFor(comp *Compiled, params profile.Params) *shard
 		persist: len(ec.sets[comp.Key]) == 0,
 		shards:  make([]*workerShard, ec.workers),
 	}
+	set.ctl.state.Store(packArm(core.ModeTrace, 0))
 	if comp.Facts != nil && comp.CFG != nil {
 		set.prover = valueflow.NewOracle(comp.Facts, comp.CFG)
 	}
@@ -194,19 +189,34 @@ func (ec *epochCoordinator) discard(sh *workerShard) {
 	}
 }
 
-// release unlocks a shard after a run, notes the run's learning delta toward
-// the snapshot writer's threshold, and marks the set dirty for the merged
-// view's next reader. The delta is noted only once the shard is unlocked, so
-// the commit it may trigger can absorb this run. It runs after every
+// release ends a profiled request's run in mode ran: it unlocks the run's
+// shard (nil if demoted) and marks the set dirty for the merged view's next
+// reader, then feeds the run's counters (nil if it failed) to the set's mode
+// controller and notes its learning delta toward the snapshot writer; a
+// commit that note triggers can absorb this run. It runs after every
 // profiled request, so it takes no lock and must not allocate.
 //
 //tracevm:hotpath
-func (ec *epochCoordinator) release(sh *workerShard, set *shardSet, delta int64) {
-	sh.mu.Unlock()
-	if delta > 0 && set.persist && ec.snaps != nil {
+func (ec *epochCoordinator) release(sh *workerShard, set *shardSet, ran core.Mode, ctr *stats.Counters) {
+	if sh != nil {
+		sh.mu.Unlock()
+		set.dirty.Store(true)
+	}
+	if ctr == nil {
+		return
+	}
+	if from, to := set.ctl.observe(ran, ctr); from != to {
+		ec.moved(set.name, from, to)
+	}
+	if delta := learnedDelta(ctr); delta > 0 && set.persist && ec.snaps != nil {
 		ec.snaps.noteDirty(set.key, delta)
 	}
-	set.dirty.Store(true)
+}
+
+// moved reports a mode controller's move from one arm to another.
+func (ec *epochCoordinator) moved(program string, from, to core.Mode) {
+	ec.ring.Emit(obs.Event{Type: obs.EvMode, Old: uint8(from), New: uint8(to),
+		X: obs.NoID, Y: obs.NoID, TraceID: obs.NoID, Program: program})
 }
 
 // merge absorbs every shard's current history into a fresh profiler,
@@ -311,16 +321,30 @@ func (ec *epochCoordinator) install(snap *snapshot.Snapshot) {
 	set.mu.Unlock()
 }
 
-// gauges reports (programs with a shard set, live shards, sets holding
-// merged state) for Stats.
-func (ec *epochCoordinator) gauges() (programs, shards, merged int) {
+// gauges fills in the snapshot's sharding gauges and each program's mode
+// controller state, and returns the number of sets holding merged state. A
+// program's Mode is its first set's arm; its moves sum over all its sets.
+func (ec *epochCoordinator) gauges(snap *Snapshot) (merged int) {
 	ec.mu.Lock()
-	programs = len(ec.sets)
+	snap.ShardPrograms = len(ec.sets)
 	var all []*shardSet
 	for _, sets := range ec.sets {
 		all = append(all, sets...)
+		p := snap.PerProgram[sets[0].name]
+		p.Mode = sets[0].ctl.arm().String()
+		plain := false
+		for _, set := range sets {
+			p.ModeMoves.add(&set.ctl)
+			snap.ModeMoves.add(&set.ctl)
+			plain = plain || set.ctl.arm() == core.ModePlain
+		}
+		if plain {
+			snap.PlainPrograms++
+		}
+		snap.PerProgram[sets[0].name] = p
 	}
 	ec.mu.Unlock()
+	snap.LiveShards = int(ec.liveShards.Load())
 	for _, set := range all {
 		set.mu.Lock()
 		if set.merged != nil {
@@ -328,5 +352,5 @@ func (ec *epochCoordinator) gauges() (programs, shards, merged int) {
 		}
 		set.mu.Unlock()
 	}
-	return programs, int(ec.liveShards.Load()), merged
+	return merged
 }

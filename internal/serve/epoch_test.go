@@ -141,7 +141,9 @@ func TestEpochShardsOverlappingProgram(t *testing.T) {
 // service that saw every run on one shard, and promotes the same traces.
 // (Raw counters differ with per-shard decay timing; the unique<->strong flip
 // is a non-change, so the comparison is the correlated bit plus the
-// predicted successor — exactly what the trace cache consumes.)
+// predicted successor — exactly what the trace cache consumes.) The runs
+// are ModeProfile requests, which the mode controller never deploys, so
+// both services learn from every block dispatch of every run.
 func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 	learned := func(workers int) *snapshot.Snapshot {
 		s := newTestService(t, Config{Workers: workers, QueueDepth: 32})
@@ -151,7 +153,7 @@ func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := s.Do(context.Background(), Request{Source: epochLoopSource, Mode: core.ModeTrace}); err != nil {
+				if _, err := s.Do(context.Background(), Request{Source: epochLoopSource, Mode: core.ModeProfile}); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -314,7 +316,9 @@ func TestFreshShardSeedsFromReleasedRuns(t *testing.T) {
 	ec, params := s.epochs, profile.DefaultParams()
 	run := func(w int) *core.Session {
 		t.Helper()
-		sh, set := ec.acquire(comp, params, w)
+		set := ec.setFor(comp, params)
+		sh := set.shards[w]
+		sh.mu.Lock()
 		prof, seed, err := ec.profiler(sh, set)
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +330,7 @@ func TestFreshShardSeedsFromReleasedRuns(t *testing.T) {
 		if err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}
-		ec.release(sh, set, learnedDelta(sess.Counters))
+		ec.release(sh, set, core.ModeTrace, sess.Counters)
 		return sess
 	}
 

@@ -23,7 +23,7 @@ type Injector interface {
 	// AfterRun runs after the program finishes but before counters are
 	// snapshotted, with the live session. The signal-storm injector uses it
 	// to slam the profiler with adversarial dispatch streams so the churn
-	// becomes visible to the breaker.
+	// becomes visible to the mode controller.
 	AfterRun(req Request, sess *core.Session)
 }
 

@@ -28,10 +28,11 @@ type ProgramStats struct {
 	Runs     int64
 	Counters stats.Counters
 	Metrics  stats.Metrics
-	// Breaker is the program's churn-breaker state ("closed", "open",
-	// "half-open"), or "" when the breaker is disabled or has never seen
-	// the program.
-	Breaker string
+	// Mode is the arm the program's mode controller is in ("trace",
+	// "trace-deploy" or "plain"), or "" before its first profiled request;
+	// ModeMoves counts the controller's moves into each arm.
+	Mode      string
+	ModeMoves ModeMoves
 }
 
 // Snapshot is a point-in-time, self-contained copy of the service's
@@ -59,15 +60,11 @@ type Snapshot struct {
 	// never enqueued.
 	Quarantined int64
 
-	// Churn-breaker accounting, summed over all per-program breakers.
-	BreakerTrips   int64 // transitions into the open state
-	BreakerDemoted int64 // profiled runs forced down to plain dispatch
-	BreakerProbes  int64 // half-open probe runs admitted
-	// OpenBreakers/HalfOpenBreakers count programs currently in each
-	// non-closed state; QuarantinedPrograms counts programs past the panic
-	// threshold.
-	OpenBreakers        int
-	HalfOpenBreakers    int
+	// ModeMoves sums every mode controller's moves into each arm;
+	// PlainPrograms counts programs a signal storm holds in the plain arm;
+	// QuarantinedPrograms counts programs past the panic threshold.
+	ModeMoves           ModeMoves
+	PlainPrograms       int
 	QuarantinedPrograms int
 
 	// Pool state at snapshot time. Draining is set once Close has begun.

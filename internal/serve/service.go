@@ -49,15 +49,11 @@ type Config struct {
 	// MaxTraces/MaxCachedBlocks budgets bound per-session cache growth
 	// (zero values: unbounded, paper defaults for the rest).
 	TraceCache core.Config
-	// Breaker configures the per-program churn circuit breaker
-	// (Breaker.ChurnPerK == 0 disables it).
+	// Deprecated: read by nothing; see BreakerConfig.
 	Breaker BreakerConfig
 	// QuarantineAfter rejects a program with ErrQuarantined once it has
 	// panicked the VM this many times (default 3; negative disables).
 	QuarantineAfter int
-	// Clock substitutes the time source for breaker cool-downs; tests use
-	// a manual clock for deterministic transitions (default time.Now).
-	Clock func() time.Time
 	// Injector, when non-nil, interposes on every run (see Injector). The
 	// fault-injection harness is its only intended user.
 	Injector Injector
@@ -66,7 +62,7 @@ type Config struct {
 	// registered).
 	NoVerify bool
 	// EventTrace is the capacity of the service's shared observability ring
-	// (0 disables event tracing). Sessions, breakers and the request path
+	// (0 disables event tracing). Sessions, mode controllers and the request path
 	// all emit into it; read a tail with Events. The ring is preallocated
 	// and emission never allocates, so an enabled trace on an idle or
 	// steady-state service costs nothing.
@@ -99,10 +95,6 @@ func (c *Config) fillDefaults() {
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	c.Breaker.fillDefaults()
 }
 
 // Request is one execution order. Exactly one of Workload (a built-in
@@ -113,7 +105,8 @@ type Request struct {
 	Source   string
 	Kind     SourceKind
 
-	// Mode is the dispatch configuration (zero value: ModePlain).
+	// Mode is the dispatch configuration (zero value: ModePlain); the mode
+	// controller decides how a profiled one runs (ModeTraceDeploy = ModeTrace).
 	Mode core.Mode
 	// Threshold overrides the trace completion threshold when non-zero.
 	Threshold float64
@@ -133,7 +126,7 @@ type Response struct {
 	// Program and Key identify the registry entry that ran.
 	Program string
 	Key     string
-	Mode    core.Mode
+	Mode    core.Mode // the mode the run dispatched in
 	// Output is everything the program printed.
 	Output string
 	// Counters is a quiescent snapshot of the session's raw event record;
@@ -147,9 +140,6 @@ type Response struct {
 	BCGNodes int
 	// CachedBlocks is the total block count held by live traces at exit.
 	CachedBlocks int
-	// Demoted reports that the churn breaker forced this run down to plain
-	// block dispatch; when set, Mode records the effective (plain) mode.
-	Demoted bool
 	// Wall is the session execution time (queueing excluded).
 	Wall time.Duration
 }
@@ -179,11 +169,6 @@ type Service struct {
 
 	mu     sync.RWMutex
 	closed bool
-
-	// breakers holds one churn breaker per registry entry, keyed by
-	// Compiled.Key; nil map when the breaker is disabled.
-	bmu      sync.Mutex
-	breakers map[string]*breaker
 
 	// panics counts recovered session panics per registry entry for the
 	// quarantine decision.
@@ -230,9 +215,6 @@ func New(cfg Config) *Service {
 		s.snaps = newSnapStore(cfg.SnapshotDir, cfg.SnapshotInterval, cfg.SnapshotNet, s.ring, s.epochs)
 	}
 	s.reg.NoVerify = cfg.NoVerify
-	if cfg.Breaker.ChurnPerK > 0 {
-		s.breakers = make(map[string]*breaker)
-	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker(i)
@@ -254,22 +236,6 @@ func (s *Service) resolve(req Request) (*Compiled, error) {
 		return s.reg.Source(req.Kind, req.Source)
 	}
 	return nil, errors.New("serve: request names no program")
-}
-
-// breakerFor returns the program's churn breaker, creating it on first use;
-// nil when the breaker is disabled.
-func (s *Service) breakerFor(comp *Compiled) *breaker {
-	if s.breakers == nil {
-		return nil
-	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	b := s.breakers[comp.Key]
-	if b == nil {
-		b = &breaker{cfg: s.cfg.Breaker, name: comp.Name, sink: s.ring}
-		s.breakers[comp.Key] = b
-	}
-	return b
 }
 
 // Events returns the newest n events from the service's shared ring, oldest
@@ -317,16 +283,6 @@ func (s *Service) notePanic(comp *Compiled) {
 			Val: int64(n), Program: comp.Name,
 		})
 	}
-}
-
-// churnPerK converts one run's counters to the breaker's churn metric:
-// trace construct+retire events per 1000 block dispatches.
-func churnPerK(ctr *stats.Counters) float64 {
-	d := ctr.BlockDispatches
-	if d < 1 {
-		d = 1
-	}
-	return 1000 * float64(ctr.TracesBuilt+ctr.TracesRetired) / float64(d)
 }
 
 // Do executes one request and blocks until it finishes, fails, or the
@@ -428,19 +384,6 @@ func (s *Service) Stats() Snapshot {
 	snap.Draining = s.closed
 	s.mu.RUnlock()
 
-	if s.breakers != nil {
-		states := make(map[string]string)
-		s.bmu.Lock()
-		for _, b := range s.breakers {
-			b.snapshotInto(&snap, states)
-		}
-		s.bmu.Unlock()
-		for name, st := range states {
-			p := snap.PerProgram[name]
-			p.Breaker = st
-			snap.PerProgram[name] = p
-		}
-	}
 	if s.cfg.QuarantineAfter >= 0 {
 		s.qmu.Lock()
 		for _, n := range s.panics {
@@ -450,8 +393,7 @@ func (s *Service) Stats() Snapshot {
 		}
 		s.qmu.Unlock()
 	}
-	var merged int
-	snap.ShardPrograms, snap.LiveShards, merged = s.epochs.gauges()
+	merged := s.epochs.gauges(&snap)
 	snap.EpochMerges = s.epochs.merges.Load()
 	snap.ShardsMerged = s.epochs.shardsMerged.Load()
 	if s.snaps != nil {
@@ -495,29 +437,8 @@ func (s *Service) worker(id int) {
 		if !j.state.CompareAndSwap(jobPending, jobRunning) {
 			continue // abandoned while queued; submitter accounted it
 		}
-		mode := j.req.Mode
-		var demote, probe bool
-		brk := s.breakerFor(j.comp)
-		if brk != nil {
-			demote, probe = brk.plan(s.cfg.Clock(), mode.Profiled())
-			if demote {
-				mode = core.ModePlain
-				s.ring.Emit(obs.Event{
-					Type: obs.EvDemoted,
-					X:    obs.NoID, Y: obs.NoID, TraceID: obs.NoID,
-					Program: j.comp.Name,
-				})
-			}
-		}
-		resp, err := s.runJob(j, mode, demote, id)
+		resp, err := s.runJob(j, id)
 		j.resp, j.err = resp, err
-		if brk != nil && mode.Profiled() {
-			churn := -1.0 // inconclusive: failed runs yield no counters
-			if err == nil {
-				churn = churnPerK(&resp.Counters)
-			}
-			brk.observe(s.cfg.Clock(), churn, demote, probe)
-		}
 		lat := time.Since(j.enqueued)
 		switch {
 		case err == nil:
@@ -564,32 +485,36 @@ func faulted(err error) bool {
 	return ok && t.Kind == vm.TrapBadProgram
 }
 
-// runJob executes one session, recovering panics into errors. mode is the
-// effective dispatch mode after any breaker demotion; demoted records it in
-// the response. workerID selects the worker's shard for a profiled run.
-func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (resp *Response, err error) {
-	// sh, once non-nil, is this run's locked shard. The deferred handler is
-	// the single release point: a clean (or failed-but-orderly) run releases
-	// it with its learning delta, marking the set dirty; a faulted
-	// run (see faulted) discards the profiler first, since the dispatch hook
-	// may have died mid-update and left the graph unusable — the worker's next
-	// run rebuilds the shard from the merged view. A panic inside
-	// vm.Machine.Run, the hook's included, arrives here as a TrapBadProgram
-	// error, not a panic.
+// runJob executes one session, recovering panics into errors. A profiled
+// request runs in the mode its program's mode controller picks, on the
+// worker's shard (workerID) unless the controller demoted it to plain.
+func (s *Service) runJob(j *job, workerID int) (resp *Response, err error) {
+	// set, once non-nil, is the shard set whose controller picked mode; sh,
+	// once non-nil, is this run's locked shard. The deferred handler is the
+	// single release point: a clean (or failed-but-orderly) run is released
+	// with its counters (nil on failure), which feed the controller and the
+	// snapshot writer; a faulted run (see faulted) discards the profiler
+	// first, since the dispatch hook may have died mid-update and left the
+	// graph unusable — the worker's next run rebuilds the shard from the
+	// merged view. A panic inside vm.Machine.Run, the hook's included,
+	// arrives here as a TrapBadProgram error, not a panic.
 	var sh *workerShard
 	var set *shardSet
-	var delta int64
+	mode := j.req.Mode
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, &panicError{val: r}
 		}
-		if sh != nil {
-			if faulted(err) {
-				s.epochs.discard(sh)
-				sh.mu.Unlock()
-			} else {
-				s.epochs.release(sh, set, delta)
+		switch {
+		case sh != nil && faulted(err):
+			s.epochs.discard(sh)
+			sh.mu.Unlock()
+		case set != nil:
+			var ctr *stats.Counters
+			if err == nil {
+				ctr = &resp.Counters
 			}
+			s.epochs.release(sh, set, mode, ctr)
 		}
 	}()
 	if s.cfg.Injector != nil {
@@ -605,6 +530,17 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 	}
 	if j.req.DecayInterval != 0 {
 		params.DecayInterval = j.req.DecayInterval
+	}
+	if mode == core.ModeTraceDeploy {
+		mode = core.ModeTrace // deployment is the controller's call
+	}
+	if mode.Profiled() {
+		// Invalid parameters must not leave a shard set behind.
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
+		set = s.epochs.setFor(j.comp, params)
+		mode = set.ctl.mode(mode)
 	}
 	maxSteps := j.req.MaxSteps
 	if s.cfg.MaxSteps > 0 && (maxSteps == 0 || maxSteps > s.cfg.MaxSteps) {
@@ -631,14 +567,11 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 		sopts.Sink = obs.Tagged{Sink: s.ring, Program: j.comp.Name}
 	}
 	if mode.Profiled() {
-		// Invalid parameters must not leave a shard set behind.
-		if err := params.Validate(); err != nil {
-			return nil, err
-		}
 		// Attach the session to this worker's persistent profiler in the
 		// program's set for these parameters. A fresh shard seeds from the
 		// set's merged view, so it starts from global knowledge, not cold.
-		sh, set = s.epochs.acquire(j.comp, params, workerID)
+		sh = set.shards[workerID]
+		sh.mu.Lock()
 		if sopts.Profiler, sopts.Snapshot, err = s.epochs.profiler(sh, set); err != nil {
 			return nil, err
 		}
@@ -661,7 +594,6 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 		Output:   out.String(),
 		Counters: sess.Counters.Snapshot(),
 		Metrics:  sess.Metrics(),
-		Demoted:  demoted,
 		Wall:     time.Since(start),
 	}
 	if sess.Cache != nil {
@@ -671,16 +603,14 @@ func (s *Service) runJob(j *job, mode core.Mode, demoted bool, workerID int) (re
 	if sess.Graph != nil {
 		resp.BCGNodes = sess.Graph.NumNodes()
 	}
-	// A fully warm, stable run has a zero delta: steady-state traffic never
-	// wakes the snapshot writer.
-	delta = learnedDelta(&resp.Counters)
 	return resp, nil
 }
 
 // learnedDelta measures how much a run changed the program's learned state:
 // organically created nodes (seeded ones restored existing knowledge),
 // profiler signals, and trace churn. It is the coalescing writer's commit
-// currency.
+// currency; a fully warm, stable run has a zero delta, so steady-state
+// traffic never wakes the snapshot writer.
 func learnedDelta(ctr *stats.Counters) int64 {
 	return (ctr.NodesCreated - ctr.NodesSeededFromSnapshot) +
 		ctr.Signals + ctr.TracesBuilt + ctr.TracesRetired

@@ -103,9 +103,11 @@ func WorkloadSource(name string) (string, error) {
 }
 
 // Params collects every tuning knob of the system in one value: the three
-// profiler parameters of the paper (§4), the trace-cache budgets, and the
-// serving layer's churn breaker. Zero-valued fields mean "keep the
-// default", so a partial literal overrides only what it names:
+// profiler parameters of the paper (§4) and the trace-cache budgets. A
+// Service has no mode knob: each program's mode controller moves it between
+// measurement, deployment and plain dispatch by itself. Zero-valued fields
+// mean "keep the default", so a partial literal overrides only what it
+// names:
 //
 //	vm, err := repro.NewVM(prog, repro.WithParams(repro.Params{Threshold: 0.9}))
 type Params struct {
@@ -120,9 +122,6 @@ type Params struct {
 	// MaxCachedBlocks bounds the total blocks held by live traces per
 	// session (default 0 = unbounded).
 	MaxCachedBlocks int
-	// Breaker tunes the per-program churn circuit breaker. It only takes
-	// effect through ServiceConfig (a single VM has no breaker).
-	Breaker BreakerConfig
 	// SnapshotPath names a profile snapshot file for warm starts. When the
 	// file exists, NewVM seeds the profiler and trace cache from it before
 	// the first dispatch; a missing file is a silent cold start, while a
@@ -133,14 +132,14 @@ type Params struct {
 }
 
 // DefaultParams returns the paper's configuration: threshold 0.97, start
-// delay 64, decay interval 256, unbounded cache budgets, breaker disabled.
+// delay 64, decay interval 256, unbounded cache budgets.
 func DefaultParams() Params {
 	d := profile.DefaultParams()
 	return Params{Threshold: d.Threshold, StartDelay: d.StartDelay, DecayInterval: d.DecayInterval}
 }
 
 // ServiceConfig seeds a service configuration from the parameters: the
-// cache budgets and breaker map directly; the per-run profiler fields
+// cache budgets map directly; the per-run profiler fields
 // (threshold, delay, decay) travel on each ServiceRequest instead.
 func (p Params) ServiceConfig() ServiceConfig {
 	return ServiceConfig{
@@ -148,7 +147,6 @@ func (p Params) ServiceConfig() ServiceConfig {
 			MaxTraces:       p.MaxTraces,
 			MaxCachedBlocks: p.MaxCachedBlocks,
 		},
-		Breaker: p.Breaker,
 	}
 }
 
@@ -383,12 +381,8 @@ func (v *VM) NumBCGNodes() int {
 type Service = serve.Service
 
 // ServiceConfig sizes and governs a Service: workers, queue depth, default
-// timeout, step cap, trace-cache budgets, the churn circuit breaker, and
-// panic quarantine.
+// timeout, step cap, trace-cache budgets, and panic quarantine.
 type ServiceConfig = serve.Config
-
-// BreakerConfig tunes the per-program churn circuit breaker.
-type BreakerConfig = serve.BreakerConfig
 
 // ServiceRequest is one execution order submitted to a Service.
 type ServiceRequest = serve.Request
@@ -424,7 +418,7 @@ var (
 func NewService(cfg ServiceConfig) *Service { return serve.New(cfg) }
 
 // Event is one typed observability record: a BCG node state transition, a
-// trace lifecycle step, or (in a Service) a breaker/quarantine/queue event.
+// trace lifecycle step, or (in a Service) a mode/quarantine/queue event.
 type Event = obs.Event
 
 // EventType discriminates observability events.
@@ -437,10 +431,9 @@ const (
 	EvTraceReused    = obs.EvTraceReused
 	EvTraceRetired   = obs.EvTraceRetired
 	EvTraceEvicted   = obs.EvTraceEvicted
-	EvBreaker        = obs.EvBreaker
+	EvMode           = obs.EvMode
 	EvQuarantine     = obs.EvQuarantine
 	EvQueueSaturated = obs.EvQueueSaturated
-	EvDemoted        = obs.EvDemoted
 	// Snapshot lifecycle (profile persistence).
 	EvSnapshotSaved    = obs.EvSnapshotSaved
 	EvSnapshotLoaded   = obs.EvSnapshotLoaded

@@ -177,8 +177,8 @@ func TestParamsDefaultsAndOverrideOrder(t *testing.T) {
 	if def.Threshold != 0.97 || def.StartDelay != 64 || def.DecayInterval != 256 {
 		t.Fatalf("DefaultParams = %+v", def)
 	}
-	if def.MaxTraces != 0 || def.MaxCachedBlocks != 0 || def.Breaker.ChurnPerK != 0 {
-		t.Fatalf("DefaultParams budgets/breaker not zero: %+v", def)
+	if def.MaxTraces != 0 || def.MaxCachedBlocks != 0 {
+		t.Fatalf("DefaultParams budgets not zero: %+v", def)
 	}
 	if got := repro.ResolvedParams(); got != def {
 		t.Errorf("no options: resolved %+v, want defaults %+v", got, def)
@@ -204,14 +204,10 @@ func TestParamsServiceConfig(t *testing.T) {
 	p := repro.Params{
 		MaxTraces:       5,
 		MaxCachedBlocks: 100,
-		Breaker:         repro.BreakerConfig{ChurnPerK: 8},
 	}
 	cfg := p.ServiceConfig()
 	if cfg.TraceCache.MaxTraces != 5 || cfg.TraceCache.MaxCachedBlocks != 100 {
 		t.Errorf("budgets not mapped: %+v", cfg.TraceCache)
-	}
-	if cfg.Breaker.ChurnPerK != 8 {
-		t.Errorf("breaker not mapped: %+v", cfg.Breaker)
 	}
 }
 
