@@ -48,8 +48,8 @@ type ReplayVerifyReport struct {
 // dispatches into trace dispatches). The caller's Workers and QueueDepth are
 // overridden; its TraceCache settings are honoured. Each program's mode
 // controller counts runs, not time, so its moves must replay exactly too.
-// Rounds run concurrently, up to GOMAXPROCS at a time, each on its own service, so the
-// one-worker shape does not leave the other cores idle.
+// Rounds run concurrently, up to GOMAXPROCS at a time, each on its own
+// service, so the one-worker shape does not leave the other cores idle.
 func VerifyReplayDeterminism(ctx context.Context, l *replay.Log, rounds int, cfg serve.Config) (*ReplayVerifyReport, error) {
 	if len(l.Records) == 0 {
 		return nil, fmt.Errorf("harness: empty traffic log")
