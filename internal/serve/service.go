@@ -62,10 +62,10 @@ type Config struct {
 	// registered).
 	NoVerify bool
 	// EventTrace is the capacity of the service's shared observability ring
-	// (0 disables event tracing). Sessions, mode controllers and the request path
-	// all emit into it; read a tail with Events. The ring is preallocated
-	// and emission never allocates, so an enabled trace on an idle or
-	// steady-state service costs nothing.
+	// (0 disables event tracing). Sessions, mode controllers and the
+	// request path all emit into it; read a tail with Events. The ring is
+	// preallocated and emission never allocates, so an enabled trace on an
+	// idle or steady-state service costs nothing.
 	EventTrace int
 	// SnapshotDir enables profile persistence: each program's learned state
 	// (BCG nodes, traces, loop headers) is retained across requests, seeds
