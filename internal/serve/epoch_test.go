@@ -141,39 +141,61 @@ func TestEpochShardsOverlappingProgram(t *testing.T) {
 // service that saw every run on one shard, and promotes the same traces.
 // (Raw counters differ with per-shard decay timing; the unique<->strong flip
 // is a non-change, so the comparison is the correlated bit plus the
-// predicted successor — exactly what the trace cache consumes.) The runs
-// are ModeProfile requests, which the mode controller never deploys, so
-// both services learn from every block dispatch of every run.
+// predicted successor — exactly what the trace cache consumes.)
+//
+// The profile leg sends a concurrent burst of ModeProfile requests, which
+// the mode controller never deploys, so both services learn from every
+// block dispatch of every run. The trace leg sends the default API mode:
+// armRuns serial trace runs move each service's program to deployment mode
+// at the same run, and the views are compared there, over the same
+// measured runs. A concurrent burst then checks that every shard runs
+// deployed. The views are not compared after it: a deployed run observes
+// only the dispatches outside traces, so the loop's exit accrues while its
+// in-trace edge stands still, and the loop node's ratio falls faster on one
+// shard than on a merged view that sums four shards' counters.
 func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeProfile, core.ModeTrace} {
+		t.Run(mode.String(), func(t *testing.T) { testMergeEqualsSingleWorker(t, mode) })
+	}
+}
+
+func testMergeEqualsSingleWorker(t *testing.T, mode core.Mode) {
 	learned := func(workers int) *snapshot.Snapshot {
 		s := newTestService(t, Config{Workers: workers, QueueDepth: 32})
-		const n = 16
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := s.Do(context.Background(), Request{Source: epochLoopSource, Mode: core.ModeProfile}); err != nil {
-					t.Error(err)
-				}
-			}()
+		req := Request{Source: epochLoopSource, Mode: mode}
+		burst := func(want core.Mode) {
+			const n = 16
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := s.Do(context.Background(), req)
+					if err != nil {
+						t.Error(err)
+					} else if resp.Mode != want || resp.Output != epochLoopOutput {
+						t.Errorf("%d workers: burst run ran as %v with output %q, want %v", workers, resp.Mode, resp.Output, want)
+					}
+				}()
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-		comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
-		if err != nil {
-			t.Fatal(err)
+		if mode == core.ModeProfile {
+			burst(core.ModeProfile)
+			return mergedView(t, s, workers)
 		}
-		snap := s.epochs.exportForCommit(comp.Key, true)
-		if snap == nil {
-			t.Fatalf("%d workers: no merged state", workers)
+		for i := 0; i < armRuns; i++ {
+			if resp := mustDo(t, s, req); resp.Mode != core.ModeTrace {
+				t.Fatalf("%d workers: warm-up run %d ran as %v, want trace", workers, i, resp.Mode)
+			}
 		}
-		decoded, err := snapshot.Decode(snapshot.Encode(snap))
-		if err != nil {
-			t.Fatalf("%d workers: codec: %v", workers, err)
+		if arm, _ := programMode(s); arm != "trace-deploy" {
+			t.Fatalf("%d workers: arm after %d calm trace runs = %q, want trace-deploy", workers, armRuns, arm)
 		}
-		return decoded
+		view := mergedView(t, s, workers)
+		burst(core.ModeTraceDeploy)
+		return view
 	}
-
 	multi := learned(4)
 	single := learned(1)
 
@@ -204,6 +226,24 @@ func TestEpochMergeEqualsSingleWorkerState(t *testing.T) {
 			t.Errorf("node %v classifies as %+v merged, %+v single-worker", k, ms[k], v)
 		}
 	}
+}
+
+// mergedView returns the epoch loop's merged view in s, through the codec.
+func mergedView(t *testing.T, s *Service, workers int) *snapshot.Snapshot {
+	t.Helper()
+	comp, err := s.Registry().Source(KindMiniJava, epochLoopSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.epochs.exportForCommit(comp.Key, true)
+	if snap == nil {
+		t.Fatalf("%d workers: no merged state", workers)
+	}
+	decoded, err := snapshot.Decode(snapshot.Encode(snap))
+	if err != nil {
+		t.Fatalf("%d workers: codec: %v", workers, err)
+	}
+	return decoded
 }
 
 // TestEpochParamsKeyedSets: a request whose profiler parameters differ from
