@@ -325,6 +325,32 @@ func TestHTTPRunnerAndLoadgen(t *testing.T) {
 	}
 }
 
+// TestHTTPRunnerReplaysDeployRecords: a log recorded from a deployment-mode
+// request (an embedded service records the mode as submitted) replays
+// against the daemon as trace requests, not as a wire mode it refuses.
+func TestHTTPRunnerReplaysDeployRecords(t *testing.T) {
+	srv, _ := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 4})
+	l := &replay.Log{}
+	for i := 0; i < 4; i++ {
+		l.Records = append(l.Records, replay.Record{
+			Kind: replay.RefMiniJava, Mode: core.ModeTraceDeploy,
+			Source: `class Main { static void main() { int s = 0; int i = 0; while (i < 2000) { s = s + i; i = i + 1; } Sys.printlnInt(s); } }`,
+		})
+	}
+	run := httpRunner(srv.Client(), srv.URL)
+	res, err := replay.Play(context.Background(), l, replay.PlayOptions{MaxInFlight: 1},
+		func(ctx context.Context, rec replay.Record) error {
+			_, err := run(ctx, serve.RequestFromRecord(rec))
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 4 || res.Failed != 0 {
+		t.Fatalf("deploy records over HTTP: %+v", res)
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -52,15 +52,14 @@ func packArm(arm core.Mode, n int32) uint64 { return uint64(arm)<<32 | uint64(ui
 // arm returns the controller's current arm.
 func (c *modeController) arm() core.Mode { return core.Mode(c.state.Load() >> 32) }
 
-// mode is the dispatch mode a profiled request for req runs in now.
+// mode is the dispatch mode a profiled request for req runs in now: the arm,
+// except that a profile request never deploys. A trace-deploy request is a
+// trace request, since deployment is the controller's call.
 func (c *modeController) mode(req core.Mode) core.Mode {
-	switch arm := c.arm(); {
-	case arm == core.ModePlain:
-		return core.ModePlain
-	case arm == core.ModeTraceDeploy && req == core.ModeTrace:
-		return core.ModeTraceDeploy
+	if arm := c.arm(); arm == core.ModePlain || req != core.ModeProfile {
+		return arm
 	}
-	return req
+	return core.ModeProfile
 }
 
 // observe feeds back one finished run that ran in mode ran and returns the

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 )
 
@@ -44,8 +45,12 @@ func RecordFromRequest(req Request, key string) replay.Record {
 }
 
 // RequestFromRecord converts a log record back into the request it was
-// recorded from.
+// recorded from. A deployment-mode record replays as a trace request: the
+// mode controller deploys, and the wire has no name for it.
 func RequestFromRecord(rec replay.Record) Request {
+	if rec.Mode == core.ModeTraceDeploy {
+		rec.Mode = core.ModeTrace
+	}
 	req := Request{
 		Mode:          rec.Mode,
 		Threshold:     rec.Threshold,

@@ -531,9 +531,6 @@ func (s *Service) runJob(j *job, workerID int) (resp *Response, err error) {
 	if j.req.DecayInterval != 0 {
 		params.DecayInterval = j.req.DecayInterval
 	}
-	if mode == core.ModeTraceDeploy {
-		mode = core.ModeTrace // deployment is the controller's call
-	}
 	if mode.Profiled() {
 		// Invalid parameters must not leave a shard set behind.
 		if err := params.Validate(); err != nil {
