@@ -117,13 +117,14 @@ func runCmd(w io.Writer, args []string) error {
 	minTotal := fs.Int("min", 2, "-dot: omit nodes executed fewer than this many times (decayed)")
 	fs.Parse(args)
 
-	mode, err := api.ParseMode(*modeStr)
-	if *modeStr == repro.ModeTraceDeploy.String() {
-		// One VM runs deployment mode on request; the daemon picks it itself.
-		mode, err = repro.ModeTraceDeploy, nil
-	}
-	if err != nil {
-		return err
+	// One VM runs deployment mode on request; the daemon picks it itself,
+	// so the wire names lack it.
+	mode := repro.ModeTraceDeploy
+	if *modeStr != mode.String() {
+		var err error
+		if mode, err = api.ParseMode(*modeStr); err != nil {
+			return fmt.Errorf("unknown mode %q (plain, instr, profile, trace, trace-deploy)", *modeStr)
+		}
 	}
 	prog, err := load(*workloadName, "", fs.Args())
 	if err == nil {

@@ -86,8 +86,12 @@ func TestRunEndToEnd(t *testing.T) {
 	if out.String() != "7\n" {
 		t.Errorf("program output %q, want 7", out.String())
 	}
-	if err := runCmd(io.Discard, []string{"-mode", "warp", mj}); err == nil {
-		t.Error("bad mode accepted")
+	if err := runCmd(io.Discard, []string{"-mode", "warp", mj}); err == nil || !strings.Contains(err.Error(), "trace-deploy") {
+		t.Errorf("bad mode: err = %v, want one naming trace-deploy among the modes", err)
+	}
+	out.Reset()
+	if err := runCmd(&out, []string{"-mode", "trace-deploy", mj}); err != nil || out.String() != "7\n" {
+		t.Errorf("trace-deploy run: output %q, err %v; want 7", out.String(), err)
 	}
 }
 
