@@ -65,6 +65,7 @@ func TestWriteMetricsHistogramAndLabels(t *testing.T) {
 		PerProgram: map[string]serve.ProgramStats{
 			"zeta":  {Mode: "plain"},
 			"alpha": {Mode: "trace-deploy"},
+			"mid":   {Mode: "trace"},
 			"omega": {},
 		},
 		ModeMoves:     serve.ModeMoves{Plain: 1, Trace: 2, Deploy: 3},
@@ -102,8 +103,10 @@ func TestWriteMetricsHistogramAndLabels(t *testing.T) {
 		`tracevm_mode_transitions_total{arm="trace"} 2`,
 		`tracevm_mode_transitions_total{arm="trace-deploy"} 3`,
 		"tracevm_programs_plain 1",
-		// Labeled arms in sorted program order.
-		`tracevm_program_mode{program="alpha"} 2`,
+		// Labeled arms (core.Mode values, as in the "mode" event) in
+		// sorted program order.
+		`tracevm_program_mode{program="alpha"} 4`,
+		`tracevm_program_mode{program="mid"} 3`,
 		`tracevm_program_mode{program="zeta"} 0`,
 	} {
 		if !strings.Contains(out, want) {

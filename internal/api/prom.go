@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -80,8 +81,9 @@ func WriteMetrics(w io.Writer, snap serve.Snapshot) error {
 	pw.counter("tracevm_epoch_merges_total", "completed epoch merges of per-worker profiler shards", float64(snap.EpochMerges))
 	pw.counter("tracevm_epoch_shards_merged_total", "shards absorbed across all epoch merges", float64(snap.ShardsMerged))
 
-	// Per-program mode-controller arm, one labeled gauge per program
-	// (0=plain, 1=trace, 2=trace-deploy), in sorted order for stable output.
+	// Per-program mode-controller arm as its core.Mode value, the numbering
+	// the "mode" event's Old/New use, one labeled gauge per program in
+	// sorted order for stable output.
 	names := make([]string, 0, len(snap.PerProgram))
 	for name, ps := range snap.PerProgram {
 		if ps.Mode != "" {
@@ -90,16 +92,15 @@ func WriteMetrics(w io.Writer, snap serve.Snapshot) error {
 	}
 	if len(names) > 0 {
 		sort.Strings(names)
-		pw.header("tracevm_program_mode", "per-program mode-controller arm (0=plain, 1=trace, 2=trace-deploy)", "gauge")
+		pw.header("tracevm_program_mode", "per-program mode-controller arm (0=plain, 3=trace, 4=trace-deploy)", "gauge")
 		for _, name := range names {
-			var v float64
-			switch snap.PerProgram[name].Mode {
-			case "trace":
-				v = 1
-			case "trace-deploy":
-				v = 2
+			arm := core.ModePlain
+			for m := core.ModePlain; m <= core.ModeTraceDeploy; m++ {
+				if m.String() == snap.PerProgram[name].Mode {
+					arm = m
+				}
 			}
-			pw.labeled("tracevm_program_mode", "program", name, v)
+			pw.labeled("tracevm_program_mode", "program", name, float64(arm))
 		}
 	}
 
