@@ -1,6 +1,7 @@
 // Per-layer micro-benchmarks: each measures one layer or cost that no paper
-// table shows — interpreter dispatch, trace dispatch with the profiler
-// frozen, the profiler hook, trace lookup and the baseline selectors. The paper's tables
+// table shows — interpreter dispatch, trace dispatch on a warm profiler and
+// with the profiler frozen, the profiler hook, trace lookup and the
+// baseline selectors. The paper's tables
 // and figures come from `tracevm bench`; service-level numbers come from the
 // benchmark/ module.
 //
@@ -77,42 +78,66 @@ func BenchmarkPlainDispatch(b *testing.B) {
 	}
 }
 
+// timeWarm times b.N runs of opts on a core.Profiler that two ModeTrace
+// runs have warmed, and reports ns/instr, to read against
+// BenchmarkPlainDispatch's, and trace-block-%, the share of block
+// dispatches that ran inside traces.
+func timeWarm(b *testing.B, name string, opts core.SessionOptions) {
+	c := compiled(b, name)
+	prof, err := core.NewProfiler(profile.DefaultParams(), core.Config{}, nil, c.cfg.NumBlocks())
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(o core.SessionOptions) *stats.Counters {
+		o.Profiler = prof
+		s, err := core.NewSession(c.prog, c.cfg, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		return s.Counters
+	}
+	for i := 0; i < 2; i++ {
+		run(core.SessionOptions{Mode: core.ModeTrace})
+	}
+	b.ResetTimer()
+	var ctr *stats.Counters
+	for i := 0; i < b.N; i++ {
+		ctr = run(opts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ctr.Instrs), "ns/instr")
+	b.ReportMetric(float64(ctr.BlocksInTraces)/float64(max(ctr.BlockDispatches, 1))*100, "trace-block-%")
+}
+
+// BenchmarkTraceDispatchWarm times trace dispatch on a warm profiler with
+// the real hook, in measurement mode (ModeTrace) and deployment mode
+// (ModeTraceDeploy): the graph keeps learning and the cache keeps building
+// and retiring traces, as on a warm serving shard. The hook leaves the
+// branch context on the edge just dispatched, so the trace lookup after it
+// reads the context node (profile.Graph.Lookup's hit path).
+func BenchmarkTraceDispatchWarm(b *testing.B) {
+	for _, mode := range []core.Mode{core.ModeTrace, core.ModeTraceDeploy} {
+		for _, name := range workload.Names() {
+			b.Run(mode.String()+"/"+name, func(b *testing.B) {
+				timeWarm(b, name, core.SessionOptions{Mode: mode})
+			})
+		}
+	}
+}
+
 // BenchmarkTraceDispatchFrozen times trace dispatch with the profiler
-// frozen. Two ModeTrace runs warm a core.Profiler; each timed run is then
-// ModeTraceDeploy on that profiler with a no-op dispatch hook, so the graph
-// never changes, no trace is built or retired, and what is left is trace
-// lookup plus execTrace. ns/instr reads against BenchmarkPlainDispatch's;
-// trace-block-% is the share of block dispatches that ran inside traces.
+// frozen: each timed run is ModeTraceDeploy on a warm profiler with a no-op
+// dispatch hook, so the graph never changes, no trace is built or retired,
+// and what is left is trace lookup plus execTrace. The no-op hook never
+// moves the branch context, so every lookup takes profile.Graph.Lookup's
+// fallback path through the node table.
 func BenchmarkTraceDispatchFrozen(b *testing.B) {
 	freeze := func(vm.DispatchHook) vm.DispatchHook { return noopHook{} }
 	for _, name := range workload.Names() {
 		b.Run(name, func(b *testing.B) {
-			c := compiled(b, name)
-			prof, err := core.NewProfiler(profile.DefaultParams(), core.Config{}, nil, c.cfg.NumBlocks())
-			if err != nil {
-				b.Fatal(err)
-			}
-			run := func(opts core.SessionOptions) *stats.Counters {
-				opts.Profiler = prof
-				s, err := core.NewSession(c.prog, c.cfg, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				return s.Counters
-			}
-			for i := 0; i < 2; i++ {
-				run(core.SessionOptions{Mode: core.ModeTrace})
-			}
-			b.ResetTimer()
-			var ctr *stats.Counters
-			for i := 0; i < b.N; i++ {
-				ctr = run(core.SessionOptions{Mode: core.ModeTraceDeploy, WrapHook: freeze})
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ctr.Instrs), "ns/instr")
-			b.ReportMetric(float64(ctr.BlocksInTraces)/float64(max(ctr.BlockDispatches, 1))*100, "trace-block-%")
+			timeWarm(b, name, core.SessionOptions{Mode: core.ModeTraceDeploy, WrapHook: freeze})
 		})
 	}
 }
@@ -250,17 +275,34 @@ func BenchmarkTraceLookup(b *testing.B) {
 	_ = hit
 }
 
-// BenchmarkTraceLookupIndexed measures the same lookup through the dense
-// two-level index the engine's dispatch loop actually uses — the common
-// "no trace on this edge" case is one bounds check and a slice load.
-func BenchmarkTraceLookupIndexed(b *testing.B) {
-	var ix trace.Index
-	ix.Reserve(8)
-	tr := trace.New(0, []cfg.BlockID{2, 3}, 0.97)
-	ix.Set(1, 2, tr)
-	var hit *trace.Trace
-	for i := 0; i < b.N; i++ {
-		hit = ix.Lookup(cfg.BlockID(i%8), cfg.BlockID((i+1)%8))
+// BenchmarkTraceLookupGraph measures the lookup the dispatch loop actually
+// makes: profile.Graph.Lookup, with traces held on their BCG nodes. hit:
+// the branch context is the queried edge's node, as right after the hook
+// ran on that edge. fallback: the context is stale (a frozen or wrapped
+// hook), so the lookup reads the node table.
+func BenchmarkTraceLookupGraph(b *testing.B) {
+	g, err := profile.New(profile.DefaultParams(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	_ = hit
+	for i := 0; i < 8; i++ {
+		g.OnDispatch(cfg.BlockID(i), cfg.BlockID((i+1)%8))
+	}
+	g.Node(1, 2).Entry = trace.New(0, []cfg.BlockID{2, 3}, 0.97)
+	b.Run("hit", func(b *testing.B) {
+		g.ResetContext()
+		g.OnDispatch(1, 2)
+		for i := 0; i < b.N; i++ {
+			lookupSink = g.Lookup(1, 2)
+		}
+	})
+	b.Run("fallback", func(b *testing.B) {
+		g.ResetContext()
+		for i := 0; i < b.N; i++ {
+			lookupSink = g.Lookup(cfg.BlockID(i%8), cfg.BlockID((i+1)%8))
+		}
+	})
 }
+
+// lookupSink keeps the compiler from discarding a benchmarked lookup.
+var lookupSink *trace.Trace

@@ -73,19 +73,27 @@ func (c *Config) fillDefaults() {
 }
 
 // Cache is the trace cache. It implements profile.Listener (receiving
-// state-change signals) and trace.Source (serving the dispatch engine).
+// state-change signals). It hangs each trace on the BCG node of every entry
+// edge it is registered on (profile.Node.Entry), so the graph, not the
+// cache, serves the dispatch engine's lookups (profile.Graph.Lookup).
 type Cache struct {
 	conf  Config
 	graph *profile.Graph
 	ctr   *stats.Counters
-	sink  obs.Sink // optional trace lifecycle event sink; never on the Lookup path
+	sink  obs.Sink // optional trace lifecycle event sink; never on the dispatch path
 
-	ix     trace.Index                      // entry edge -> trace (dispatch-hot)
 	byKey  map[string]*trace.Trace          // block sequence -> trace (hash-consing)
 	byPair map[uint64]map[*trace.Trace]bool // block pair -> traces containing it
 	regs   map[*trace.Trace]map[uint64]bool // trace -> its entry edges
 	blocks int                              // total blocks across live traces
 	nextID int
+
+	// loopHdr[id] marks block id as a statically detected loop header (a
+	// dominating branch target of a CFG back edge). Backtracking treats
+	// branch contexts entering such a block as roots, aligning trace
+	// entries with loop boundaries. Purely advisory: empty unless static
+	// hints were attached.
+	loopHdr []bool
 
 	// seeding marks registrations driven by SeedTraces (snapshot warm
 	// start): they count as seeded, not built/reused, and emit no lifecycle
@@ -164,21 +172,32 @@ func (c *Cache) emit(typ obs.EventType, t *trace.Trace, val int64) {
 // Config returns the constructor configuration.
 func (c *Cache) Config() Config { return c.conf }
 
-// Lookup implements trace.Source.
-//
-//tracevm:hotpath
-func (c *Cache) Lookup(from, to cfg.BlockID) *trace.Trace {
-	return c.ix.Lookup(from, to)
+// SetLoopHeaders marks blocks as statically detected loop headers. Hints
+// accumulate across calls; cfg.NoBlock entries are ignored.
+func (c *Cache) SetLoopHeaders(ids []cfg.BlockID) {
+	for _, id := range ids {
+		if id == cfg.NoBlock {
+			continue
+		}
+		if int(id) >= len(c.loopHdr) {
+			c.loopHdr = append(c.loopHdr, make([]bool, int(id)+1-len(c.loopHdr))...)
+		}
+		c.loopHdr[id] = true
+	}
 }
 
-// Index exposes the dense entry-edge index; the dispatch engine uses it to
-// bypass the interface call on its per-dispatch lookup
-// (trace.IndexedSource).
-func (c *Cache) Index() *trace.Index { return &c.ix }
-
-// Reserve pre-sizes the entry-edge index for a program with numBlocks
-// global block IDs.
-func (c *Cache) Reserve(numBlocks int) { c.ix.Reserve(numBlocks) }
+// LoopHeaders returns the marked loop-header blocks in ascending order — the
+// inverse of SetLoopHeaders, used when exporting learned state so a
+// warm-started session anchors backtracking at the same blocks.
+func (c *Cache) LoopHeaders() []cfg.BlockID {
+	var out []cfg.BlockID
+	for id, hdr := range c.loopHdr {
+		if hdr {
+			out = append(out, cfg.BlockID(id))
+		}
+	}
+	return out
+}
 
 // NumTraces returns the number of live traces.
 func (c *Cache) NumTraces() int { return len(c.regs) }
@@ -290,7 +309,7 @@ func (c *Cache) findEntries(n *profile.Node) []*profile.Node {
 	for len(queue) > 0 && len(visited) <= c.conf.MaxBacktrack {
 		cur := queue[0]
 		queue = queue[1:]
-		if c.ix.LoopHeader(cur.Y) {
+		if int(cur.Y) < len(c.loopHdr) && c.loopHdr[cur.Y] {
 			// Static dataflow marked Y as a loop header: stop backtracking
 			// here so the trace entry aligns with the loop boundary instead
 			// of wandering into the code before the loop.
@@ -440,8 +459,11 @@ func (c *Cache) register(nodes []*profile.Node, prob float64) {
 	}
 
 	// Link the entry edge, replacing any previous trace registered there.
-	if old := c.ix.Set(nodes[0].X, nodes[0].Y, t); old != nil && old != t {
-		c.unregisterEdge(old, entryEdge)
+	if old := nodes[0].Entry; old != t {
+		nodes[0].Entry = t
+		if old != nil {
+			c.unregisterEdge(old, entryEdge)
+		}
 	}
 	if c.regs[t] == nil {
 		c.regs[t] = make(map[uint64]bool)
@@ -487,9 +509,8 @@ func (c *Cache) unregisterEdge(t *trace.Trace, edge uint64) {
 // retire removes a trace from every index and marks it dead.
 func (c *Cache) retire(t *trace.Trace) {
 	for edge := range c.regs[t] {
-		from, to := cfg.BlockID(edge>>32), cfg.BlockID(edge)
-		if c.ix.Lookup(from, to) == t {
-			c.ix.Delete(from, to)
+		if n := c.graph.Node(cfg.BlockID(edge>>32), cfg.BlockID(edge)); n != nil && n.Entry == t {
+			n.Entry = nil
 		}
 		c.unindexPair(edge, t)
 	}

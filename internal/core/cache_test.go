@@ -97,7 +97,7 @@ func TestCacheLookupIsEdgeKeyed(t *testing.T) {
 	// Find any registered edge by probing the loop's edges.
 	probes := [][2]cfg.BlockID{{1, 2}, {2, 3}, {3, 1}}
 	for _, p := range probes {
-		if d.c.Lookup(p[0], p[1]) != nil {
+		if d.g.Lookup(p[0], p[1]) != nil {
 			entryFrom, entryTo = p[0], p[1]
 		}
 	}
@@ -105,7 +105,7 @@ func TestCacheLookupIsEdgeKeyed(t *testing.T) {
 		t.Fatalf("no trace registered on any loop edge:\n%s", d.c.Dump())
 	}
 	// A different arrival edge to the same block must not hit.
-	if d.c.Lookup(99, entryTo) != nil {
+	if d.g.Lookup(99, entryTo) != nil {
 		t.Error("lookup with a foreign from-block returned a trace")
 	}
 	_ = entryFrom
@@ -228,7 +228,7 @@ func TestRetiredTraceUnregisteredEverywhere(t *testing.T) {
 	}
 	for from := cfg.BlockID(0); from < 8; from++ {
 		for to := cfg.BlockID(0); to < 8; to++ {
-			if d.c.Lookup(from, to) == victim {
+			if d.g.Lookup(from, to) == victim {
 				t.Errorf("retired trace still registered at (%d,%d)", from, to)
 			}
 		}
@@ -431,7 +431,7 @@ func TestPropertyCacheInvariants(t *testing.T) {
 		// matches the edge's target.
 		for from := cfg.BlockID(0); int(from) < n; from++ {
 			for to := cfg.BlockID(0); int(to) < n; to++ {
-				tr := d.c.Lookup(from, to)
+				tr := d.g.Lookup(from, to)
 				if tr == nil {
 					continue
 				}
@@ -454,19 +454,19 @@ func TestLoopHeaderHintBoundsBacktracking(t *testing.T) {
 	// the only trace entry is the first edge (0,1).
 	plain := newDriver(t, p)
 	plain.replay(400, 0, 1, 2, 3, 4)
-	if plain.c.Lookup(0, 1) == nil {
+	if plain.g.Lookup(0, 1) == nil {
 		t.Fatal("unhinted: no trace entered at chain root")
 	}
-	if plain.c.Lookup(1, 2) != nil {
+	if plain.g.Lookup(1, 2) != nil {
 		t.Fatal("unhinted: unexpected trace entry at the interior edge (1,2)")
 	}
 
 	// With block 2 marked a loop header, backtracking stops at the branch
 	// context entering it, so a trace entered at (1,2) must exist.
 	hinted := newDriver(t, p)
-	hinted.c.Index().SetLoopHeaders([]cfg.BlockID{2})
+	hinted.c.SetLoopHeaders([]cfg.BlockID{2})
 	hinted.replay(400, 0, 1, 2, 3, 4)
-	if hinted.c.Lookup(1, 2) == nil {
+	if hinted.g.Lookup(1, 2) == nil {
 		t.Fatalf("hinted: no trace entered at the loop header edge\n%s", hinted.c.Dump())
 	}
 	hinted.check(t)

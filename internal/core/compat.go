@@ -25,3 +25,9 @@ func (c *Cache) SetCompileEnv(*cfg.ProgramCFG, *valueflow.Facts) {}
 //
 // Deprecated: tier 2 was removed; kept only for benchmark/probes.go.
 func (c *Cache) Compile(*trace.Trace) *trace.Program { return nil }
+
+// Index returns the bound graph, which serves trace lookups by entry edge.
+//
+// Deprecated: traces hang on their BCG nodes (profile.Graph.Lookup); kept
+// only for benchmark/probes.go.
+func (c *Cache) Index() trace.Source { return c.graph }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cfg"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -15,9 +16,10 @@ import (
 // Checked invariants:
 //   - hash-consing uniqueness: every live trace is registered in byKey under
 //     exactly its own block-sequence key, and no retired trace is reachable;
-//   - index/cache agreement: every registered entry edge resolves through
-//     the dense index to its trace and vice versa, and the index holds no
-//     entries beyond the registrations;
+//   - node/cache agreement: every registered entry edge's BCG node holds
+//     its trace as Entry, and every node with an Entry is a live
+//     registration of this cache on that edge — so a merge or a seed that
+//     carried another cache's trace pointer onto a node fails here;
 //   - every live trace clears the completion threshold it was built under
 //     and respects the configured length bounds;
 //   - the cached-blocks tally matches the live traces, and both budgets
@@ -62,27 +64,30 @@ func (c *Cache) CheckInvariants() error {
 			if to != t.Entry() {
 				return fmt.Errorf("core: trace %d registered on edge (%d,%d) that does not enter it", t.ID, from, to)
 			}
-			if got := c.ix.Lookup(from, to); got != t {
-				return fmt.Errorf("core: index disagrees on edge (%d,%d): trace %d registered, lookup found %v", from, to, t.ID, got)
+			if n := c.graph.Node(from, to); n == nil || n.Entry != t {
+				return fmt.Errorf("core: node (%d,%d) does not hold its registered trace %d", from, to, t.ID)
 			}
 		}
 	}
 
-	var ixErr error
-	n := 0
-	c.ix.Range(func(from, to cfg.BlockID, t *trace.Trace) bool {
-		n++
-		if t == nil || t.Retired || !c.regs[t][trace.EdgeKey(from, to)] {
-			ixErr = fmt.Errorf("core: index entry (%d,%d) points at an unregistered or retired trace", from, to)
-			return false
+	if c.graph != nil {
+		var nodeErr error
+		entries := 0
+		c.graph.Nodes(func(n *profile.Node) {
+			if n.Entry == nil {
+				return
+			}
+			entries++
+			if nodeErr == nil && !c.regs[n.Entry][trace.EdgeKey(n.X, n.Y)] {
+				nodeErr = fmt.Errorf("core: node (%d,%d) holds trace %d, which this cache has not registered there", n.X, n.Y, n.Entry.ID)
+			}
+		})
+		if nodeErr != nil {
+			return nodeErr
 		}
-		return true
-	})
-	if ixErr != nil {
-		return ixErr
-	}
-	if n != edges {
-		return fmt.Errorf("core: index holds %d edges, registrations hold %d", n, edges)
+		if entries != edges {
+			return fmt.Errorf("core: %d nodes hold an entry trace, registrations hold %d", entries, edges)
+		}
 	}
 
 	if blocks != c.blocks {

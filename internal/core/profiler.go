@@ -12,7 +12,7 @@ import (
 // cache, permanently bound to each other — that outlives any single session.
 // The serving layer gives every worker a private Profiler per program (a
 // shard): sessions attach to it via SessionOptions.Profiler, so learned
-// state, arenas and the dense indices survive across requests and a warmed
+// state, arenas and the dense node table survive across requests and a warmed
 // worker relearns nothing. An epoch coordinator later merges shards through
 // Absorb/DeriveStates into a fresh Profiler whose cache promotes only the
 // globally hot traces.
@@ -27,8 +27,8 @@ type Profiler struct {
 }
 
 // NewProfiler builds an empty profiling pair: cache and graph constructed
-// and bound to each other, the dense dispatch-path indices pre-sized to
-// numBlocks so the hot loop never grows them, and static hints applied.
+// and bound to each other, the graph's node table pre-sized to numBlocks so
+// the hot loop never grows its outer level, and static hints applied.
 // NewSession builds its private pair through here too. params' zero value
 // means DefaultParams; conf carries the trace-cache budgets.
 func NewProfiler(params profile.Params, conf Config, hints *analysis.Hints, numBlocks int) (*Profiler, error) {
@@ -44,11 +44,10 @@ func NewProfiler(params profile.Params, conf Config, hints *analysis.Hints, numB
 	cache.Bind(g)
 	if numBlocks > 0 {
 		g.Reserve(numBlocks)
-		cache.Reserve(numBlocks)
 	}
 	if hints != nil {
 		g.SetStaticHints(hints.UniqueBlocks())
-		cache.Index().SetLoopHeaders(hints.LoopHeaders())
+		cache.SetLoopHeaders(hints.LoopHeaders())
 	}
 	return &Profiler{params: params, Graph: g, Cache: cache}, nil
 }
@@ -88,7 +87,7 @@ func (p *Profiler) ExportSnapshot(programKey, programName string) *snapshot.Snap
 		Params:      p.params,
 		Nodes:       p.Graph.Export(),
 		Traces:      p.Cache.ExportTraces(),
-		LoopHeaders: p.Cache.Index().LoopHeaders(),
+		LoopHeaders: p.Cache.LoopHeaders(),
 	}
 }
 

@@ -145,6 +145,11 @@ func TestProfilerMergeEqualsSingleThreaded(t *testing.T) {
 		}
 	}
 	merged.DeriveStates()
+	// The merged cache's traces hang on the merged graph's nodes only: a
+	// merge that carried a shard's trace pointer onto a node fails here.
+	if err := merged.Cache.CheckInvariants(); err != nil {
+		t.Fatalf("merged profiler: %v", err)
+	}
 
 	single := newProf()
 	runOn(single, 2)

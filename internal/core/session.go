@@ -174,7 +174,7 @@ func NewSession(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts SessionOptio
 		}
 		mopts.Hook = p.Graph
 		if opts.Mode == ModeTrace || opts.Mode == ModeTraceDeploy {
-			mopts.Traces = p.Cache
+			mopts.Traces = p.Graph
 			mopts.HookInsideTraces = opts.Mode == ModeTrace
 		}
 	}

@@ -34,7 +34,7 @@ func seedSession(s *Session, snap *snapshot.Snapshot, params profile.Params) err
 			snap.Params, params)
 	}
 	s.Graph.SeedNodes(snap.Nodes)
-	s.Cache.Index().SetLoopHeaders(snap.LoopHeaders)
+	s.Cache.SetLoopHeaders(snap.LoopHeaders)
 	s.Cache.SeedTraces(snap.Traces)
 	s.Counters.SnapshotsLoaded++
 	return nil

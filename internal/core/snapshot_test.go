@@ -67,6 +67,9 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if warm.Cache.NumTraces() == 0 {
 		t.Error("warm cache holds no traces before the first dispatch")
 	}
+	if err := warm.Cache.CheckInvariants(); err != nil {
+		t.Errorf("seeded session: %v", err)
+	}
 
 	// The seeded graph must re-derive exactly the snapshot's states.
 	re := warm.ExportSnapshot(snap.ProgramKey, snap.Program)

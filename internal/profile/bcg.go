@@ -27,6 +27,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // State is a node's correlation summary, "in descending degree of
@@ -93,8 +94,9 @@ const inlineEdges = 4
 
 // Node is a branch context N_XY. Field order is deliberate: everything the
 // per-dispatch fast path touches (Y, Best, Total, the countdowns, State)
-// lives in the node's first cache line; the spillable edge lists and the
-// inline backing arrays follow.
+// and the trace lookup that follows it (X, Y, Entry) lives in the node's
+// first cache line; the spillable edge lists and the inline backing arrays
+// follow.
 type Node struct {
 	X, Y cfg.BlockID
 
@@ -116,6 +118,10 @@ type Node struct {
 	untilDecay uint32
 	ackBest    cfg.BlockID
 
+	// Entry is the trace the cache registered on the dispatch edge X→Y, or
+	// nil: the BCG node is the trace cache's entry index.
+	Entry *trace.Trace
+
 	// Edges are the observed successor correlations, sorted by Z. Edges[0]
 	// is not special; Best caches the argmax.
 	Edges []*Edge
@@ -129,11 +135,6 @@ type Node struct {
 	ein [inlineEdges]*Edge
 	iin [inlineEdges]*Edge
 }
-
-// Key packs a block pair into one ordered 64-bit value (diagnostics and
-// deterministic ordering; the node index itself is the dense two-level
-// rows[X][Y] table).
-func Key(x, y cfg.BlockID) uint64 { return uint64(x)<<32 | uint64(y) }
 
 // Signal describes a state change delivered to the trace cache.
 type Signal struct {
@@ -191,7 +192,9 @@ const (
 	edgeChunk = 512
 )
 
-// Graph is the branch correlation graph plus the dispatch-time profiler.
+// Graph is the branch correlation graph plus the dispatch-time profiler,
+// and, through the traces its nodes hold, the dispatch engine's trace
+// source.
 //
 // Node storage is a dense two-level index keyed by global block ID:
 // rows[X][Y] is the node N_XY (or nil), so the (X, Y) lookup on the dispatch
@@ -299,6 +302,22 @@ func (g *Graph) Nodes(fn func(*Node)) {
 	for _, n := range g.all {
 		fn(n)
 	}
+}
+
+// Lookup implements trace.Source: the trace registered on the dispatch edge
+// from→to, or nil. Right after OnDispatch(from, to) the current context is
+// N(from,to), so the common lookup reads a node already in cache; any
+// other context falls back to the node table.
+//
+//tracevm:hotpath
+func (g *Graph) Lookup(from, to cfg.BlockID) *trace.Trace {
+	if n := g.cur; n != nil && n.X == from && n.Y == to {
+		return n.Entry
+	}
+	if n := g.Node(from, to); n != nil {
+		return n.Entry
+	}
+	return nil
 }
 
 // ResetContext clears the current branch context (used at run boundaries).
@@ -660,7 +679,7 @@ func (g *Graph) DumpDOT(minTotal int) string {
 			rows = append(rows, n)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return Key(rows[i].X, rows[i].Y) < Key(rows[j].X, rows[j].Y) })
+	sort.Slice(rows, func(i, j int) bool { return trace.EdgeKey(rows[i].X, rows[i].Y) < trace.EdgeKey(rows[j].X, rows[j].Y) })
 	s := "digraph bcg {\n"
 	for _, n := range rows {
 		s += fmt.Sprintf("  n%d_%d [label=\"(%d,%d)\\n%s total=%d\"];\n", n.X, n.Y, n.X, n.Y, n.State, n.Total)

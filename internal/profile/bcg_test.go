@@ -413,18 +413,6 @@ func TestPropertyBestIsArgmaxAfterDecay(t *testing.T) {
 	}
 }
 
-func TestKeyPacksPairs(t *testing.T) {
-	if Key(1, 2) == Key(2, 1) {
-		t.Error("Key is symmetric")
-	}
-	if Key(0, 0) != 0 {
-		t.Error("Key(0,0) != 0")
-	}
-	if Key(1, 0) != 1<<32 {
-		t.Errorf("Key(1,0) = %x", Key(1, 0))
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	for s, want := range map[State]string{
 		StateNew: "new", StateWeak: "weak", StateStrong: "strong", StateUnique: "unique",

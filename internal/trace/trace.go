@@ -113,7 +113,9 @@ func (t *Trace) String() string {
 // site lives at the end of the predecessor block — patching it links exactly
 // one (from, to) pair to a trace — and because the branch correlation that
 // justifies the trace is conditioned on the arrival edge. Implemented by
-// the trace cache in internal/core and by the baseline selectors.
+// the branch correlation graph in internal/profile, whose nodes hold the
+// traces the cache in internal/core registers, and by the baseline
+// selectors.
 type Source interface {
 	Lookup(from, to cfg.BlockID) *Trace
 }

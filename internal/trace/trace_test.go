@@ -78,6 +78,16 @@ func TestEdgeKey(t *testing.T) {
 	if EdgeKey(0, 5) != 5 {
 		t.Errorf("EdgeKey(0,5) = %d", EdgeKey(0, 5))
 	}
+	if EdgeKey(0, 0) != 0 {
+		t.Error("EdgeKey(0,0) != 0")
+	}
+	if EdgeKey(1, 0) != 1<<32 {
+		t.Errorf("EdgeKey(1,0) = %x", EdgeKey(1, 0))
+	}
+	// The from side is the high word, so keys order edges by (from, to).
+	if !(EdgeKey(1, 9) < EdgeKey(2, 0)) {
+		t.Error("EdgeKey does not order by from first")
+	}
 }
 
 func TestMapSource(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/classfile"
+	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -28,6 +29,9 @@ type Options struct {
 	Hook DispatchHook
 	// Traces, if set, enables trace dispatch: at every block boundary the
 	// engine consults the source and executes a registered trace as a unit.
+	// The profiler's *profile.Graph, whose BCG nodes hold the trace cache's
+	// entry traces, is called directly; any other source (the baseline
+	// selectors') through the interface.
 	Traces trace.Source
 	// HookInsideTraces controls profiling fidelity during trace execution.
 	// True (measurement mode) runs the hook on every intra-trace edge, so
@@ -75,10 +79,9 @@ type Machine struct {
 	interrupt        *atomic.Bool
 	probe            Probe
 
-	// traceIx is the concrete dense index behind traces when the source
-	// implements trace.IndexedSource; the dispatch loop calls it directly,
-	// skipping the per-dispatch interface call.
-	traceIx *trace.Index
+	// graph is traces when the source is the profiler's graph; the dispatch
+	// loop calls it directly, skipping the per-dispatch interface call.
+	graph *profile.Graph
 
 	natives map[string]NativeFunc
 	statics [][]Value // per class ID
@@ -144,8 +147,8 @@ func New(prog *classfile.Program, pcfg *cfg.ProgramCFG, opts Options) (*Machine,
 		probe:            opts.Probe,
 		natives:          builtinNatives,
 	}
-	if is, ok := opts.Traces.(trace.IndexedSource); ok {
-		m.traceIx = is.Index()
+	if g, ok := opts.Traces.(*profile.Graph); ok {
+		m.graph = g
 	}
 	m.statics = make([][]Value, len(prog.Classes))
 	for i, c := range prog.Classes {
@@ -182,12 +185,12 @@ func (m *Machine) Run() (err error) {
 	prev := cfg.NoBlock
 	for {
 		// Trace dispatch: if a trace is registered on the arrival edge,
-		// execute it as a unit. The dense-index path is the common one; the
+		// execute it as a unit. The graph path is the common one; the
 		// interface path serves baseline selectors with custom sources.
 		if prev != cfg.NoBlock {
 			var t *trace.Trace
-			if m.traceIx != nil {
-				t = m.traceIx.Lookup(prev, cur.ID)
+			if m.graph != nil {
+				t = m.graph.Lookup(prev, cur.ID)
 			} else if m.traces != nil {
 				t = m.traces.Lookup(prev, cur.ID)
 			}

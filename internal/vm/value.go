@@ -2,7 +2,8 @@
 // the bytecode ISA with three dispatch models — per-instruction, per-block
 // (direct-threaded-inlining, the paper's Figure 2), and trace dispatch. The
 // profiler attaches to the block dispatch path through the DispatchHook
-// interface, and the trace cache supplies traces through trace.Source; both
+// interface, and traces come through trace.Source (the profiler's graph,
+// whose nodes hold the trace cache's entry traces); both
 // are optional, so the same engine serves the unprofiled baseline, the
 // profiled interpreter, and the full trace-dispatching VM.
 package vm
