@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -81,6 +82,16 @@ func TestCompiledDispatchZeroAlloc(t *testing.T) {
 	const warm, window = 2000, 10000
 
 	t.Run("unfused", func(t *testing.T) {
+		// MemStats.Mallocs is process-wide, so the runtime's own background
+		// work must stay out of the window. A collection wakes the heap
+		// scavenger, and its first sleep on a P grows that P's timer heap:
+		// one allocation no dispatch made. Switch the collector off (this
+		// waits out a cycle in flight) and return all free memory to the OS
+		// now, so the scavenger finds nothing to do and parks without a
+		// timer until the window has closed.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		debug.FreeOSMemory()
+
 		var sess *core.Session
 		var m0, m1 runtime.MemStats
 		var calls int64

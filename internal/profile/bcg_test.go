@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -410,6 +411,30 @@ func TestPropertyBestIsArgmaxAfterDecay(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKeyPacksPairs pins the ordering DumpDOT gets from the packed edge
+// key: one 64-bit value per (X, Y) pair with X in the high word, so nodes
+// list by X first and only then by Y, whatever order they were made in.
+func TestKeyPacksPairs(t *testing.T) {
+	g, _, _ := newGraph(t, DefaultParams())
+	for _, run := range [][]cfg.BlockID{{2, 0, 5}, {1, 9}, {1, 2}} {
+		g.ResetContext()
+		feed(g, run...)
+	}
+	dot := g.DumpDOT(0)
+	want := []string{"n0_5 [", "n1_2 [", "n1_9 [", "n2_0 ["}
+	last := -1
+	for _, w := range want {
+		i := strings.Index(dot, w)
+		if i < 0 {
+			t.Fatalf("DumpDOT lacks node %q:\n%s", w, dot)
+		}
+		if i < last {
+			t.Errorf("node %q listed out of (X, Y) order:\n%s", w, dot)
+		}
+		last = i
 	}
 }
 
