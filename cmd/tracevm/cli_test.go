@@ -28,7 +28,6 @@ var cliCases = []struct {
 	{"run profile dot file", []string{"tracevm", "run", "-mode", "profile", "-dot", "$TMP/loop.dot", "examples/tracelint/loop.mj"}, false, "$TMP/loop.dot"},
 	{"dot stdout", []string{"tracevm", "run", "-mode", "profile", "-dot", "-", "-min", "16", "-workload", "compress"}, false, ""},
 	{"listing workload", []string{"tracevm", "build", "-S", "-workload", "compress"}, false, ""},
-	{"listing optimized", []string{"tracevm", "build", "-O", "-S", "examples/tracelint/loop.mj"}, true, ""},
 	{"build minijava module", []string{"tracevm", "build", "-o", "$TMP/loop.jtm", "examples/tracelint/loop.mj"}, false, ""},
 	{"run minijava module", []string{"tracevm", "run", "-stats", "$TMP/loop.jtm"}, true, ""},
 	{"run jasm", []string{"tracevm", "run", "-stats", "internal/analysis/valueflow/testdata/adversarial/widening-loop.jasm"}, true, ""},
