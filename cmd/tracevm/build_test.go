@@ -115,18 +115,6 @@ class B { static void main() { Sys.printlnInt(2); } }`), 0o644); err != nil {
 	}
 }
 
-func TestOptimizedCompile(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "p.mj")
-	if err := os.WriteFile(src, []byte(`class Main { static void main() { Sys.printlnInt(6 * 7); } }`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "p.jtm")
-	if err := buildCmd(io.Discard, []string{"-O", "-o", out, src}); err != nil {
-		t.Fatalf("optimized compile: %v", err)
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if err := buildCmd(io.Discard, []string{"-S"}); err == nil {
 		t.Error("no input accepted")

@@ -34,7 +34,6 @@ import (
 	"repro/internal/jasm"
 	"repro/internal/minijava"
 	"repro/internal/obs"
-	"repro/internal/opt"
 )
 
 var commands = map[string]func(w io.Writer, args []string) error{
@@ -196,7 +195,6 @@ func buildCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("o", "", "output module file (.jtm)")
 	asm := fs.Bool("S", false, "print a listing instead of writing a module")
-	optimize := fs.Bool("O", false, "run the static bytecode optimizer")
 	workloadName := fs.String("workload", "", "build a built-in workload instead of a file")
 	entry := fs.String("entry", "", "entry class of a MiniJava program in which several classes declare main")
 	fs.Parse(args)
@@ -207,13 +205,6 @@ func buildCmd(w io.Writer, args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	if *optimize {
-		st, err := opt.Program(prog)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "tracevm: %s\n", st)
 	}
 	if *asm {
 		return list(w, prog)

@@ -7,7 +7,9 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 	"repro/internal/classfile"
+	"repro/internal/core"
 	"repro/internal/jasm"
+	"repro/internal/vm"
 )
 
 // asm encodes a straight list of instructions, returning the code and the
@@ -467,5 +469,68 @@ HB:
 		if !hasIntConst(bf, 0, 3) {
 			t.Errorf("handler %d entry consts = %+v, want local 0 = 3", i, bf.IntConsts)
 		}
+	}
+}
+
+// TestConstantDivByZeroIsNotFolded covers a block that divides the constant
+// 7 by the constant 0, stores the quotient into local 0 and jumps on. The
+// division always traps, so the fold table has no value for it, and the
+// analysis must claim no constant for local 0 at the jump's target (not 0,
+// and not the 3 the local held before). The interpreter, which evaluates
+// the same table inline, must trap.
+func TestConstantDivByZeroIsNotFolded(t *testing.T) {
+	for _, op := range []string{"idiv", "irem"} {
+		t.Run(op, func(t *testing.T) {
+			prog, err := jasm.Assemble(`
+.entry Main main
+.class Main
+.method static main ( ) void
+    .locals 1
+    iconst 3
+    istore 0
+    iconst 7
+    iconst 0
+    ` + op + `
+    istore 0
+    goto N
+N:
+    return
+.end
+.end
+`)
+			if err != nil {
+				t.Fatalf("assemble: %v", err)
+			}
+			p, err := cfg.BuildProgram(prog)
+			if err != nil {
+				t.Fatalf("cfg: %v", err)
+			}
+			f := valueflow.Compute(p)
+			if f.Top() {
+				t.Fatalf("analysis degraded to top facts")
+			}
+			entry := p.Methods[prog.Main.ID].Blocks[0]
+			if entry.Terminator().Op != bytecode.Goto {
+				t.Fatalf("entry block ends in %s, want the goto", bytecode.InfoOf(entry.Terminator().Op).Name)
+			}
+			bf := f.Block(entry.Taken)
+			if !bf.Reachable {
+				t.Fatalf("the goto's target is unreachable, so its facts claim nothing")
+			}
+			for _, c := range bf.IntConsts {
+				if c.Slot == 0 {
+					t.Errorf("local 0 claimed = %d after 7 %s 0", c.Val, op)
+				}
+			}
+
+			s, err := core.NewSession(prog, p, core.SessionOptions{Mode: core.ModePlain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Run()
+			if tr, ok := vm.AsTrap(err); !ok || tr.Kind != vm.TrapDivByZero {
+				t.Errorf("run = %v, want a division-by-zero trap", err)
+			}
+		})
 	}
 }

@@ -3,10 +3,10 @@ package bytecode
 import "math"
 
 // This file is the one statement of what the pure arithmetic, conversion
-// and compare opcodes compute on constant operands. Every static folder
-// (internal/opt, value-flow) calls it; the interpreter keeps its own
-// inline switches for speed and is pinned to this table by the edge-operand
-// differential in internal/progen.
+// and compare opcodes compute on constant operands. Value-flow's evaluator
+// folds with it; the interpreter keeps its own inline switches for speed
+// and is pinned to this table by the edge-operand differential in
+// internal/progen.
 //
 // Values are int64 payloads exactly as vm.Value.N carries them: ints as
 // themselves, floats as their IEEE-754 bit pattern.

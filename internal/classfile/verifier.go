@@ -13,25 +13,6 @@ import (
 // every bytecode method, so the interpreter's hot paths can assume balanced
 // stacks, and it computes Method.MaxStack as a byproduct.
 
-// Reverify re-validates one method after a tool (such as the bytecode
-// optimizer) rewrote its code, refreshing MaxStack. The program must be
-// linked.
-func (p *Program) Reverify(m *Method) error {
-	if !p.linked {
-		return fmt.Errorf("classfile: reverify: program is not linked")
-	}
-	ins, err := p.validateMethod(m)
-	if err != nil {
-		return err
-	}
-	depth, err := p.verifyStack(m, ins)
-	if err != nil {
-		return err
-	}
-	m.MaxStack = depth
-	return nil
-}
-
 // verifyStack checks m's code and returns the maximum operand stack depth.
 func (p *Program) verifyStack(m *Method, ins []bytecode.Instr) (int, error) {
 	byPC := make(map[uint32]int, len(ins))

@@ -9,7 +9,6 @@ import (
 	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/minijava"
-	"repro/internal/opt"
 	"repro/internal/progen"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -19,9 +18,8 @@ import (
 // operand stack by: at each executed block entry — ordinary dispatch and
 // inside traces — the live stack holds at most the
 // method's verifier-computed MaxStack values. It covers the six workloads
-// and a progen batch, each generated program also after opt.Program (whose
-// Reverify refreshes MaxStack). A violation is a verifier bug to report,
-// not a bound to loosen.
+// and a progen batch. A violation is a verifier bug to report, not a bound
+// to loosen.
 func TestMaxStackBoundsOperandStack(t *testing.T) {
 	type subject struct {
 		name string
@@ -45,25 +43,15 @@ func TestMaxStackBoundsOperandStack(t *testing.T) {
 		seeds = 5
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		src := progen.Generate(seed, progen.Config{})
-		for _, optimize := range []bool{false, true} {
-			prog, err := minijava.Compile(src)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			name := fmt.Sprintf("progen-%d", seed)
-			if optimize {
-				if _, err := opt.Program(prog); err != nil {
-					t.Fatalf("seed %d: optimizer: %v", seed, err)
-				}
-				name += "-opt"
-			}
-			pcfg, err := cfg.BuildProgram(prog)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			subjects = append(subjects, subject{name, prog, pcfg})
+		prog, err := minijava.Compile(progen.Generate(seed, progen.Config{}))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		pcfg, err := cfg.BuildProgram(prog)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		subjects = append(subjects, subject{fmt.Sprintf("progen-%d", seed), prog, pcfg})
 	}
 
 	legs := []struct {

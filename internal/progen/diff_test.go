@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jasm"
 	"repro/internal/minijava"
-	"repro/internal/opt"
 	"repro/internal/profile"
 	"repro/internal/progen"
 	"repro/internal/stats"
@@ -47,10 +46,9 @@ func runWith(t *testing.T, prog *classfile.Program, pcfg *cfg.ProgramCFG, mode c
 	return out.String(), s.Counters.Snapshot()
 }
 
-// TestDifferentialEnginesAndOptimizer is the pipeline's differential
-// tester: for each random program, every engine and the optimized build
-// must print exactly the same thing.
-func TestDifferentialEnginesAndOptimizer(t *testing.T) {
+// TestDifferentialEngines is the pipeline's differential tester: for each
+// random program, every engine must print exactly the same thing.
+func TestDifferentialEngines(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 10
@@ -81,24 +79,6 @@ func TestDifferentialEnginesAndOptimizer(t *testing.T) {
 			t.Errorf("seed %d: traces did different work: instrs %d, blocks %d, calls %d; plain %d, %d, %d\nprogram:\n%s",
 				seed, c.Instrs, c.BlockDispatches, c.MethodCalls,
 				plain.Instrs, plain.BlockDispatches, plain.MethodCalls, src)
-		}
-
-		// Optimized build (fresh compile so the unoptimized runs above are
-		// untouched).
-		oprog, err := minijava.Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := opt.Program(oprog); err != nil {
-			t.Fatalf("seed %d: optimizer failed: %v\nprogram:\n%s", seed, err, src)
-		}
-		ocfg, err := cfg.BuildProgram(oprog)
-		if err != nil {
-			t.Fatalf("seed %d: cfg of optimized program failed: %v", seed, err)
-		}
-		if got := runUnder(t, oprog, ocfg, core.ModePlain); got != want {
-			t.Errorf("seed %d: optimizer diverged:\nwant %q\ngot  %q\nprogram:\n%s",
-				seed, want, got, src)
 		}
 	}
 }
@@ -139,7 +119,7 @@ const edgeIters = 200
 var edgeParams = profile.Params{StartDelay: 16, Threshold: 0.97, DecayInterval: 256}
 
 // edgePush is the jasm that pushes a payload of kind k. Ints beyond the
-// iconst immediate are composed from shifts (which the fold legs fold back).
+// iconst immediate are composed from shifts.
 func edgePush(k bytecode.ValKind, v int64) string {
 	switch {
 	case k == bytecode.KFloat:
@@ -162,9 +142,9 @@ func kindLetter(k bytecode.ValKind) string {
 // edgeProgram assembles one opcode's edge program. Per iteration of a hot
 // loop and per operand tuple it parks the operands in locals, crosses a call,
 // and evaluates the op once per operand-source form — every mix of local and
-// constant operands, then all constants, which the optimizer's folder folds —
-// handing each result to a sink method whose entry the caller probes. It returns the program and one iteration's expected sink
-// payloads, computed by the shared fold table.
+// constant operands, then all constants — handing each result to a sink
+// method whose entry the caller probes. It returns the program and one
+// iteration's expected sink payloads, computed by the shared fold table.
 //
 // With divZeroAt >= 0 the tuples are (a, divZeroAt - k): the divisor reaches
 // zero on that iteration, inside the trace.
@@ -283,10 +263,9 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// edgeLegs runs prog on every engine that evaluates or folds the op — block
-// dispatch (execInstrs), traces and, after opt.Program, block dispatch
-// again — and returns per leg the sink payloads observed and the run's
-// error.
+// edgeLegs runs prog on every engine that evaluates the op — block dispatch
+// (execInstrs) and traces — and returns per leg the sink payloads observed
+// and the run's error.
 func edgeLegs(t *testing.T, prog *classfile.Program) (names []string, sunk [][]int64, errs []error) {
 	t.Helper()
 	run := func(name string, prog *classfile.Program, mode core.Mode) {
@@ -311,18 +290,13 @@ func edgeLegs(t *testing.T, prog *classfile.Program) (names []string, sunk [][]i
 	}
 	run("plain", prog, core.ModePlain)
 	run("trace", prog, core.ModeTrace)
-	// The optimizer rewrites in place; it runs last.
-	if _, err := opt.Program(prog); err != nil {
-		t.Fatalf("optimizer: %v", err)
-	}
-	run("opt", prog, core.ModePlain)
 	return names, sunk, errs
 }
 
 // TestEdgeOperandDifferential pins every evaluator of the pure opcodes to
 // bytecode.FoldBinary / FoldUnary / Cond1 / Cond2 on the edge operands,
-// bit for bit: the interpreter's inline switch (which does not call the
-// table, for speed) and the optimizer's folder (which does).
+// bit for bit: the interpreter's inline switch does not call the table, for
+// speed, so this is what holds the two together.
 func TestEdgeOperandDifferential(t *testing.T) {
 	ops := []bytecode.Op{
 		bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv, bytecode.IRem, bytecode.INeg,
@@ -353,7 +327,7 @@ func TestEdgeOperandDifferential(t *testing.T) {
 		})
 	}
 
-	// ÷0 traps in every engine, at the same PC, and no folder folds it away.
+	// ÷0 traps in every engine, at the same PC.
 	for _, op := range []bytecode.Op{bytecode.IDiv, bytecode.IRem} {
 		t.Run(bytecode.InfoOf(op).Name+"-by-zero", func(t *testing.T) {
 			prog, _ := edgeProgram(t, op, edgeIters-1)
@@ -363,7 +337,7 @@ func TestEdgeOperandDifferential(t *testing.T) {
 				if !ok || tr.Kind != vm.TrapDivByZero {
 					t.Fatalf("%s: err = %v, want a division-by-zero trap", name, errs[i])
 				}
-				if name != "opt" && errs[i].Error() != errs[0].Error() {
+				if errs[i].Error() != errs[0].Error() {
 					t.Errorf("%s trapped at %q, plain at %q", name, errs[i], errs[0])
 				}
 				if !slices.Equal(sunk[i], sunk[0]) {
@@ -372,39 +346,6 @@ func TestEdgeOperandDifferential(t *testing.T) {
 			}
 			if len(sunk[0]) != (edgeIters-1)*2*len(edgeInts) {
 				t.Errorf("trap after %d results, want on the last iteration's first division", len(sunk[0]))
-			}
-
-			// A constant zero divisor cannot run hot, so the optimizer's
-			// folder is checked on a straight-line block: the optimized
-			// program still traps.
-			prog, err := jasm.Assemble(fmt.Sprintf(`
-.class Main
-.method static main ( ) void
-    iconst 7
-    iconst 0
-    %s
-    pop
-    return
-.end
-.end
-.entry Main main
-`, bytecode.InfoOf(op).Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := opt.Program(prog); err != nil {
-				t.Fatal(err)
-			}
-			ocfg, err := cfg.BuildProgram(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := core.NewSession(prog, ocfg, core.SessionOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr, ok := vm.AsTrap(s.Run()); !ok || tr.Kind != vm.TrapDivByZero {
-				t.Error("the optimizer folded a division by constant zero away")
 			}
 		})
 	}

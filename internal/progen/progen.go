@@ -1,10 +1,9 @@
 // Package progen generates random, deterministic, terminating MiniJava
 // programs for differential testing: every generated program must produce
 // identical output under the per-instruction engine, the threaded block
-// engine, trace dispatch (measurement and deployment modes), and after the
-// static bytecode optimizer. Divergence anywhere in the pipeline —
-// compiler, verifier, engines, profiler, trace cache, optimizer — surfaces
-// as a concrete failing program.
+// engine, and trace dispatch (measurement and deployment modes). Divergence
+// anywhere in the pipeline — compiler, verifier, engines, profiler, trace
+// cache — surfaces as a concrete failing program.
 //
 // The generator is grammar-directed with hard bounds: loops have constant
 // trip counts and read-only induction variables, functions only call
