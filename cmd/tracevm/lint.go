@@ -62,11 +62,11 @@ type methodFacts struct {
 }
 
 type fileResult struct {
-	File   string           `json:"file"`
-	OK     bool             `json:"ok"`
-	Error  string           `json:"error,omitempty"`
-	Report *analysis.Report `json:"report,omitempty"`
-	Facts  []methodFacts    `json:"facts,omitempty"`
+	File   string            `json:"file"`
+	OK     bool              `json:"ok"`
+	Error  string            `json:"error,omitempty"`
+	Report *classfile.Report `json:"report,omitempty"`
+	Facts  []methodFacts     `json:"facts,omitempty"`
 	// ValueFlow summarizes the whole-program value-flow table (omitted with
 	// -facts=false or when the analysis degraded to the claim-free top table).
 	ValueFlow *valueflow.Stats `json:"valueflow,omitempty"`
@@ -121,7 +121,7 @@ func lintFile(w io.Writer, path string, jsonOut, wantFacts, strict bool) bool {
 	if err != nil {
 		res.Error = err.Error()
 	} else {
-		res.Report = analysis.Verify(prog)
+		res.Report = classfile.Verify(prog)
 		res.OK = !res.Report.Reject()
 		if res.OK && strict && len(res.Report.Warnings()) > 0 {
 			// -strict promotes advisory findings (unreachable-block) to
@@ -178,7 +178,7 @@ func lintFile(w io.Writer, path string, jsonOut, wantFacts, strict bool) bool {
 	return res.OK
 }
 
-func printReport(w io.Writer, path string, rep *analysis.Report) {
+func printReport(w io.Writer, path string, rep *classfile.Report) {
 	for _, f := range rep.Findings {
 		sev := "error"
 		if f.Warn {

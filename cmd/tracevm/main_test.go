@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -92,6 +94,47 @@ func TestRunEndToEnd(t *testing.T) {
 	out.Reset()
 	if err := runCmd(&out, []string{"-mode", "trace-deploy", mj}); err != nil || out.String() != "7\n" {
 		t.Errorf("trace-deploy run: output %q, err %v; want 7", out.String(), err)
+	}
+}
+
+// TestRunRefusesUnverifiableProgram runs, through the built binary, a jasm
+// program that reads a local it never stored and adds two references: run
+// links it, linking verifies it, so it exits 1 naming the first rule.
+func TestRunRefusesUnverifiableProgram(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tracevm binary")
+	}
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "unverified.jasm")
+	if err := os.WriteFile(prog, []byte(`
+.class Main
+.method static main ( ) void
+    .locals 1
+    iload 0
+    invokestatic Main.print
+    aconst_null
+    aconst_null
+    iadd
+    invokestatic Main.print
+    return
+.end
+.native static print ( int ) void println_int
+.end
+.entry Main main
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "tracevm")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "run", "-mode", "plain", prog).CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("want exit 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "uninit-local") {
+		t.Errorf("output does not name the rule uninit-local:\n%s", out)
 	}
 }
 

@@ -64,8 +64,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/api"
+	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/replay"
@@ -112,7 +112,6 @@ func serviceFlags(fs *flag.FlagSet) func() serve.Config {
 		maxTraces   = fs.Int("max-traces", 512, "per-session live trace budget (0 = unbounded)")
 		maxTrBlocks = fs.Int("max-trace-blocks", 8192, "per-session cached trace block budget (0 = unbounded)")
 		quarAfter   = fs.Int("quarantine-after", 3, "VM panics before a program is quarantined (-1 = disabled)")
-		noVerify    = fs.Bool("no-verify", false, "skip bytecode verification of submitted sources")
 
 		snapDir      = fs.String("snapshot-dir", "", "profile snapshot directory; warm-starts known programs and persists learned state (empty = disabled)")
 		snapInterval = fs.Duration("snapshot-interval", 0, "coalescing snapshot writer commit period (0 = 30s default)")
@@ -133,7 +132,6 @@ func serviceFlags(fs *flag.FlagSet) func() serve.Config {
 				MaxCachedBlocks: *maxTrBlocks,
 			},
 			QuarantineAfter:  *quarAfter,
-			NoVerify:         *noVerify,
 			SnapshotDir:      *snapDir,
 			SnapshotInterval: *snapInterval,
 			SnapshotNet:      *snapNet,
@@ -180,7 +178,7 @@ func newMux(svc *serve.Service) *http.ServeMux {
 				// verifier rejection additionally ships the structured
 				// report so clients can point at the offending instruction.
 				e := api.NewError(err.Error())
-				var verr *analysis.VerifyError
+				var verr *classfile.VerifyError
 				if errors.As(err, &verr) {
 					e.Report = verr.Report
 				}

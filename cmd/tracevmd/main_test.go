@@ -440,19 +440,6 @@ func TestRunEndpointVerifierRejection(t *testing.T) {
 	}
 }
 
-func TestRunEndpointNoVerify(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Config{Workers: 1, NoVerify: true})
-	src := ".class Main\n.method static main ( ) void\n    .locals 1\n    iload 0\n    invokestatic Main.print\n    return\n.end\n.native static print ( int ) void println_int\n.end\n.entry Main main\n"
-	body, _ := json.Marshal(map[string]string{"source": src, "kind": "jasm"})
-	resp, m := postRun(t, srv.URL, string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 with -no-verify: %v", resp.StatusCode, m)
-	}
-	if m["output"] != "0\n" {
-		t.Fatalf("output = %v, want 0", m["output"])
-	}
-}
-
 func TestRunEndpointCompileErrorHasNoReport(t *testing.T) {
 	srv, _ := newTestServer(t, serve.Config{Workers: 1})
 	resp, m := postRun(t, srv.URL, `{"source":"class {","kind":"minijava"}`)

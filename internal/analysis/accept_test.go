@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cfg"
+	"repro/internal/classfile"
 	"repro/internal/minijava"
 	"repro/internal/workload"
 )
@@ -23,7 +24,7 @@ func TestVerifyAcceptsWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			rep := analysis.Verify(prog)
+			rep := classfile.Verify(prog)
 			if rep.Reject() {
 				t.Fatalf("workload %s rejected:\n%s", w.Name, rep)
 			}
@@ -64,7 +65,7 @@ func TestVerifyAcceptsExamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", path, err)
 		}
-		if rep := analysis.Verify(prog); rep.Reject() {
+		if rep := classfile.Verify(prog); rep.Reject() {
 			t.Errorf("%s rejected:\n%s", path, rep)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package arena holds the two memory-reuse helpers the worklist analyses
-// (analysis.Verify and valueflow.Compute) share: an arena for the abstract
+// (classfile.Verify and valueflow.Compute) share: an arena for the abstract
 // states they store, and a zeroing resize for their per-method arrays.
 package arena
 

@@ -2,13 +2,13 @@ package analysis_test
 
 import (
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/classfile"
 	"repro/internal/jasm"
 )
@@ -64,7 +64,7 @@ func loadHexCorpus(t *testing.T, path, src string) *classfile.Program {
 
 // TestCorpusRejected pins the rejection half of the verifier contract: every
 // committed malformed program is rejected, with the rule its annotation
-// names.
+// names, by Verify and by Link.
 func TestCorpusRejected(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "malformed", "*"))
 	if err != nil {
@@ -102,7 +102,7 @@ func TestCorpusRejected(t *testing.T) {
 				}
 			}
 
-			rep := analysis.Verify(prog)
+			rep := classfile.Verify(prog)
 			if !rep.Reject() {
 				t.Fatalf("program accepted, want rejection with rule %q\nreport: %s", want, rep)
 			}
@@ -118,6 +118,21 @@ func TestCorpusRejected(t *testing.T) {
 			}
 			if err := rep.Err(); err == nil {
 				t.Fatal("Report.Err returned nil for a rejecting report")
+			}
+
+			// Linking runs the same verifier, so it refuses the program
+			// with the same rule.
+			if filepath.Ext(path) == ".hex" {
+				err = prog.Link()
+			} else {
+				_, err = jasm.Assemble(src)
+			}
+			var verr *classfile.VerifyError
+			if !errors.As(err, &verr) {
+				t.Fatalf("Link did not refuse the program with a verifier report: %v", err)
+			}
+			if got := verr.Report.Errors()[0].Rule; got != want {
+				t.Fatalf("Link refused the program with rule %s, want %s", got, want)
 			}
 		})
 	}
@@ -141,7 +156,7 @@ func TestCorpusFirstFindingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, r2 := analysis.Verify(prog1), analysis.Verify(prog2)
+		r1, r2 := classfile.Verify(prog1), classfile.Verify(prog2)
 		if r1.String() != r2.String() {
 			t.Fatalf("%s: non-deterministic report:\n%s\n--- vs ---\n%s", path, r1, r2)
 		}

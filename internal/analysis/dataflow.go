@@ -1,3 +1,7 @@
+// Package analysis holds the CFG dataflow passes of the VM (dominators,
+// loop headers, static successor classification) whose facts seed the
+// dynamic profiler. The bytecode verifier lives in classfile, where Link
+// runs it.
 package analysis
 
 import (

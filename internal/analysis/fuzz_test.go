@@ -3,7 +3,6 @@ package analysis_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 )
@@ -47,7 +46,7 @@ func FuzzVerifyNeverPanics(f *testing.F) {
 			HandlerPC: uint32(hpc),
 			ClassIdx:  -1,
 		}}
-		rep := analysis.Verify(b.Program())
+		rep := classfile.Verify(b.Program())
 		// The report must be internally consistent regardless of input.
 		if rep.Reject() && rep.Err() == nil {
 			t.Fatal("rejecting report with nil Err")

@@ -1,6 +1,7 @@
 package valueflow_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,15 +10,18 @@ import (
 	"repro/internal/analysis/valueflow"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
+	"repro/internal/classfile"
 	"repro/internal/jasm"
 )
 
 // TestAdversarialCorpus runs Compute over committed hostile programs —
 // recursion cycles, never-returning callees, null-receiver dispatch,
-// handler self-loops, kind confusion, oversized frames — and pins the
-// degradation contract: "expect: facts" programs must produce a non-top,
-// internally consistent table; "expect: top" programs must degrade to the
-// claim-free fallback. Either way Compute must return, never panic.
+// handler self-loops, wide switches — and pins the degradation contract:
+// "expect: facts" programs must produce a non-top, internally consistent
+// table; "expect: top" programs must degrade to the claim-free fallback.
+// Either way Compute must return, never panic. "expect: rejected <rule>"
+// programs never reach Compute: Link refuses them with that verifier rule,
+// and TestPostLinkCorruptionDegrades plants each one after linking.
 func TestAdversarialCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "adversarial", "*.jasm"))
 	if err != nil {
@@ -34,17 +38,15 @@ func TestAdversarialCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := string(data)
-			want := ""
-			for _, line := range strings.Split(src, "\n") {
-				if i := strings.Index(line, "expect:"); i >= 0 {
-					want = strings.TrimSpace(line[i+len("expect:"):])
-					break
-				}
+			want := corpusExpect(t, path, src)
+			prog, err := jasm.Assemble(src)
+			if rule, ok := strings.CutPrefix(want, "rejected "); ok {
+				checkRejected(t, path, err, rule)
+				return
 			}
 			if want != "facts" && want != "top" {
-				t.Fatalf("%s: missing or bad 'expect: facts|top' annotation", path)
+				t.Fatalf("%s: bad annotation 'expect: %s' (want facts, top or rejected <rule>)", path, want)
 			}
-			prog, err := jasm.Assemble(src)
 			if err != nil {
 				t.Fatalf("assemble: %v", err)
 			}
@@ -74,14 +76,42 @@ func TestAdversarialCorpus(t *testing.T) {
 	}
 }
 
-// TestPostLinkCorruptionDegrades pins the strict-evaluator bail: code
-// mutated after linking (so the linker's stack verification never saw it)
-// underflows the abstract stack. The failure must stay local — the
-// corrupted method is degraded to claim-free reachability (zero consts,
-// zero decided branches, nothing analyzed) without discarding the table.
-// jasm cannot express this program because Assemble would reject it.
+// corpusExpect returns the "expect:" annotation of a corpus file.
+func corpusExpect(t *testing.T, path, src string) string {
+	t.Helper()
+	for _, line := range strings.Split(src, "\n") {
+		if i := strings.Index(line, "expect:"); i >= 0 {
+			return strings.TrimSpace(line[i+len("expect:"):])
+		}
+	}
+	t.Fatalf("%s: no 'expect:' annotation", path)
+	return ""
+}
+
+// checkRejected asserts that err is the verifier's refusal with rule as its
+// first rejecting finding.
+func checkRejected(t *testing.T, path string, err error, rule string) {
+	t.Helper()
+	var verr *classfile.VerifyError
+	if !errors.As(err, &verr) {
+		t.Fatalf("%s: Link did not refuse the program with a verifier report: %v", path, err)
+	}
+	if got := verr.Report.Errors()[0].Rule; got != rule {
+		t.Fatalf("%s: rejected with rule %s, want %s", path, got, rule)
+	}
+}
+
+// TestPostLinkCorruptionDegrades pins the evaluator's guards on code the
+// verifier never saw: each row links a valid program, then mutates it
+// behind the linker's back. The failure must stay local, and must not
+// discard the table.
 func TestPostLinkCorruptionDegrades(t *testing.T) {
-	prog, err := jasm.Assemble(`
+	t.Run("underflow", func(t *testing.T) {
+		// The strict-evaluator bail: the mutated code underflows the
+		// abstract stack, so the method is degraded to claim-free
+		// reachability (zero consts, zero decided branches, nothing
+		// analyzed).
+		prog, err := jasm.Assemble(`
 .entry Main main
 .class Main
 .method static main ( ) void
@@ -89,27 +119,76 @@ func TestPostLinkCorruptionDegrades(t *testing.T) {
 .end
 .end
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := bytecode.NewEncoder()
-	enc.Emit(bytecode.Instr{Op: bytecode.Pop})
-	enc.Emit(bytecode.Instr{Op: bytecode.ReturnVoid})
-	prog.Main.Code = enc.Bytes()
-	p, err := cfg.BuildProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := valueflow.Compute(p)
-	s := f.Stats()
-	if s.MethodsAnalyzed != 0 {
-		t.Fatalf("underflowing method counted as analyzed: %+v", s)
-	}
-	if s.IntConsts+s.FloatConsts+s.NonNull+s.StackConsts+s.Decided != 0 {
-		t.Fatalf("underflowing code produced claims: %+v", s)
-	}
-	if s.Unreachable != 0 {
-		t.Fatalf("degraded method's blocks must stay reachable: %+v", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := bytecode.NewEncoder()
+		enc.Emit(bytecode.Instr{Op: bytecode.Pop})
+		enc.Emit(bytecode.Instr{Op: bytecode.ReturnVoid})
+		prog.Main.Code = enc.Bytes()
+		p, err := cfg.BuildProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := valueflow.Compute(p)
+		s := f.Stats()
+		if s.MethodsAnalyzed != 0 {
+			t.Fatalf("underflowing method counted as analyzed: %+v", s)
+		}
+		if s.IntConsts+s.FloatConsts+s.NonNull+s.StackConsts+s.Decided != 0 {
+			t.Fatalf("underflowing code produced claims: %+v", s)
+		}
+		if s.Unreachable != 0 {
+			t.Fatalf("degraded method's blocks must stay reachable: %+v", s)
+		}
+	})
+
+	// The adversarial programs Link refuses: each row links a repaired
+	// twin (old replaced by new in the file), then puts the file's own
+	// code and frame sizes back. The pinned golden line (see factsLine)
+	// holds every fact Compute derives from the planted program.
+	for _, tc := range []struct {
+		file, old, new, want string
+	}{
+		{"huge-locals.jasm", ".locals 70000", ".locals 0",
+			"top=false blocks=1 reachable=1 decided=0 analyzed=0/1 03c3a447bb13440c17bafd41"},
+		{"kind-confusion.jasm", "aconst_null", "iconst 0",
+			"top=false blocks=2 reachable=2 decided=0 analyzed=1/1 086dcea42affafd2d42084a6"},
+		{"uninit-merge.jasm", ".locals 2\n", ".locals 2\n    iconst 0\n    istore 1\n",
+			"top=false blocks=7 reachable=7 decided=0 analyzed=2/2 9196362117a769aac0b52570"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "adversarial", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := string(data)
+			planted, err := jasm.AssembleUnlinked(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(src, tc.old) {
+				t.Fatalf("%s does not contain %q", tc.file, tc.old)
+			}
+			prog, err := jasm.Assemble(strings.ReplaceAll(src, tc.old, tc.new))
+			if err != nil {
+				t.Fatalf("repaired twin: %v", err)
+			}
+			for i, c := range prog.Classes {
+				for j, m := range c.Methods {
+					pm := planted.Classes[i].Methods[j]
+					m.Code, m.MaxLocals = pm.Code, pm.MaxLocals
+				}
+			}
+			p, err := cfg.BuildProgram(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := "adversarial-" + tc.file
+			if got, want := factsLine(name, valueflow.Compute(p)), name+" "+tc.want; got != want {
+				t.Fatalf("facts changed:\n got  %s\n want %s", got, want)
+			}
+		})
 	}
 }
 

@@ -87,7 +87,8 @@ func builtins(t *testing.T) []namedCFG {
 }
 
 // goldenCorpus is every program the golden file covers: the six built-in
-// workloads, the adversarial corpus and the cold band.
+// workloads, the adversarial corpus (less the programs Link refuses) and
+// the cold band.
 func goldenCorpus(t *testing.T) []namedCFG {
 	t.Helper()
 	out := builtins(t)
@@ -100,7 +101,12 @@ func goldenCorpus(t *testing.T) []namedCFG {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := jasm.Assemble(string(data))
+		src := string(data)
+		prog, err := jasm.Assemble(src)
+		if rule, ok := strings.CutPrefix(corpusExpect(t, path, src), "rejected "); ok {
+			checkRejected(t, path, err, rule)
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

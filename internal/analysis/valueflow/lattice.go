@@ -7,7 +7,8 @@ import (
 )
 
 // maxAbsStack bounds the abstract operand stack, matching the verifier's
-// MaxVerifyStack so both analyses give up on the same degenerate programs.
+// classfile.MaxVerifyStack so both analyses give up on the same degenerate
+// programs.
 const maxAbsStack = 4096
 
 // widenAfter is the number of times a leader's entry state (a block start

@@ -6,17 +6,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
+	"repro/internal/classfile"
 	"repro/internal/jasm"
 )
 
-func mustUnlinked(t *testing.T, src string) *analysis.Report {
+func mustUnlinked(t *testing.T, src string) *classfile.Report {
 	t.Helper()
 	prog, err := jasm.AssembleUnlinked(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	return analysis.Verify(prog)
+	return classfile.Verify(prog)
 }
 
 func TestVerifyAcceptsHandlerFlow(t *testing.T) {
@@ -64,8 +64,8 @@ L:  return
 	if len(warns) != 1 {
 		t.Fatalf("want 1 warning, got %d:\n%s", len(warns), rep)
 	}
-	if warns[0].Rule != analysis.RuleUnreachableBlock {
-		t.Fatalf("want %s, got %s", analysis.RuleUnreachableBlock, warns[0].Rule)
+	if warns[0].Rule != classfile.RuleUnreachableBlock {
+		t.Fatalf("want %s, got %s", classfile.RuleUnreachableBlock, warns[0].Rule)
 	}
 	if rep.Err() != nil {
 		t.Fatalf("warnings must not produce an error: %v", rep.Err())
@@ -92,8 +92,8 @@ J:  ineg
 	if !rep.Reject() {
 		t.Fatal("kind conflict at join was accepted")
 	}
-	if got := rep.Errors()[0].Rule; got != analysis.RuleKindMismatch {
-		t.Fatalf("want %s, got %s", analysis.RuleKindMismatch, got)
+	if got := rep.Errors()[0].Rule; got != classfile.RuleKindMismatch {
+		t.Fatalf("want %s, got %s", classfile.RuleKindMismatch, got)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestVerifyInvokeArgKinds(t *testing.T) {
 	if !rep.Reject() {
 		t.Fatal("mis-kinded call arguments were accepted")
 	}
-	if got := rep.Errors()[0].Rule; got != analysis.RuleKindMismatch {
-		t.Fatalf("want %s, got %s", analysis.RuleKindMismatch, got)
+	if got := rep.Errors()[0].Rule; got != classfile.RuleKindMismatch {
+		t.Fatalf("want %s, got %s", classfile.RuleKindMismatch, got)
 	}
 }
 
@@ -176,12 +176,12 @@ func TestVerifyErrorMessage(t *testing.T) {
 .end
 `)
 	err := rep.Err()
-	var verr *analysis.VerifyError
+	var verr *classfile.VerifyError
 	if !errors.As(err, &verr) {
 		t.Fatalf("Err is not a *VerifyError: %v", err)
 	}
 	msg := verr.Error()
-	if !strings.Contains(msg, analysis.RuleStackUnderflow) || !strings.Contains(msg, "and 1 more") {
+	if !strings.Contains(msg, classfile.RuleStackUnderflow) || !strings.Contains(msg, "and 1 more") {
 		t.Fatalf("unexpected message: %s", msg)
 	}
 }
@@ -210,7 +210,7 @@ func TestReportJSONShape(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded.Findings) != 1 || decoded.Findings[0].Rule != analysis.RuleStackUnderflow {
+	if len(decoded.Findings) != 1 || decoded.Findings[0].Rule != classfile.RuleStackUnderflow {
 		t.Fatalf("bad JSON report: %s", data)
 	}
 	if decoded.Findings[0].Method != "Main.main" {
@@ -234,7 +234,7 @@ func TestVerifyLinkedProgramToo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := analysis.Verify(prog); rep.Reject() {
+	if rep := classfile.Verify(prog); rep.Reject() {
 		t.Fatalf("rejected linked program:\n%s", rep)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -117,7 +117,7 @@ type ErrorResponse struct {
 	Error  string `json:"error"`
 	// Report carries the structured verification findings when the program
 	// was rejected by the bytecode verifier.
-	Report *analysis.Report `json:"report,omitempty"`
+	Report *classfile.Report `json:"report,omitempty"`
 }
 
 // NewError builds an ErrorResponse with the schema stamped.

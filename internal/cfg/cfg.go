@@ -198,30 +198,6 @@ func BuildProgram(prog *classfile.Program) (*ProgramCFG, error) {
 	return pcfg, nil
 }
 
-// Leaders marks, by pc, the instructions of m's decoded code ins that start
-// a basic block: the entry, every branch and switch target, every exception
-// handler, and every instruction following a terminator. The slice has
-// len(m.Code)+1 entries, so the pc after the last instruction is in range.
-// A handler pc outside the code (code changed after linking) is skipped.
-func Leaders(m *classfile.Method, ins []bytecode.Instr) []bool {
-	lead := make([]bool, len(m.Code)+1)
-	lead[0] = true
-	for i := range ins {
-		for _, t := range ins[i].BranchTargets() {
-			lead[t] = true
-		}
-		if ins[i].Op.IsTerminator() {
-			lead[ins[i].Next()] = true
-		}
-	}
-	for _, h := range m.Handlers {
-		if int(h.HandlerPC) < len(m.Code) {
-			lead[h.HandlerPC] = true
-		}
-	}
-	return lead
-}
-
 func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
 	dec, err := bytecode.Decode(m.Code)
 	if err != nil {
@@ -229,7 +205,7 @@ func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
 	}
 	// One exact allocation, not Decode's growing buffer: the CFG keeps it.
 	ins := slices.Clone(dec)
-	lead := Leaders(m, ins)
+	lead := classfile.Leaders(m, ins)
 
 	// Partition instructions into blocks.
 	mc := &MethodCFG{Method: m, Instrs: ins}

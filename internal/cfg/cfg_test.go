@@ -107,6 +107,8 @@ func TestSwitchSuccessors(t *testing.T) {
 .class Main
 .method static main ( ) void
 .locals 1
+    iconst 0
+    istore 0
     iload 0
     tableswitch 0 dflt a b
 a:
@@ -273,7 +275,7 @@ func TestPropertyBlocksPartitionMethods(t *testing.T) {
 			if mc.BlockAtPC(end) != nil || mc.BlockAtPC(end+1) != nil {
 				t.Errorf("%s: BlockAtPC finds a block at or past the code's end", mc.Method.QName())
 			}
-			leaders := cfg.Leaders(mc.Method, mc.Instrs)
+			leaders := classfile.Leaders(mc.Method, mc.Instrs)
 			for pc := uint32(0); pc < end; pc++ {
 				if leaders[pc] != (mc.BlockAtPC(pc) != nil) {
 					t.Errorf("%s: Leaders[%d] = %t, but a block starts there: %t", mc.Method.QName(), pc, leaders[pc], !leaders[pc])
@@ -417,6 +419,8 @@ func TestSwitchSucc(t *testing.T) {
 .class Main
 .method static main ( ) void
 .locals 1
+    iconst 0
+    istore 0
     iload 0
     tableswitch 3 dflt a b
 a:

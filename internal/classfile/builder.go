@@ -134,7 +134,8 @@ func (b *Builder) SetEntry(className, methodName string) {
 	b.prog.EntryMethod = methodName
 }
 
-// Build links and returns the program.
+// Build links (and so verifies) and returns the program. A verifier
+// rejection is a *VerifyError.
 func (b *Builder) Build() (*Program, error) {
 	if err := b.prog.Link(); err != nil {
 		return nil, err

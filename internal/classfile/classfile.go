@@ -7,8 +7,9 @@
 // execution. Linking resolves superclass names, lays out instance fields
 // (inherited fields first, so a subclass object is a prefix-compatible
 // extension of its superclass), builds vtables with override resolution,
-// resolves method and field references to direct slots, and validates the
-// bytecode of every method.
+// runs the bytecode verifier over every method (verify.go), and resolves
+// method and field references to direct slots. A linked program is a
+// verified one.
 package classfile
 
 import (
@@ -367,23 +368,38 @@ func (p *Program) Link() error {
 		}
 	}
 
-	// Dense method table and per-method structural validation, which
-	// decodes each method's code once for the stack verifier below.
+	// Dense method table.
 	p.Methods = p.Methods[:0]
-	var codes [][]bytecode.Instr
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
 			m.ID = len(p.Methods)
 			p.Methods = append(p.Methods, m)
-			ins, err := p.validateMethod(m)
-			if err != nil {
+			if err := checkBody(m); err != nil {
 				return err
 			}
-			codes = append(codes, ins)
 		}
 	}
 
-	// Resolve references.
+	// Verify every bytecode method and take its MaxStack. The verifier
+	// resolves references by name, so it runs before resolution and
+	// reports a dangling one as a finding like any other.
+	if rep := verify(p, true); rep.Reject() {
+		return rep.Err()
+	}
+
+	// Resolve references. The verifier has range-checked every catch class.
+	for _, m := range p.Methods {
+		if len(m.Code) == 0 {
+			continue
+		}
+		for i := range m.Handlers {
+			h := &m.Handlers[i]
+			h.Class = nil
+			if h.ClassIdx != -1 {
+				h.Class = p.Classes[h.ClassIdx]
+			}
+		}
+	}
 	for i := range p.MethodRefs {
 		if err := p.resolveMethodRef(&p.MethodRefs[i]); err != nil {
 			return fmt.Errorf("classfile: link: method ref %d: %w", i, err)
@@ -393,19 +409,6 @@ func (p *Program) Link() error {
 		if err := p.resolveFieldRef(&p.FieldRefs[i]); err != nil {
 			return fmt.Errorf("classfile: link: field ref %d: %w", i, err)
 		}
-	}
-
-	// Stack-depth verification needs resolved method refs (call arity), so
-	// it runs after reference resolution.
-	for i, m := range p.Methods {
-		if len(codes[i]) == 0 {
-			continue
-		}
-		depth, err := p.verifyStack(m, codes[i])
-		if err != nil {
-			return err
-		}
-		m.MaxStack = depth
 	}
 
 	// Entry point.
@@ -461,120 +464,40 @@ func topoClasses(classes []*Class) ([]*Class, error) {
 	return order, nil
 }
 
-// validateMethod checks m's structure and returns its decoded code (nil for
-// an abstract or native method).
-func (p *Program) validateMethod(m *Method) ([]bytecode.Instr, error) {
-	if m.Abstract {
-		if len(m.Code) != 0 || m.Native != "" {
-			return nil, fmt.Errorf("classfile: link: abstract method %s has a body", m.QName())
-		}
-		return nil, nil
+// checkBody enforces the body rules the verifier leaves to the linker: an
+// abstract method has no body and a native one no bytecode.
+func checkBody(m *Method) error {
+	if m.Abstract && (len(m.Code) != 0 || m.Native != "") {
+		return fmt.Errorf("classfile: link: abstract method %s has a body", m.QName())
 	}
-	if m.Native != "" {
-		if len(m.Code) != 0 {
-			return nil, fmt.Errorf("classfile: link: native method %s also has bytecode", m.QName())
-		}
-		return nil, nil
-	}
-	if len(m.Code) == 0 {
-		return nil, fmt.Errorf("classfile: link: method %s has no body", m.QName())
-	}
-	if m.MaxLocals < m.NArgs() {
-		return nil, fmt.Errorf("classfile: link: method %s declares %d locals but takes %d arguments", m.QName(), m.MaxLocals, m.NArgs())
-	}
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil {
-		return nil, fmt.Errorf("classfile: link: method %s: %w", m.QName(), err)
-	}
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("classfile: link: method %s has empty code", m.QName())
-	}
-	last := ins[len(ins)-1]
-	switch bytecode.InfoOf(last.Op).Flow {
-	case bytecode.FlowGoto, bytecode.FlowReturn, bytecode.FlowSwitch, bytecode.FlowHalt, bytecode.FlowThrow:
-	default:
-		return nil, fmt.Errorf("classfile: link: method %s can fall off the end of its code (last op %s)", m.QName(), last.Op)
-	}
-	for _, in := range ins {
-		if err := p.validateInstr(m, in); err != nil {
-			return nil, err
-		}
-	}
-	return ins, p.validateHandlers(m, ins)
-}
-
-// validateHandlers checks and resolves the method's exception table.
-func (p *Program) validateHandlers(m *Method, ins []bytecode.Instr) error {
-	starts := make(map[uint32]bool, len(ins))
-	for _, in := range ins {
-		starts[in.PC] = true
-	}
-	codeEnd := uint32(len(m.Code))
-	for i := range m.Handlers {
-		h := &m.Handlers[i]
-		if h.StartPC >= h.EndPC || h.EndPC > codeEnd {
-			return fmt.Errorf("classfile: link: method %s: handler %d has bad range [%d, %d)", m.QName(), i, h.StartPC, h.EndPC)
-		}
-		if !starts[h.StartPC] {
-			return fmt.Errorf("classfile: link: method %s: handler %d starts mid-instruction at %d", m.QName(), i, h.StartPC)
-		}
-		if !starts[h.HandlerPC] {
-			return fmt.Errorf("classfile: link: method %s: handler %d targets non-instruction pc %d", m.QName(), i, h.HandlerPC)
-		}
-		if h.ClassIdx == -1 {
-			h.Class = nil
-		} else {
-			if h.ClassIdx < 0 || int(h.ClassIdx) >= len(p.Classes) {
-				return fmt.Errorf("classfile: link: method %s: handler %d catch class %d out of range", m.QName(), i, h.ClassIdx)
-			}
-			h.Class = p.Classes[h.ClassIdx]
-		}
+	if m.Native != "" && len(m.Code) != 0 {
+		return fmt.Errorf("classfile: link: native method %s also has bytecode", m.QName())
 	}
 	return nil
 }
 
-func (p *Program) validateInstr(m *Method, in bytecode.Instr) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("classfile: link: method %s pc %d: %s", m.QName(), in.PC, fmt.Sprintf(format, args...))
-	}
-	switch in.Op {
-	case bytecode.ILoad, bytecode.IStore, bytecode.FLoad, bytecode.FStore,
-		bytecode.ALoad, bytecode.AStore, bytecode.IInc:
-		if int(in.A) >= m.MaxLocals {
-			return bad("local slot %d out of range (max %d)", in.A, m.MaxLocals)
+// Leaders marks, by pc, the instructions of m's decoded code ins that start
+// a basic block: the entry, every branch and switch target, every exception
+// handler, and every instruction following a terminator. The slice has
+// len(m.Code)+1 entries, so the pc after the last instruction is in range.
+// A handler pc outside the code (code changed after linking) is skipped.
+func Leaders(m *Method, ins []bytecode.Instr) []bool {
+	lead := make([]bool, len(m.Code)+1)
+	lead[0] = true
+	for i := range ins {
+		for _, t := range ins[i].BranchTargets() {
+			lead[t] = true
 		}
-	case bytecode.SConst:
-		if int(in.A) >= len(p.Strings) {
-			return bad("string constant %d out of range (%d strings)", in.A, len(p.Strings))
-		}
-	case bytecode.InvokeStatic, bytecode.InvokeVirtual, bytecode.InvokeSpecial:
-		if int(in.A) >= len(p.MethodRefs) {
-			return bad("method ref %d out of range (%d refs)", in.A, len(p.MethodRefs))
-		}
-		ref := p.MethodRefs[in.A]
-		want := map[bytecode.Op]RefKind{
-			bytecode.InvokeStatic:  RefStatic,
-			bytecode.InvokeVirtual: RefVirtual,
-			bytecode.InvokeSpecial: RefSpecial,
-		}[in.Op]
-		if ref.Kind != want {
-			return bad("%s uses %s method ref %q", in.Op, ref.Kind, ref.Name)
-		}
-	case bytecode.GetField, bytecode.PutField, bytecode.GetStatic, bytecode.PutStatic:
-		if int(in.A) >= len(p.FieldRefs) {
-			return bad("field ref %d out of range (%d refs)", in.A, len(p.FieldRefs))
-		}
-		ref := p.FieldRefs[in.A]
-		wantStatic := in.Op == bytecode.GetStatic || in.Op == bytecode.PutStatic
-		if ref.Static != wantStatic {
-			return bad("%s uses mismatched field ref %q (static=%v)", in.Op, ref.Name, ref.Static)
-		}
-	case bytecode.New, bytecode.InstanceOf, bytecode.CheckCast:
-		if int(in.A) >= len(p.Classes) {
-			return bad("class index %d out of range (%d classes)", in.A, len(p.Classes))
+		if ins[i].Op.IsTerminator() {
+			lead[ins[i].Next()] = true
 		}
 	}
-	return nil
+	for _, h := range m.Handlers {
+		if int(h.HandlerPC) < len(m.Code) {
+			lead[h.HandlerPC] = true
+		}
+	}
+	return lead
 }
 
 func (p *Program) resolveMethodRef(ref *MethodRef) error {

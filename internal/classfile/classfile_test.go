@@ -2,6 +2,7 @@ package classfile_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,11 +121,11 @@ func TestLinkErrors(t *testing.T) {
 		}, "different signature"},
 		{"no body", func(b *classfile.Builder) {
 			b.Class("A").Method("f", nil, classfile.TVoid, true)
-		}, "no body"},
+		}, classfile.RuleTruncatedCode},
 		{"falls off end", func(b *classfile.Builder) {
 			m := b.Class("A").Method("f", nil, classfile.TVoid, true)
 			m.Code = bytecode.MustEncode([]bytecode.Instr{{Op: bytecode.Nop}})
-		}, "fall off"},
+		}, classfile.RuleFallOffEnd},
 		{"locals too small", func(b *classfile.Builder) {
 			m := b.Class("A").Method("f", []classfile.Type{classfile.TInt}, classfile.TVoid, true)
 			m.MaxLocals = 0
@@ -160,7 +161,7 @@ func TestLinkErrors(t *testing.T) {
 				{Op: bytecode.Pop},
 				{Op: bytecode.ReturnVoid},
 			})
-		}, "string constant"},
+		}, classfile.RuleBadRefIndex},
 		{"method ref kind mismatch", func(b *classfile.Builder) {
 			callee := b.Class("A").Method("g", nil, classfile.TVoid, true)
 			callee.Code = retVoid
@@ -173,7 +174,7 @@ func TestLinkErrors(t *testing.T) {
 		}, "method ref"},
 		{"unresolvable field ref", func(b *classfile.Builder) {
 			ref := b.FieldRef("A", "nope", false)
-			m := b.Class("A").Method("main", nil, classfile.TVoid, true)
+			m := b.Class("A").Method("main", nil, classfile.TVoid, false)
 			m.MaxLocals = 1
 			m.Code = bytecode.MustEncode([]bytecode.Instr{
 				{Op: bytecode.ALoad, A: 0},
@@ -240,6 +241,40 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if got.EntryClass != prog.EntryClass || got.EntryMethod != prog.EntryMethod {
 		t.Error("entry point did not round-trip")
+	}
+}
+
+// TestLinkVerifiesReadModule: a module is untrusted input, and linking what
+// Read returns runs the verifier, so a method that reads a local no path
+// has stored is refused with its rule.
+func TestLinkVerifiesReadModule(t *testing.T) {
+	b := classfile.NewBuilder()
+	m := b.Class("Main").Method("main", nil, classfile.TVoid, true)
+	m.MaxLocals = 1
+	m.Code = bytecode.MustEncode([]bytecode.Instr{
+		{Op: bytecode.ILoad, A: 0},
+		{Op: bytecode.Pop},
+		{Op: bytecode.ReturnVoid},
+	})
+	b.SetEntry("Main", "main")
+	var buf bytes.Buffer
+	if err := classfile.Write(&buf, b.Program()); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := classfile.Read(&buf)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	err = prog.Link()
+	var verr *classfile.VerifyError
+	if !errors.As(err, &verr) {
+		t.Fatalf("link err = %v, want a *classfile.VerifyError", err)
+	}
+	if got := verr.Report.Errors()[0].Rule; got != classfile.RuleUninitLocal {
+		t.Errorf("rule = %s, want %s", got, classfile.RuleUninitLocal)
+	}
+	if prog.Linked() {
+		t.Error("a refused program reports itself linked")
 	}
 }
 

@@ -1,18 +1,4 @@
-// Package analysis is the static analysis layer of the VM: an
-// abstract-interpretation bytecode verifier that rejects malformed programs
-// before they reach the interpreter, and CFG dataflow passes (dominators,
-// loop headers, static successor classification) whose facts seed the
-// dynamic profiler.
-//
-// Verify symbolically executes every method over a kind lattice
-// (int/float/ref, with conflicting merges collapsing to top) as a
-// merge-over-all-paths fixpoint, checking stack depth bounds and balance at
-// joins, operand kinds against the bytecode package's stack-effect
-// metadata, branch and switch targets, locals-initialized-before-use, and
-// reachability. Failures are reported as a structured Report rather than a
-// bare error so callers (the serve registry, tracevmd's HTTP surface,
-// `tracevm lint`) can surface individual findings.
-package analysis
+package classfile
 
 import (
 	"fmt"
@@ -149,9 +135,9 @@ type VerifyError struct {
 func (e *VerifyError) Error() string {
 	errs := e.Report.Errors()
 	if len(errs) == 0 {
-		return "analysis: program rejected"
+		return "classfile: verify: program rejected"
 	}
-	s := fmt.Sprintf("analysis: program rejected: %s", errs[0])
+	s := fmt.Sprintf("classfile: verify: program rejected: %s", errs[0])
 	if len(errs) > 1 {
 		s += fmt.Sprintf(" (and %d more)", len(errs)-1)
 	}

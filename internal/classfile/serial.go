@@ -214,7 +214,8 @@ func (r *reader) typ() Type {
 	return t
 }
 
-// Read deserializes a module. The returned program is unlinked.
+// Read deserializes a module. The returned program is unlinked, and so
+// unverified: Link verifies it.
 func Read(in io.Reader) (*Program, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	if m := r.u32(); r.err == nil && m != moduleMagic {

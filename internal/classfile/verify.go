@@ -1,18 +1,26 @@
-package analysis
+package classfile
 
 import (
 	"fmt"
 
 	"repro/internal/analysis/arena"
 	"repro/internal/bytecode"
-	"repro/internal/cfg"
-	"repro/internal/classfile"
 )
 
+// The bytecode verifier: an abstract interpretation of every method over a
+// kind lattice (int/float/ref, with conflicting merges collapsing to top)
+// as a merge-over-all-paths fixpoint. It checks stack depth bounds and
+// balance at joins, operand kinds against the bytecode package's
+// stack-effect metadata, branch and switch targets, reference operands,
+// locals-initialized-before-use, and reachability. Link runs it on every
+// program, so nothing executes unverified, and takes each method's
+// MaxStack from it; Verify runs it alone and returns every finding as a
+// structured Report (`tracevm lint`, tracevmd's 422 bodies).
+
 // MaxVerifyStack bounds the abstract operand-stack depth; any path that
-// exceeds it is rejected with RuleStackOverflow. The interpreter's frames
-// are sized from the link-time MaxStack, so this is a sanity ceiling, not a
-// tight bound.
+// exceeds it is rejected with RuleStackOverflow. The interpreter sizes its
+// frames from the MaxStack this verifier computes, so the ceiling bounds
+// every frame.
 const MaxVerifyStack = 4096
 
 // maxVerifyLocals bounds MaxLocals; slot operands are u16 so nothing above
@@ -26,11 +34,20 @@ const maxVerifyLocals = 1 << 16
 // filled them in — so malformed inputs can be analyzed even when linking
 // would refuse them. Verification of a method stops at its first rejecting
 // finding; unreachable-code warnings are only computed for clean methods.
-func Verify(prog *classfile.Program) *Report {
-	v := &mverify{rep: &Report{}, res: newResolver(prog)}
+// Verify does not modify the program.
+func Verify(prog *Program) *Report { return verify(prog, false) }
+
+// verify runs the verifier over every method. Linking (link set) skips the
+// advisory unreachable-block scan and sets each accepted method's MaxStack
+// to the deepest abstract operand stack of any of its instructions.
+func verify(prog *Program, link bool) *Report {
+	v := &mverify{rep: &Report{}, res: newResolver(prog), link: link}
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
 			v.verifyMethod(c, m)
+			if link && !v.stopped {
+				m.MaxStack = v.depth
+			}
 		}
 	}
 	return v.rep
@@ -40,12 +57,12 @@ func Verify(prog *classfile.Program) *Report {
 // linked program. Lookup walks the superclass chain by name with a visited
 // set, so even cyclic (malformed) hierarchies terminate.
 type resolver struct {
-	prog   *classfile.Program
-	byName map[string]*classfile.Class
+	prog   *Program
+	byName map[string]*Class
 }
 
-func newResolver(p *classfile.Program) *resolver {
-	r := &resolver{prog: p, byName: make(map[string]*classfile.Class, len(p.Classes))}
+func newResolver(p *Program) *resolver {
+	r := &resolver{prog: p, byName: make(map[string]*Class, len(p.Classes))}
 	for _, c := range p.Classes {
 		if _, dup := r.byName[c.Name]; !dup {
 			r.byName[c.Name] = c
@@ -54,8 +71,8 @@ func newResolver(p *classfile.Program) *resolver {
 	return r
 }
 
-func (r *resolver) methodNamed(className, name string) *classfile.Method {
-	seen := map[*classfile.Class]bool{}
+func (r *resolver) methodNamed(className, name string) *Method {
+	seen := map[*Class]bool{}
 	for c := r.byName[className]; c != nil && !seen[c]; c = r.byName[c.SuperName] {
 		seen[c] = true
 		for _, m := range c.Methods {
@@ -67,8 +84,8 @@ func (r *resolver) methodNamed(className, name string) *classfile.Method {
 	return nil
 }
 
-func (r *resolver) fieldNamed(className, name string) *classfile.Field {
-	seen := map[*classfile.Class]bool{}
+func (r *resolver) fieldNamed(className, name string) *Field {
+	seen := map[*Class]bool{}
 	for c := r.byName[className]; c != nil && !seen[c]; c = r.byName[c.SuperName] {
 		seen[c] = true
 		for _, f := range c.Fields {
@@ -107,8 +124,11 @@ func (st *absState) copyFrom(src *absState) {
 type mverify struct {
 	rep  *Report
 	res  *resolver
+	link bool
 	name string
-	m    *classfile.Method
+	m    *Method
+	// depth is the deepest abstract operand stack of the method so far.
+	depth int
 
 	ins   []bytecode.Instr
 	idxOf map[uint32]int // instruction start pc -> index
@@ -147,29 +167,29 @@ func (v *mverify) warn(pc uint32, rule, format string, args ...any) {
 	})
 }
 
-func typeKind(t classfile.Type) bytecode.ValKind {
+func typeKind(t Type) bytecode.ValKind {
 	switch t {
-	case classfile.TInt:
+	case TInt:
 		return bytecode.KInt
-	case classfile.TFloat:
+	case TFloat:
 		return bytecode.KFloat
-	case classfile.TRef:
+	case TRef:
 		return bytecode.KRef
 	}
 	return bytecode.KAny
 }
 
-func qname(c *classfile.Class, m *classfile.Method) string {
+func qname(c *Class, m *Method) string {
 	if m.Class != nil {
 		return m.QName()
 	}
 	return c.Name + "." + m.Name
 }
 
-func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
-	v.name, v.m, v.stopped = qname(c, m), m, false
+func (v *mverify) verifyMethod(c *Class, m *Method) {
+	v.name, v.m, v.stopped, v.depth = qname(c, m), m, false, 0
 	if m.Abstract || m.Native != "" {
-		return // no bytecode to verify; structural rules are the linker's
+		return // no bytecode to verify; body rules are the linker's
 	}
 	if len(m.Code) == 0 {
 		v.fail(0, RuleTruncatedCode, "method has no code")
@@ -279,13 +299,13 @@ func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
 		v.work = v.work[:len(v.work)-1]
 		v.step(i)
 	}
-	if v.stopped {
+	if v.stopped || v.link {
 		return
 	}
 
 	// Unreachable-block warnings: any never-visited leader starts a dead
 	// block.
-	leaders := cfg.Leaders(m, ins)
+	leaders := Leaders(m, ins)
 	for i, in := range ins {
 		if !v.seen[i] && leaders[in.PC] {
 			v.warn(in.PC, RuleUnreachableBlock, "block at pc %d is unreachable", in.PC)
@@ -300,6 +320,7 @@ func (v *mverify) push(st *absState, pc uint32, k bytecode.ValKind) {
 		return
 	}
 	st.stack = append(st.stack, k)
+	v.depth = max(v.depth, len(st.stack))
 }
 
 // pop removes the top of the abstract stack and checks its kind. what names
@@ -492,17 +513,17 @@ func (v *mverify) step(i int) {
 		v.stepField(st, in)
 
 	case bytecode.ReturnVoid:
-		if v.m.Ret != classfile.TVoid {
+		if v.m.Ret != TVoid {
 			v.fail(in.PC, RuleKindMismatch, "return in method returning %s", v.m.Ret)
 			return
 		}
 	case bytecode.IReturn, bytecode.FReturn, bytecode.AReturn:
-		want := classfile.TRef
+		want := TRef
 		switch in.Op {
 		case bytecode.IReturn:
-			want = classfile.TInt
+			want = TInt
 		case bytecode.FReturn:
-			want = classfile.TFloat
+			want = TFloat
 		}
 		if v.m.Ret != want {
 			v.fail(in.PC, RuleKindMismatch, "%s in method returning %s", in.Op, v.m.Ret)
@@ -563,12 +584,12 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 		return
 	}
 	ref := &prog.MethodRefs[idx]
-	want := classfile.RefSpecial
+	want := RefSpecial
 	switch in.Op {
 	case bytecode.InvokeStatic:
-		want = classfile.RefStatic
+		want = RefStatic
 	case bytecode.InvokeVirtual:
-		want = classfile.RefVirtual
+		want = RefVirtual
 	}
 	if ref.Kind != want {
 		v.fail(in.PC, RuleBadRefIndex, "%s uses %s method ref %q", in.Op, ref.Kind, ref.Name)
@@ -582,11 +603,11 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 		v.fail(in.PC, RuleBadRefIndex, "%s: no method %s.%s", in.Op, ref.ClassName, ref.Name)
 		return
 	}
-	if ref.Kind != classfile.RefStatic && target.Static {
+	if ref.Kind != RefStatic && target.Static {
 		v.fail(in.PC, RuleBadRefIndex, "%s ref to static method %s.%s", ref.Kind, ref.ClassName, ref.Name)
 		return
 	}
-	if ref.Kind == classfile.RefStatic && !target.Static {
+	if ref.Kind == RefStatic && !target.Static {
 		v.fail(in.PC, RuleBadRefIndex, "static ref to instance method %s.%s", ref.ClassName, ref.Name)
 		return
 	}
@@ -599,7 +620,7 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 			return
 		}
 	}
-	if ref.Kind != classfile.RefStatic {
+	if ref.Kind != RefStatic {
 		v.popAs(st, in.PC, bytecode.KRef, func() string {
 			return fmt.Sprintf("%s %s.%s receiver", in.Op, ref.ClassName, ref.Name)
 		})
@@ -607,7 +628,7 @@ func (v *mverify) stepInvoke(st *absState, in bytecode.Instr) {
 	if v.stopped {
 		return
 	}
-	if target.Ret != classfile.TVoid {
+	if target.Ret != TVoid {
 		v.push(st, in.PC, typeKind(target.Ret))
 	}
 }

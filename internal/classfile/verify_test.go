@@ -45,7 +45,7 @@ func TestVerifierRejectsJoinMismatch(t *testing.T) {
 		{Op: bytecode.ReturnVoid},   // @26
 	}
 	err := buildWith(t, 0, ins)
-	if err == nil || !strings.Contains(err.Error(), "inconsistent stack depth") {
+	if err == nil || !strings.Contains(err.Error(), classfile.RuleStackImbalance) {
 		t.Errorf("join mismatch accepted: %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestVerifierLoopConsistency(t *testing.T) {
 		{Op: bytecode.ReturnVoid},        // @31
 	}
 	err := buildWith(t, 1, leak)
-	if err == nil || !strings.Contains(err.Error(), "inconsistent stack depth") {
+	if err == nil || !strings.Contains(err.Error(), classfile.RuleStackImbalance) {
 		t.Errorf("leaking loop accepted: %v", err)
 	}
 }

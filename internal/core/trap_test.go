@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -21,6 +22,8 @@ const switchProgram = `
 .locals 2
     iconst 0
     istore 0
+    iconst 0
+    istore 1
 loop:
     iload 0
     iconst 3000
@@ -197,5 +200,57 @@ func TestHookPanicTrapsAtLastBlock(t *testing.T) {
 				t.Errorf("%d blocks completed before the hook panic, want %d", s.Counters.BlockDispatches, calls)
 			}
 		})
+	}
+}
+
+// unrelatedVirtualCall calls A.n on a B. The classes are unrelated, so B's
+// vtable has no slot 1. The verifier accepts the call (a receiver is any
+// reference), so the engines must trap it at run time.
+const unrelatedVirtualCall = `
+.class A
+.method m ( ) void
+    return
+.end
+.method n ( ) void
+    return
+.end
+.end
+.class B
+.method init ( ) void
+    return
+.end
+.end
+.class Main
+.method static main ( ) void
+    new B
+    invokevirtual A.n
+    return
+.end
+.end
+.entry Main main
+`
+
+// TestVTableSlotOutOfRangeTrapsAlike pins that the block and the
+// per-instruction engines refuse a vtable slot the receiver's class lacks
+// with the same bad-program trap, at the call.
+func TestVTableSlotOutOfRangeTrapsAlike(t *testing.T) {
+	prog, err := jasm.Assemble(unrelatedVirtualCall)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	pcfg, err := cfg.BuildProgram(prog)
+	if err != nil {
+		t.Fatalf("cfg: %v", err)
+	}
+	const want = "vtable slot 1 out of range for class B (at Main.main pc 3)"
+	for _, mode := range []core.Mode{core.ModePlain, core.ModeInstr} {
+		s, err := core.NewSession(prog, pcfg, core.SessionOptions{Mode: mode, Out: &testWriter{}})
+		if err != nil {
+			t.Fatalf("%v: session: %v", mode, err)
+		}
+		err = s.Run()
+		if tr, ok := vm.AsTrap(err); !ok || tr.Kind != vm.TrapBadProgram || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%v: err = %v, want a bad-program trap ending %q", mode, err, want)
+		}
 	}
 }

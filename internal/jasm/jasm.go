@@ -47,9 +47,9 @@ func Assemble(src string) (*classfile.Program, error) {
 	return a.b.Build()
 }
 
-// AssembleUnlinked parses jasm source but skips linking, so the verifier
-// can report on a program the linker would refuse, and tests can target
-// link-time failures.
+// AssembleUnlinked parses jasm source but skips linking, so Verify can
+// report every finding (warnings included) on a program Link would refuse,
+// and tests can target link-time failures.
 func AssembleUnlinked(src string) (*classfile.Program, error) {
 	a := &asm{b: classfile.NewBuilder()}
 	if err := a.run(src); err != nil {

@@ -81,11 +81,6 @@ type Registry struct {
 	shards [regShards]regShard
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// NoVerify skips bytecode verification of submitted sources. Set it
-	// before the registry receives requests; built-in workloads are always
-	// trusted and never verified here.
-	NoVerify bool
 }
 
 type regShard struct {
@@ -192,25 +187,14 @@ func (r *Registry) Source(kind SourceKind, src string) (*Compiled, error) {
 		case KindMiniJava:
 			prog, err = minijava.Compile(src)
 		case KindJasm:
-			// Unlinked, so the verifier sees a program the linker's
-			// stack-depth check would refuse and reports it by rule.
-			prog, err = jasm.AssembleUnlinked(src)
+			prog, err = jasm.Assemble(src)
 		default:
 			return nil, nil, fmt.Errorf("serve: unknown source kind %d", kind)
 		}
+		// Both link, and linking verifies: a rejection is a
+		// *classfile.VerifyError carrying the full report, cached like any
+		// compile error, so resubmitting costs one map lookup.
 		if err != nil {
-			return nil, nil, err
-		}
-		if !r.NoVerify {
-			// Submitted bytecode is untrusted: reject structurally invalid
-			// programs before they reach the dispatch engine. The rejection
-			// (a *analysis.VerifyError carrying the full report) is cached
-			// like any compile error, so resubmitting costs one map lookup.
-			if rep := analysis.Verify(prog); rep.Reject() {
-				return nil, nil, fmt.Errorf("serve: program rejected by verifier: %w", rep.Err())
-			}
-		}
-		if err := prog.Link(); err != nil {
 			return nil, nil, err
 		}
 		pcfg, err := cfg.BuildProgram(prog)

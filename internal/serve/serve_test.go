@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/replay"
 )
@@ -452,12 +452,12 @@ func TestDoRejectsUnverifiableSource(t *testing.T) {
 	if err == nil {
 		t.Fatal("unverifiable program accepted")
 	}
-	var verr *analysis.VerifyError
+	var verr *classfile.VerifyError
 	if !errors.As(err, &verr) {
-		t.Fatalf("error is not a *analysis.VerifyError: %v", err)
+		t.Fatalf("error is not a *classfile.VerifyError: %v", err)
 	}
-	if got := verr.Report.Errors()[0].Rule; got != analysis.RuleUninitLocal {
-		t.Fatalf("rule = %s, want %s", got, analysis.RuleUninitLocal)
+	if got := verr.Report.Errors()[0].Rule; got != classfile.RuleUninitLocal {
+		t.Fatalf("rule = %s, want %s", got, classfile.RuleUninitLocal)
 	}
 
 	// The rejection is cached like a compile error: resubmitting hits the
@@ -477,20 +477,20 @@ func TestDoRejectsUnverifiableSource(t *testing.T) {
 	}
 }
 
-// TestDoRejectsUnbalancedStack: the linker's stack-depth check would refuse
-// these programs too, but as a compile error without a report. Submitted
-// jasm is verified before it is linked, so the client gets the rule.
+// TestDoRejectsUnbalancedStack: linking runs the verifier, so a stack-depth
+// error in submitted jasm reaches the client as a report with its rule, not
+// as a bare compile error.
 func TestDoRejectsUnbalancedStack(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	for rule, body := range map[string]string{
-		analysis.RuleStackUnderflow: "iadd\n    return",
-		analysis.RuleStackImbalance: "iconst 1\n    return",
+		classfile.RuleStackUnderflow: "iadd\n    return",
+		classfile.RuleStackImbalance: "iconst 1\n    return",
 	} {
 		src := ".class Main\n.method static main ( ) void\n    " + body + "\n.end\n.end\n.entry Main main\n"
 		_, err := s.Do(context.Background(), Request{Source: src, Kind: KindJasm})
-		var verr *analysis.VerifyError
+		var verr *classfile.VerifyError
 		if !errors.As(err, &verr) {
-			t.Fatalf("%s: error is not a *analysis.VerifyError: %v", rule, err)
+			t.Fatalf("%s: error is not a *classfile.VerifyError: %v", rule, err)
 		}
 		if got := verr.Report.Errors()[0].Rule; got != rule {
 			t.Errorf("rule = %s, want %s", got, rule)
@@ -499,20 +499,6 @@ func TestDoRejectsUnbalancedStack(t *testing.T) {
 	snap := s.Stats()
 	if snap.ProgramsRejected != 2 || snap.CompileErrors != 0 {
 		t.Errorf("ProgramsRejected = %d, CompileErrors = %d, want 2 and 0", snap.ProgramsRejected, snap.CompileErrors)
-	}
-}
-
-func TestNoVerifySkipsTheGate(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, NoVerify: true})
-	resp, err := s.Do(context.Background(), Request{Source: uninitSource, Kind: KindJasm})
-	if err != nil {
-		t.Fatalf("NoVerify service refused the program: %v", err)
-	}
-	if resp.Output != "0\n" {
-		t.Errorf("output = %q, want %q (zero-initialized local)", resp.Output, "0\n")
-	}
-	if snap := s.Stats(); snap.ProgramsRejected != 0 {
-		t.Errorf("ProgramsRejected = %d, want 0", snap.ProgramsRejected)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -57,10 +57,6 @@ type Config struct {
 	// Injector, when non-nil, interposes on every run (see Injector). The
 	// fault-injection harness is its only intended user.
 	Injector Injector
-	// NoVerify disables bytecode verification of submitted sources (the
-	// default is to verify and refuse invalid programs before they are
-	// registered).
-	NoVerify bool
 	// EventTrace is the capacity of the service's shared observability ring
 	// (0 disables event tracing). Sessions, mode controllers and the
 	// request path all emit into it; read a tail with Events. The ring is
@@ -214,7 +210,6 @@ func New(cfg Config) *Service {
 	if cfg.SnapshotDir != "" {
 		s.snaps = newSnapStore(cfg.SnapshotDir, cfg.SnapshotInterval, cfg.SnapshotNet, s.ring, s.epochs)
 	}
-	s.reg.NoVerify = cfg.NoVerify
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker(i)
@@ -293,7 +288,7 @@ func (s *Service) notePanic(comp *Compiled) {
 func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
 	comp, err := s.resolve(req)
 	if err != nil {
-		var verr *analysis.VerifyError
+		var verr *classfile.VerifyError
 		if errors.As(err, &verr) {
 			s.agg.verifyReject()
 		} else {

@@ -124,6 +124,9 @@ func (m *Machine) RunInstrMode() (err error) {
 				if recv.Kind != KindObject {
 					return m.trap(TrapBadCast, in.PC, "invokevirtual %s on non-object", callee.QName())
 				}
+				if ref.VSlot >= len(recv.Class.VTable) {
+					return m.trap(TrapBadProgram, in.PC, "vtable slot %d out of range for class %s", ref.VSlot, recv.Class.Name)
+				}
 				callee = recv.Class.VTable[ref.VSlot]
 			} else if ref.Kind == classfile.RefSpecial && args[0].Ref() == nil {
 				return m.trap(TrapNullDeref, in.PC, "invokespecial %s on null", callee.QName())

@@ -75,7 +75,7 @@ func CompileMiniJava(src string) (*Program, error) { return minijava.Compile(src
 // Assemble assembles jasm assembler source into a linked program.
 func Assemble(src string) (*Program, error) { return jasm.Assemble(src) }
 
-// LoadModule reads a serialized module and links it.
+// LoadModule reads a serialized module and links it; linking verifies it.
 func LoadModule(r io.Reader) (*Program, error) {
 	p, err := classfile.Read(r)
 	if err != nil {
