@@ -19,8 +19,8 @@ import (
 )
 
 // Type is a value type in method and field descriptors. References are
-// untyped beyond "reference": the VM is memory-safe through runtime checks,
-// not a static verifier.
+// untyped beyond "reference": the verifier checks value kinds only, and the
+// VM is memory-safe through runtime checks (a receiver's class, a cast).
 type Type uint8
 
 const (
